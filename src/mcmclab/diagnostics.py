@@ -248,14 +248,19 @@ class HistogramDensity:
         return vol
 
     def bin_indices(self, points) -> np.ndarray:
-        """Per-dimension bin index of each point; -1 marks out-of-box."""
+        """Per-dimension bin index of each point; -1 marks out-of-box.
+
+        Non-finite coordinates are out of the box: NaN fails both edge
+        comparisons, so it is caught by testing for inside, not outside.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         idx = np.empty(pts.shape, dtype=int)
         for k, e in enumerate(self.edges):
-            i = np.searchsorted(e, pts[:, k], side="right") - 1
+            x = pts[:, k]
+            i = np.searchsorted(e, x, side="right") - 1
             # the right edge of the last bin is inclusive
-            i[pts[:, k] == e[-1]] = len(e) - 2
-            i[(pts[:, k] < e[0]) | (pts[:, k] > e[-1])] = -1
+            i[x == e[-1]] = len(e) - 2
+            i[~((x >= e[0]) & (x <= e[-1]))] = -1
             idx[:, k] = i
         return idx
 

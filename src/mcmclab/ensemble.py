@@ -11,7 +11,10 @@ Three proposal families are provided:
   volume factor in the acceptance ratio.
 
 A sweep updates chains in fixed ascending order, each update seeing the
-others' latest positions, so runs are reproducible for a fixed seed.
+others' latest positions, so runs are reproducible for a fixed seed.  The
+sweep driver keeps one log density per chain, so an update evaluates the
+target only at its candidate.  The public step functions are single updates
+through the same proposal code and accept rule.
 """
 
 import warnings
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .mh import Chain
+from .mh import Chain, _checked, _metropolis_update
 
 __all__ = [
     "EnsembleState",
@@ -126,6 +129,27 @@ def _cholesky_with_ridge(cov: np.ndarray):
     raise NumericalError("covariance matrix cannot be repaired by ridging")
 
 
+def _others(m: int, j: int) -> np.ndarray:
+    """Row mask selecting every chain but ``j``."""
+    keep = np.ones(m, dtype=bool)
+    keep[j] = False
+    return keep
+
+
+def _loo_covariance(positions: np.ndarray, keep) -> np.ndarray:
+    """Sample covariance of the rows ``keep`` selects, ``np.cov``'s arithmetic.
+
+    Same operations in the same order as ``np.cov(positions[keep],
+    rowvar=False, ddof=1)``, so the result agrees bit for bit, without
+    its argument handling.
+    """
+    x = positions[keep]
+    x -= x.mean(axis=0)
+    c = x.T @ x
+    c *= 1.0 / (x.shape[0] - 1)
+    return c
+
+
 def ensemble_covariance(state, exclude: int) -> np.ndarray:
     """Sample covariance of all chains except ``exclude``.
 
@@ -138,22 +162,66 @@ def ensemble_covariance(state, exclude: int) -> np.ndarray:
     m = positions.shape[0]
     if m < 3:
         raise ValueError("ensemble covariance needs at least 3 chains")
-    others = np.delete(positions, exclude, axis=0)
-    cov = np.atleast_2d(np.cov(others, rowvar=False, ddof=1))
-    _, cov = _cholesky_with_ridge(cov)
+    _, cov = _cholesky_with_ridge(_loo_covariance(positions, _others(m, exclude)))
     return cov
 
 
-def _metropolis_accept(target, current, lp_current, candidate, log_volume, rng):
-    """Shared accept/reject tail; draws u unconditionally."""
-    lp_candidate = float(target.log_density(candidate))
-    u = rng.random()
-    if np.isneginf(lp_candidate):
-        return current, lp_current, False
-    log_t = log_volume + (lp_candidate - lp_current)
-    if np.log(u) <= min(0.0, log_t):
-        return candidate, lp_candidate, True
-    return current, lp_current, False
+def _jitter_matrix(jitter_cov, d: int):
+    """``None`` (jitter from the ensemble) or the jitter covariance as a matrix."""
+    if jitter_cov is None:
+        return None
+    jitter_cov = np.asarray(jitter_cov, dtype=float)
+    if jitter_cov.ndim == 0:
+        return float(jitter_cov) * np.eye(d)
+    return jitter_cov
+
+
+def _propose(method, positions, j, keep, gamma, law, jitter, rng):
+    """Candidate for chain ``j`` and the log volume factor of its move.
+
+    ``keep`` masks out chain ``j`` for the covariance-shaped moves;
+    ``jitter`` is a ``_jitter_matrix`` result.  Random draws happen in a
+    fixed order per method, which the streams depend on.
+    """
+    m, d = positions.shape
+    current = positions[j]
+    if method == "stretch":
+        k = int(rng.integers(m - 1))
+        if k >= j:
+            k += 1
+        z = float(sample_stretch_factor(law, rng))
+        return positions[k] + z * (current - positions[k]), (d - 1) * np.log(z)
+    if method == "gaussian":
+        chol, _ = _cholesky_with_ridge(_loo_covariance(positions, keep))
+        return current + gamma * (chol @ rng.standard_normal(d)), 0.0
+    k, l = rng.choice(m - 1, size=2, replace=False)
+    k += k >= j
+    l += l >= j
+    if jitter is None:
+        # ridge-check the covariance first, then factor a fifth of it:
+        # a rank-deficient ensemble needs both stages
+        _, cov = _cholesky_with_ridge(_loo_covariance(positions, keep))
+        jitter = cov / 5.0
+    z = rng.standard_normal(d)
+    if np.trace(jitter) == 0.0:
+        eps = np.zeros(d)
+    else:
+        chol, _ = _cholesky_with_ridge(jitter)
+        eps = chol @ z
+    return current + gamma * (positions[k] - positions[l] + eps), 0.0
+
+
+def _single_update(method, target, positions, j, gamma, law, jitter_cov, rng):
+    """One update of chain ``j`` from scratch; ``(new_position, accepted)``."""
+    m, d = positions.shape
+    current = positions[j]
+    lp_current = _checked(float(target.log_density(current)), current)
+    candidate, log_volume = _propose(
+        method, positions, j, _others(m, j), gamma, law,
+        _jitter_matrix(jitter_cov, d), rng,
+    )
+    accepted, _ = _metropolis_update(target, lp_current, candidate, log_volume, rng)
+    return (candidate if accepted else current), accepted
 
 
 def ensemble_gaussian_step(target, state, j: int, gamma: float, rng):
@@ -164,15 +232,9 @@ def ensemble_gaussian_step(target, state, j: int, gamma: float, rng):
     Metropolis ratio.  Returns ``(new_position, accepted)``.
     """
     positions = _positions_of(state)
-    cov = ensemble_covariance(positions, j)
-    chol, _ = _cholesky_with_ridge(cov)
-    current = positions[j]
-    lp_current = float(target.log_density(current))
-    candidate = current + gamma * (chol @ rng.standard_normal(current.size))
-    new, _, accepted = _metropolis_accept(
-        target, current, lp_current, candidate, 0.0, rng
-    )
-    return new, accepted
+    if positions.shape[0] < 3:
+        raise ValueError("ensemble covariance needs at least 3 chains")
+    return _single_update("gaussian", target, positions, j, gamma, None, None, rng)
 
 
 def de_trajectory_count(m: int) -> int:
@@ -193,30 +255,9 @@ def de_step(target, state, j: int, gamma: float, rng, jitter_cov=None):
     symmetric.  Returns ``(new_position, accepted)``.
     """
     positions = _positions_of(state)
-    m, d = positions.shape
-    if m < 3:
+    if positions.shape[0] < 3:
         raise ValueError("de_step needs at least 3 chains")
-    others = np.delete(np.arange(m), j)
-    k, l = others[rng.choice(m - 1, size=2, replace=False)]
-    if jitter_cov is None:
-        jitter_cov = ensemble_covariance(positions, j) / 5.0
-    else:
-        jitter_cov = np.asarray(jitter_cov, dtype=float)
-        if jitter_cov.ndim == 0:
-            jitter_cov = float(jitter_cov) * np.eye(d)
-    z = rng.standard_normal(d)
-    if np.trace(jitter_cov) == 0.0:
-        eps = np.zeros(d)
-    else:
-        chol, _ = _cholesky_with_ridge(jitter_cov)
-        eps = chol @ z
-    current = positions[j]
-    lp_current = float(target.log_density(current))
-    candidate = current + gamma * (positions[k] - positions[l] + eps)
-    new, _, accepted = _metropolis_accept(
-        target, current, lp_current, candidate, 0.0, rng
-    )
-    return new, accepted
+    return _single_update("de", target, positions, j, gamma, None, jitter_cov, rng)
 
 
 def sample_stretch_factor(law: StretchLaw, rng, size=None):
@@ -235,21 +276,9 @@ def stretch_step(target, state, j: int, law: StretchLaw, rng):
     Returns ``(new_position, accepted)``.
     """
     positions = _positions_of(state)
-    m, d = positions.shape
-    if m < 2:
+    if positions.shape[0] < 2:
         raise ValueError("stretch_step needs at least 2 chains")
-    k = int(rng.integers(m - 1))
-    if k >= j:
-        k += 1
-    gamma = float(sample_stretch_factor(law, rng))
-    current = positions[j]
-    lp_current = float(target.log_density(current))
-    candidate = positions[k] + gamma * (current - positions[k])
-    log_volume = (d - 1) * np.log(gamma)
-    new, _, accepted = _metropolis_accept(
-        target, current, lp_current, candidate, log_volume, rng
-    )
-    return new, accepted
+    return _single_update("stretch", target, positions, j, None, law, None, rng)
 
 
 def run_ensemble(
@@ -303,19 +332,26 @@ def run_ensemble(
     theta0 = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=float)
     positions = theta0 + rng.standard_normal((m, d))
     starts = positions.copy()
+    # one cached log density per chain: each update evaluates the target
+    # at its candidate only
+    lp = [_checked(float(target.log_density(x)), x) for x in positions]
+    jitter = _jitter_matrix(jitter_cov, d)
+    keep = np.ones(m, dtype=bool)
     history = np.empty((n_sweeps, m, d))
     accepted = np.empty((n_sweeps, m), dtype=bool)
     for sweep in range(n_sweeps):
         for j in range(m):
-            if method == "gaussian":
-                new, acc = ensemble_gaussian_step(target, positions, j, gamma, rng)
-            elif method == "de":
-                new, acc = de_step(
-                    target, positions, j, gamma, rng, jitter_cov=jitter_cov
-                )
-            else:
-                new, acc = stretch_step(target, positions, j, law, rng)
-            positions[j] = new
+            keep[j] = False
+            candidate, log_volume = _propose(
+                method, positions, j, keep, gamma, law, jitter, rng
+            )
+            keep[j] = True
+            acc, lp_candidate = _metropolis_update(
+                target, lp[j], candidate, log_volume, rng
+            )
+            if acc:
+                positions[j] = candidate
+                lp[j] = lp_candidate
             accepted[sweep, j] = acc
         history[sweep] = positions
     return EnsembleState(

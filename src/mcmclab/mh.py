@@ -3,13 +3,17 @@
 The accept/reject decision is made in log space (accept iff
 ``log u <= min(0, dlogp + dlogq)``), and the uniform variate is drawn on
 every step, even when acceptance is certain, so that random streams stay
-aligned across proposal variants.
+aligned across proposal variants.  The same rule drives the ensemble
+samplers: a ``-inf`` candidate is rejected, and a NaN or ``+inf`` log
+density breaks the target contract and raises ``NumericalError``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .targets import log_unnorm_density
 
 __all__ = [
@@ -104,6 +108,43 @@ def _hastings_log_ratio(proposal, current, candidate) -> float:
     return proposal.log_q(candidate, current) - proposal.log_q(current, candidate)
 
 
+def _checked(lp: float, point) -> float:
+    """``lp`` itself, unless it is NaN or ``+inf``: those raise, naming ``point``."""
+    if lp < math.inf:
+        return lp
+    shown = np.array2string(np.asarray(point, dtype=float), precision=6, separator=", ")
+    raise NumericalError(
+        f"target log density is {lp} at {shown}; only finite values or -inf are allowed"
+    )
+
+
+def _log_accept_prob(lp_current, lp_candidate, candidate, log_correction=0.0) -> float:
+    """The Metropolis accept rule: ``log min(1, T)`` for one proposed move.
+
+    ``T`` is the density ratio times ``exp(log_correction)`` (the Hastings
+    ratio, or the stretch move's volume factor).  A ``-inf`` candidate has
+    probability 0; a NaN or ``+inf`` one raises ``NumericalError``.
+    """
+    if lp_candidate == -math.inf:
+        return -math.inf
+    log_t = (_checked(lp_candidate, candidate) - lp_current) + log_correction
+    return 0.0 if log_t > 0.0 else log_t
+
+
+def _metropolis_update(target, lp_current, candidate, log_correction, rng):
+    """Evaluate ``candidate``, draw ``u`` and apply the accept rule.
+
+    ``u`` is drawn unconditionally so streams stay aligned.  Returns
+    ``(accepted, lp_candidate)``.
+    """
+    lp_candidate = float(target.log_density(candidate))
+    u = rng.random()
+    log_a = _log_accept_prob(lp_current, lp_candidate, candidate, log_correction)
+    if log_a > -math.inf and np.log(u) <= log_a:
+        return True, lp_candidate
+    return False, lp_candidate
+
+
 def transition_probability(target, proposal, current, candidate) -> float:
     """Metropolis-Hastings acceptance probability for one proposed move.
 
@@ -112,29 +153,25 @@ def transition_probability(target, proposal, current, candidate) -> float:
     """
     current = np.asarray(current, dtype=float)
     candidate = np.asarray(candidate, dtype=float)
-    lp_current = log_unnorm_density(target, current)
+    lp_current = _checked(log_unnorm_density(target, current), current)
     if np.isneginf(lp_current):
         raise ValueError("current state has zero density; chains must stay in support")
     lp_candidate = log_unnorm_density(target, candidate)
-    if np.isneginf(lp_candidate):
-        return 0.0
-    log_t = (lp_candidate - lp_current) + _hastings_log_ratio(
-        proposal, current, candidate
+    log_a = _log_accept_prob(
+        lp_current, lp_candidate, candidate,
+        _hastings_log_ratio(proposal, current, candidate),
     )
-    return float(np.exp(min(0.0, log_t)))
+    return float(np.exp(log_a))
 
 
 def _step(target, proposal, current, lp_current, rng):
     """One MH transition with the current log density threaded through."""
     candidate = proposal.propose(current, rng)
-    lp_candidate = float(target.log_density(candidate))
-    u = rng.random()
-    if np.isneginf(lp_candidate):
-        return current, lp_current, False
-    log_t = (lp_candidate - lp_current) + _hastings_log_ratio(
-        proposal, current, candidate
+    accepted, lp_candidate = _metropolis_update(
+        target, lp_current, candidate,
+        _hastings_log_ratio(proposal, current, candidate), rng,
     )
-    if np.log(u) <= min(0.0, log_t):
+    if accepted:
         return candidate, lp_candidate, True
     return current, lp_current, False
 
@@ -145,7 +182,7 @@ def mh_step(target, proposal, current, rng):
     On rejection the returned point is the current one, unchanged.
     """
     current = np.asarray(current, dtype=float)
-    lp_current = log_unnorm_density(target, current)
+    lp_current = _checked(log_unnorm_density(target, current), current)
     if np.isneginf(lp_current):
         raise ValueError("current state has zero density; chains must stay in support")
     nxt, _, accepted = _step(target, proposal, current, lp_current, rng)
@@ -161,7 +198,7 @@ def run_chain(target, proposal, theta0, n: int, rng, seed: int | None = None) ->
     if n < 1:
         raise ValueError("n must be >= 1")
     theta0 = np.asarray(theta0, dtype=float).ravel()
-    lp = log_unnorm_density(target, theta0)
+    lp = _checked(log_unnorm_density(target, theta0), theta0)
     if np.isneginf(lp):
         raise ValueError("theta0 has zero density; start chains inside the support")
     states = np.empty((n, theta0.size))

@@ -248,6 +248,14 @@ class TestHistogramDensity:
         assert hd.overflow_count == 0
         assert hd.density_at(np.array([[3.0]]))[0] > 0
 
+    def test_non_finite_coordinates_are_out_of_box(self):
+        samples = np.array([[0.5, 0.5], [1.5, 1.5], [2.5, 2.5]])
+        hd = histogram_density(samples, bins=3, bounds=[(0.0, 3.0), (0.0, 3.0)])
+        points = np.array([[np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5], [0.5, -np.inf]])
+        idx = hd.bin_indices(points)
+        np.testing.assert_array_equal(idx, [[-1, 0], [0, -1], [-1, 0], [0, -1]])
+        np.testing.assert_array_equal(hd.density_at(points), 0.0)
+
 
 class TestEvidenceFromChain:
     def test_single_bin_constant_target(self):

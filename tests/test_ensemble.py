@@ -1,11 +1,16 @@
 """Ensemble proposals: covariance shaping, difference moves, stretch moves."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcmclab.diagnostics import per_coordinate_tau
 from mcmclab.ensemble import (
     StretchLaw,
+    _loo_covariance,
     de_step,
     de_trajectory_count,
     ensemble_covariance,
@@ -14,8 +19,9 @@ from mcmclab.ensemble import (
     sample_stretch_factor,
     stretch_step,
 )
+from mcmclab.errors import NumericalError
 from mcmclab.mh import GaussianRandomWalk, run_chain
-from mcmclab.targets import IsotropicGaussianTarget
+from mcmclab.targets import IsotropicGaussianTarget, TargetDensity
 
 
 class FixedUniform:
@@ -28,6 +34,70 @@ class FixedUniform:
         if size is None:
             return self._values.pop(0)
         return np.array([self._values.pop(0) for _ in range(size)])
+
+
+class Ball(TargetDensity):
+    """N(0, I) inside radius 10; ``outside`` as the log density beyond it."""
+
+    def __init__(self, dim, outside):
+        self.dim = dim
+        self.outside = outside
+
+    def log_density(self, theta):
+        r2 = float(theta @ theta)
+        return -0.5 * r2 if r2 < 100.0 else self.outside
+
+
+class CountingTarget(TargetDensity):
+    """N(0, I) that counts its single-point evaluations."""
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.calls = 0
+
+    def log_density(self, theta):
+        self.calls += 1
+        return -0.5 * float(theta @ theta)
+
+
+# moves that fling the candidate far outside the unit ball
+FAR_MOVES = {
+    "gaussian": lambda pos, j, rng, target: ensemble_gaussian_step(
+        target, pos, j, 100.0, rng),
+    "de": lambda pos, j, rng, target: de_step(target, pos, j, 100.0, rng),
+    "stretch": lambda pos, j, rng, target: stretch_step(
+        target, pos, j, StretchLaw(a=1000.0), rng),
+}
+
+
+class TestLooCovariance:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(3, 60),
+        d=st.integers(1, 12),
+        kind=st.sampled_from(["offset", "collapsed", "rank-deficient"]),
+        offset=st.floats(-50.0, 50.0),
+        log_scale=st.floats(-2.0, 2.0),
+    )
+    def test_matches_np_cov_bit_for_bit(self, seed, m, d, kind, offset, log_scale):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** log_scale
+        if kind == "offset":
+            positions = offset + scale * rng.standard_normal((m, d))
+        elif kind == "collapsed":
+            positions = offset + 1e-9 * scale * rng.standard_normal((m, d))
+        else:
+            rank = max(1, min(d, m - 1) - 1)
+            basis = rng.standard_normal((rank, d))
+            positions = offset + scale * rng.standard_normal((m, rank)) @ basis
+        j = int(rng.integers(m))
+        keep = np.arange(m) != j
+        expected = np.atleast_2d(
+            np.cov(np.delete(positions, j, axis=0), rowvar=False, ddof=1)
+        )
+        got = _loo_covariance(positions, keep)
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestEnsembleCovariance:
@@ -250,6 +320,120 @@ class TestStretchStep:
         target = IsotropicGaussianTarget(2, 1.0)
         with pytest.raises(ValueError):
             stretch_step(target, np.zeros((1, 2)), 0, StretchLaw(), np.random.default_rng(13))
+
+
+def hand_loop(method, target, m, n_sweeps, rng, gamma, law, jitter_cov):
+    """``run_ensemble`` spelled out with the public step functions."""
+    positions = rng.standard_normal((m, target.dim))
+    history = np.empty((n_sweeps, m, target.dim))
+    accepted = np.empty((n_sweeps, m), dtype=bool)
+    for sweep in range(n_sweeps):
+        for j in range(m):
+            if method == "gaussian":
+                new, acc = ensemble_gaussian_step(target, positions, j, gamma, rng)
+            elif method == "de":
+                new, acc = de_step(target, positions, j, gamma, rng, jitter_cov=jitter_cov)
+            else:
+                new, acc = stretch_step(target, positions, j, law, rng)
+            positions[j] = new
+            accepted[sweep, j] = acc
+        history[sweep] = positions
+    return history, accepted
+
+
+class TestSingleCodePath:
+    @pytest.mark.parametrize(
+        "method, m, d, jitter_cov",
+        [
+            ("gaussian", 12, 3, None),
+            ("gaussian", 4, 3, None),
+            ("stretch", 12, 3, None),
+            ("de", 12, 3, None),
+            ("de", 12, 3, 0.0),
+            ("de", 12, 3, np.diag([0.2, 0.1, 0.05])),
+            ("de", 12, 3, np.diag([0.2, 0.1, 0.0])),
+            ("de", 4, 3, None),
+            ("de", 4, 3, 0.0),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_run_ensemble_equals_step_functions(self, method, m, d, jitter_cov, seed):
+        target = IsotropicGaussianTarget(d, 1.0)
+        gamma = None if method == "stretch" else 1.2 / np.sqrt(d)
+        law = StretchLaw(2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            state = run_ensemble(
+                method, target, m=m, n_sweeps=40, rng=np.random.default_rng(seed),
+                gamma=gamma, law=law, jitter_cov=jitter_cov,
+            )
+        history, accepted = hand_loop(
+            method, target, m, 40, np.random.default_rng(seed), gamma, law, jitter_cov
+        )
+        np.testing.assert_array_equal(state.history, history)
+        np.testing.assert_array_equal(state.accepted, accepted)
+
+    @pytest.mark.parametrize("method", ["gaussian", "de", "stretch"])
+    def test_one_target_evaluation_per_update(self, method):
+        m, n_sweeps = 7, 11
+        target = CountingTarget(3)
+        run_ensemble(method, target, m=m, n_sweeps=n_sweeps,
+                     rng=np.random.default_rng(20))
+        assert target.calls == m + n_sweeps * m
+
+
+class TestTargetContract:
+    @pytest.mark.parametrize("method", ["gaussian", "de", "stretch"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_step_raises_on_nan_or_inf_candidate(self, method, bad):
+        target = Ball(2, bad)
+        rng = np.random.default_rng(21)
+        positions = rng.standard_normal((6, 2))
+        with pytest.raises(NumericalError, match=str(bad)):
+            for _ in range(50):
+                for j in range(6):
+                    positions[j] = FAR_MOVES[method](positions, j, rng, target)[0]
+
+    @pytest.mark.parametrize("method", ["gaussian", "de", "stretch"])
+    def test_step_rejects_neg_inf_candidate(self, method):
+        target = Ball(2, -np.inf)
+        rng = np.random.default_rng(22)
+        positions = rng.standard_normal((6, 2))
+        rejected = 0
+        for _ in range(50):
+            for j in range(6):
+                new, acc = FAR_MOVES[method](positions, j, rng, target)
+                rejected += not acc
+                positions[j] = new
+        assert rejected > 0
+        assert np.all(np.einsum("ij,ij->i", positions, positions) < 100.0)
+
+    @pytest.mark.parametrize("method", ["gaussian", "de", "stretch"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_run_ensemble_raises_on_nan_or_inf_candidate(self, method, bad):
+        target = Ball(2, bad)
+        with pytest.raises(NumericalError):
+            run_ensemble(method, target, m=6, n_sweeps=50,
+                         rng=np.random.default_rng(23), gamma=100.0,
+                         law=StretchLaw(a=1000.0))
+
+    @pytest.mark.parametrize("method", ["gaussian", "de", "stretch"])
+    def test_run_ensemble_rejects_neg_inf_candidate(self, method):
+        target = Ball(2, -np.inf)
+        state = run_ensemble(method, target, m=6, n_sweeps=50,
+                             rng=np.random.default_rng(24), gamma=100.0,
+                             law=StretchLaw(a=1000.0))
+        assert not state.accepted.all()
+        radii2 = np.einsum("...i,...i->...", state.history, state.history)
+        assert np.all(radii2 < 100.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_run_ensemble_raises_on_bad_start(self, bad):
+        # every start lies outside the radius-10 ball
+        target = Ball(2, bad)
+        with pytest.raises(NumericalError, match=str(bad)):
+            run_ensemble("stretch", target, m=4, n_sweeps=1,
+                         rng=np.random.default_rng(25), theta0=np.full(2, 50.0))
 
 
 class TestRunEnsemble:

@@ -1,11 +1,17 @@
 """Single-chain Metropolis-Hastings: transitions, chains, burn-in."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from mcmclab.errors import NumericalError
 from mcmclab.harness import exercise_2d_target
 from mcmclab.mh import (
     Chain,
+    _log_accept_prob,
     GaussianRandomWalk,
     MarkovProposal,
     acceptance_fraction,
@@ -176,6 +182,80 @@ class TestMhStep:
             chain.states[:, 0].astype(int), minlength=3
         ) / len(chain)
         assert np.abs(occupancy - np.array([0.2, 0.3, 0.5])).sum() < 0.03
+
+
+class HalfPlane(TargetDensity):
+    """2-D N(0, I) for ``x0 <= 1``; ``beyond`` as the log density elsewhere."""
+
+    dim = 2
+
+    def __init__(self, beyond):
+        self.beyond = beyond
+
+    def log_density(self, theta):
+        return -0.5 * float(theta @ theta) if theta[0] <= 1.0 else self.beyond
+
+
+class TestTargetContract:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_run_chain_raises_on_nan_or_inf_candidate(self, bad):
+        # without the check a NaN candidate is always accepted, because
+        # min(0, nan) is 0
+        with pytest.raises(NumericalError, match=str(bad)):
+            run_chain(HalfPlane(bad), GaussianRandomWalk(1.0), np.zeros(2), 2000,
+                      np.random.default_rng(11))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_mh_step_raises_on_nan_or_inf_candidate(self, bad):
+        class Jump(MarkovProposal):
+            symmetric = True
+
+            def propose(self, current, rng):
+                return current + np.array([5.0, 0.0])
+
+        with pytest.raises(NumericalError, match=r"\[5\., 0\.\]"):
+            mh_step(HalfPlane(bad), Jump(), np.zeros(2), np.random.default_rng(12))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_transition_probability_raises_on_nan_or_inf(self, bad):
+        target = HalfPlane(bad)
+        proposal = GaussianRandomWalk(1.0)
+        inside, outside = np.zeros(2), np.array([2.0, 0.0])
+        with pytest.raises(NumericalError):
+            transition_probability(target, proposal, inside, outside)
+        with pytest.raises(NumericalError):
+            transition_probability(target, proposal, outside, inside)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_run_chain_raises_on_nan_or_inf_start(self, bad):
+        with pytest.raises(NumericalError):
+            run_chain(HalfPlane(bad), GaussianRandomWalk(1.0), np.array([2.0, 0.0]),
+                      10, np.random.default_rng(13))
+
+    def test_neg_inf_candidate_is_rejected(self):
+        chain = run_chain(HalfPlane(-np.inf), GaussianRandomWalk(1.0), np.zeros(2),
+                          2000, np.random.default_rng(14))
+        assert not chain.accepted.all()
+        assert np.all(chain.states[:, 0] <= 1.0)
+
+    @given(
+        lp_current=st.floats(-1e300, 1e300),
+        lp_candidate=st.floats(allow_nan=True, allow_infinity=True),
+        log_correction=st.floats(-1e300, 1e300),
+    )
+    def test_rule_never_takes_a_nan_or_inf_candidate(
+        self, lp_current, lp_candidate, log_correction
+    ):
+        point = np.zeros(1)
+        if math.isnan(lp_candidate) or lp_candidate == math.inf:
+            with pytest.raises(NumericalError):
+                _log_accept_prob(lp_current, lp_candidate, point, log_correction)
+            return
+        log_a = _log_accept_prob(lp_current, lp_candidate, point, log_correction)
+        if lp_candidate == -math.inf:
+            assert log_a == -math.inf
+        else:
+            assert log_a <= 0.0
 
 
 class TestDetailedBalance:
