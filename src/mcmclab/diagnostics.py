@@ -1,9 +1,9 @@
 """Chain and weight diagnostics.
 
 Autocovariance uses the biased 1/n normalization, which keeps the estimated
-sequence positive semidefinite and bounds every autocorrelation by one.
-The integrated autocorrelation time is summed up to a self-consistent
-window ``W = min{t : t >= c * tau_hat(t)}`` with ``c = 5`` by default.
+sequence positive semidefinite and bounds every autocorrelation by one; one
+zero-padded FFT gives all lags.  The integrated autocorrelation time is summed
+up to Sokal's self-consistent window ``W = min{t : t >= c * tau_hat(t)}``.
 """
 
 import warnings
@@ -69,35 +69,6 @@ class AutocorrCurve:
         return float(self.values[t])
 
 
-def _acf_values(x: np.ndarray, t_max: int) -> np.ndarray:
-    """A(1..t_max) for a centered series; raises on zero variance."""
-    n = x.size
-    a = x - x.mean()
-    c0 = a @ a / n
-    if c0 <= 0.0:
-        raise ZeroVarianceError("series has zero variance")
-    out = np.empty(t_max)
-    for t in range(1, t_max + 1):
-        out[t - 1] = a[: n - t] @ a[t:] / n / c0
-    return out
-
-
-def autocorrelation(series, t_max: int | None = None) -> AutocorrCurve:
-    """Autocorrelation curve A(t) = C(t)/C(0) for lags 0..t_max.
-
-    ``t_max`` defaults to ``min(n - 1, 1000)``.  The 1/n estimator bounds
-    every value in [-1, 1] by construction.
-    """
-    x = _as_series(series)
-    n = x.size
-    if t_max is None:
-        t_max = min(n - 1, 1000)
-    if not 0 <= t_max < n:
-        raise ValueError(f"t_max {t_max} out of range for series of length {n}")
-    values = np.concatenate([[1.0], _acf_values(x, t_max)]) if t_max else np.array([1.0])
-    return AutocorrCurve(lags=np.arange(t_max + 1), values=values)
-
-
 @dataclass(frozen=True)
 class TauEstimate:
     """Windowed integrated autocorrelation time.
@@ -114,37 +85,69 @@ class TauEstimate:
     insufficient_data: bool = False
 
 
+def _acf(columns: np.ndarray, t_max: int) -> np.ndarray:
+    """A(0..t_max) of each column of an ``(n, k)`` array, as ``(k, t_max + 1)``."""
+    rows = np.ascontiguousarray(np.asarray(columns, dtype=float).T)
+    n = rows.shape[1]
+    if not 0 <= t_max < n:
+        raise ValueError(f"t_max {t_max} out of range for series of length {n}")
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        raise NumericalError(f"series column {np.argmax(bad)} is not finite")
+    rows = rows - rows.mean(axis=1, keepdims=True)
+    c0 = np.array([a @ a for a in rows]) / n
+    if np.any(c0 <= 0.0):
+        raise ZeroVarianceError(f"series column {np.argmax(c0 <= 0.0)} has zero variance")
+    # zero padding to 2n keeps the circular products from wrapping round
+    f = np.fft.rfft(rows, n=2 * n, axis=1)
+    acov = np.fft.irfft(f.real**2 + f.imag**2, n=2 * n, axis=1)[:, : t_max + 1]
+    return acov / n / c0[:, None]
+
+
+def _taus(columns: np.ndarray, c: float, t_max: int | None) -> list[TauEstimate]:
+    """Windowed, zero-clamped tau of each column of an ``(n, k)`` array."""
+    n, k = columns.shape
+    if n < MIN_TAU_SAMPLES:
+        return [TauEstimate(tau=float("nan"), window=0, insufficient_data=True)] * k
+    t_max = min(n - 1, 10_000) if t_max is None else t_max
+    rho = _acf(columns, t_max)
+    rho[:, 0] = 0.0
+    taus = 2.0 * np.cumsum(rho, axis=1)
+    done = np.arange(t_max + 1) >= c * taus
+    done[:, 0] = False
+    windows = np.where(done.any(axis=1), done.argmax(axis=1), t_max)
+    truncated = ~done[np.arange(k), windows]
+    if truncated.any():
+        warnings.warn(f"autocorrelation window hit t_max={t_max} before "
+                      "self-consistency", RuntimeWarning, stacklevel=3)
+    return [TauEstimate(tau=float(max(tau[w], 0.0)), window=int(w), truncated=bool(cut))
+            for tau, w, cut in zip(taus, windows, truncated)]
+
+
+def autocorrelation(series, t_max: int | None = None) -> AutocorrCurve:
+    """Autocorrelation curve A(t) = C(t)/C(0) for lags 0..t_max.
+
+    ``t_max`` defaults to ``min(n - 1, 1000)``.  The 1/n estimator bounds
+    every value in [-1, 1] by construction.
+    """
+    x = _as_series(series)
+    if t_max is None:
+        t_max = min(x.size - 1, 1000)
+    values = _acf(x[:, None], t_max)[0]
+    values[0] = 1.0
+    return AutocorrCurve(lags=np.arange(t_max + 1), values=values)
+
+
 def integrated_autocorr_time(
     series, c: float = 5.0, t_max: int | None = None
 ) -> TauEstimate:
     """Estimate ``tau = 2 * sum_{t>=1} A(t)`` with a self-consistent window.
 
-    Lags accumulate until ``t >= c * tau_hat(t)``; the running estimate is
-    clamped at zero from below.  Series shorter than ``MIN_TAU_SAMPLES``
-    return an insufficient-data status instead of a number.
+    Lags accumulate until ``t >= c * tau_hat(t)``; tau is clamped at zero.
+    Series shorter than ``MIN_TAU_SAMPLES`` get an insufficient-data status
+    instead of a number, and NaN or ``inf`` values raise ``NumericalError``.
     """
-    x = _as_series(series)
-    n = x.size
-    if n < MIN_TAU_SAMPLES:
-        return TauEstimate(tau=float("nan"), window=0, insufficient_data=True)
-    if t_max is None:
-        t_max = min(n - 1, 10_000)
-    a = x - x.mean()
-    c0 = a @ a / n
-    if c0 <= 0.0:
-        raise ZeroVarianceError("series has zero variance")
-    running = 0.0
-    for t in range(1, t_max + 1):
-        running += a[: n - t] @ a[t:] / n / c0
-        tau = 2.0 * running
-        if t >= c * tau:
-            return TauEstimate(tau=max(tau, 0.0), window=t)
-    warnings.warn(
-        f"autocorrelation window hit t_max={t_max} before self-consistency",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return TauEstimate(tau=max(2.0 * running, 0.0), window=t_max, truncated=True)
+    return _taus(_as_series(series)[:, None], c, t_max)[0]
 
 
 def _states_of(x) -> np.ndarray:
@@ -156,8 +159,7 @@ def _states_of(x) -> np.ndarray:
 
 def per_coordinate_tau(x, c: float = 5.0) -> list[TauEstimate]:
     """Tau estimate of each coordinate projection of a chain or array."""
-    states = _states_of(x)
-    return [integrated_autocorr_time(states[:, k], c=c) for k in range(states.shape[1])]
+    return _taus(_states_of(x), c, None)
 
 
 def ess_from_tau(n: int, tau: float) -> float:
@@ -170,14 +172,11 @@ def chain_ess(x, c: float = 5.0) -> float:
 
     Multivariate inputs report the minimum over coordinate projections
     (equivalently, the maximum tau), which is the conservative summary.
-    Returns NaN when any coordinate has too little data for a tau estimate.
+    Returns NaN when the chain is too short for a tau estimate.
     """
     states = _states_of(x)
-    n = states.shape[0]
     taus = per_coordinate_tau(states, c=c)
-    if any(t.insufficient_data for t in taus):
-        return float("nan")
-    return min(ess_from_tau(n, t.tau) for t in taus)
+    return min(ess_from_tau(states.shape[0], t.tau) for t in taus)
 
 
 def kish_ess(weights=None, *, log_weights=None) -> float:

@@ -624,7 +624,7 @@ def run_mh_2d_exercise(cfg: ExperimentConfig):
     coords = _coordinate_summaries(samples)
     taus = diagnostics.per_coordinate_tau(samples)
     tau = max(t.tau for t in taus) if not any(t.insufficient_data for t in taus) else float("nan")
-    ess = diagnostics.chain_ess(samples)
+    ess = min(diagnostics.ess_from_tau(len(samples), t.tau) for t in taus)
     hd = default_evidence_histogram(samples, bins=cfg.bins, lo=cfg.bins_lo, hi=cfg.bins_hi)
     z = diagnostics.evidence_from_chain(target, samples, hd)
     case = "start-origin"

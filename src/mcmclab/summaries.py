@@ -94,11 +94,6 @@ class DiscretizedPosterior:
         return cls.from_log_masses(points, lw, volumes=cells.volumes)
 
     @classmethod
-    def from_weighted_samples(cls, ws) -> "DiscretizedPosterior":
-        points = ws.points[:, 0] if ws.points.shape[1] == 1 else ws.points
-        return cls.from_log_masses(points, ws.log_weights)
-
-    @classmethod
     def from_samples(cls, samples) -> "DiscretizedPosterior":
         """Equal-mass posterior from plain (e.g. MCMC) samples."""
         pts = np.asarray(samples, dtype=float)

@@ -1,7 +1,11 @@
 """Diagnostics against analytic oracles: AR(1), iid series, Kish identities."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcmclab.diagnostics import (
     autocorrelation,
@@ -138,6 +142,111 @@ class TestIntegratedAutocorrTime:
         assert max(taus) == pytest.approx(3 * d, rel=1.0)  # within factor 2
 
 
+def loop_acf(x, t_max):
+    """Reference A(0..t_max): one dot product per lag."""
+    n = x.size
+    a = x - x.mean()
+    c0 = a @ a / n
+    return np.array([1.0] + [a[: n - t] @ a[t:] / n / c0 for t in range(1, t_max + 1)])
+
+
+def loop_tau(x, c=5.0, t_max=None):
+    """Reference windowed tau: lags summed one at a time until t >= c * tau."""
+    n = x.size
+    t_max = min(n - 1, 10_000) if t_max is None else t_max
+    a = x - x.mean()
+    c0 = a @ a / n
+    running = 0.0
+    for t in range(1, t_max + 1):
+        running += a[: n - t] @ a[t:] / n / c0
+        tau = 2.0 * running
+        if t >= c * tau:
+            return max(tau, 0.0), t, False
+    return max(2.0 * running, 0.0), t_max, True
+
+
+ar1_batches = st.tuples(
+    st.floats(-0.5, 0.99),
+    st.integers(100, 3000),
+    st.integers(1, 5),
+    st.one_of(st.none(), st.integers(1, 30)),
+    st.integers(0, 2**32 - 1),
+)
+
+
+class TestFftMatchesLagLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(ar1_batches)
+    def test_batch_tau_matches_loop(self, case):
+        phi, n, k, t_max, seed = case
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([ar1_series(phi, n, rng) for _ in range(k)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ests = [integrated_autocorr_time(x[:, j], t_max=t_max) for j in range(k)]
+        for j, est in enumerate(ests):
+            tau, window, truncated = loop_tau(x[:, j], t_max=t_max)
+            assert (est.window, est.truncated, est.insufficient_data) == (
+                window, truncated, False
+            )
+            assert est.tau == pytest.approx(tau, rel=1e-10, abs=1e-12)
+        assert sum(e.truncated for e in ests) == len(caught)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            batch = per_coordinate_tau(x)
+            assert batch == [integrated_autocorr_time(x[:, j]) for j in range(k)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(ar1_batches)
+    def test_curve_matches_loop(self, case):
+        phi, n, _, t_max, seed = case
+        x = ar1_series(phi, n, np.random.default_rng(seed))
+        t_max = min(n - 1, 1000) if t_max is None else t_max
+        np.testing.assert_allclose(
+            autocorrelation(x, t_max).values, loop_acf(x, t_max), rtol=1e-10, atol=1e-12
+        )
+
+    def test_constant_column_in_batch_raises(self):
+        x = np.random.default_rng(20).standard_normal((500, 3))
+        x[:, 1] = 2.5
+        with pytest.raises(ZeroVarianceError, match="column 1"):
+            per_coordinate_tau(x)
+
+    def test_truncated_column_in_batch_warns(self):
+        # the default window stops at lag 10,000; a random walk four times
+        # that long is still correlated there
+        rng = np.random.default_rng(21)
+        walk = np.cumsum(rng.standard_normal(40_000))
+        x = np.column_stack([rng.standard_normal(40_000), walk])
+        with pytest.warns(RuntimeWarning, match="t_max=10000"):
+            fast, slow = per_coordinate_tau(x)
+        assert not fast.truncated
+        assert slow.truncated and slow.window == 10_000
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_series_raise(self, bad):
+        x = np.random.default_rng(22).standard_normal((500, 3))
+        x[250, 2] = bad
+        with pytest.raises(NumericalError, match="column 2 .*not finite"):
+            per_coordinate_tau(x)
+        with pytest.raises(NumericalError, match="not finite"):
+            integrated_autocorr_time(x[:, 2])
+        with pytest.raises(NumericalError, match="not finite"):
+            autocorrelation(x[:, 2])
+
+    def test_input_is_left_untouched(self):
+        x = np.random.default_rng(23).standard_normal(500) + 3.0
+        before = x.copy()
+        integrated_autocorr_time(x)
+        autocorrelation(x)
+        np.testing.assert_array_equal(x, before)
+
+    def test_t_max_beyond_series_raises(self):
+        x = np.random.default_rng(24).standard_normal(200)
+        with pytest.raises(ValueError, match="t_max"):
+            integrated_autocorr_time(x, t_max=200)
+
+
 class TestChainEss:
     def test_iid_ess_is_nearly_n(self):
         rng = np.random.default_rng(11)
@@ -146,6 +255,10 @@ class TestChainEss:
 
     def test_formula(self):
         assert ess_from_tau(10_000, 9.0) == pytest.approx(1000.0)
+
+    def test_short_chain_is_nan(self):
+        rng = np.random.default_rng(25)
+        assert np.isnan(chain_ess(rng.standard_normal((50, 3))))
 
     def test_multivariate_reports_minimum(self):
         rng = np.random.default_rng(12)
@@ -165,8 +278,6 @@ class TestChainEss:
         adaptive = run_chain(target, GaussianRandomWalk(2.5 / np.sqrt(d)),
                              rng_a.standard_normal(d), 20_000, rng_a)
         with np.errstate(all="ignore"):
-            import warnings
-
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 ess_fixed = chain_ess(drop_burn_in(fixed, 0.2).states)
