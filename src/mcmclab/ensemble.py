@@ -13,8 +13,11 @@ Three proposal families are provided:
 A sweep updates chains in fixed ascending order, each update seeing the
 others' latest positions, so runs are reproducible for a fixed seed.  The
 sweep driver keeps one log density per chain, so an update evaluates the
-target only at its candidate.  The public step functions are single updates
-through the same proposal code and accept rule.
+target only at its candidate.  With at least ``d + 2`` chains it also keeps
+the ensemble mean and scatter current, so each covariance update downdates
+them in O(d^2) instead of recomputing the leave-one-out covariance; they are
+rebuilt exactly once per sweep.  The public step functions are single updates
+through the same proposal code and accept rule, with exact covariances.
 """
 
 import warnings
@@ -150,6 +153,73 @@ def _loo_covariance(positions: np.ndarray, keep) -> np.ndarray:
     return c
 
 
+# rounding in the running scatter scales with the largest trace it has held
+# since its last rebuild; a downdate whose trace falls below this share of
+# that peak would lose too many digits, so that update is exact
+_DOWNDATE_FLOOR = 1e-2
+
+
+class _LooMoments:
+    """Running ensemble mean and centred scatter for leave-one-out covariances.
+
+    ``positions`` is the ensemble's array, which the sweep driver updates in
+    place.  The mean is held as ``anchor + shift``, ``anchor`` fixed at the
+    last rebuild, so an ensemble far from the origin loses no digits; the
+    scatter is ``S = sum (x_i - mean)(x_i - mean)^T``.  ``covariance(j)``
+    removes chain ``j`` in O(d^2) and ``accept(x)`` puts it back at ``x``;
+    ``rebuild()`` recomputes both from ``positions`` in O(m d^2).
+    """
+
+    def __init__(self, positions: np.ndarray):
+        m = positions.shape[0]
+        self.positions = positions
+        self._down = m / (m - 1)      # S_-j = S - m/(m-1) dd^T
+        self._up = (m - 1) / m        # S = S_-j + (m-1)/m ee^T
+        self._to_cov = 1.0 / (m - 2)  # C_-j = S_-j / (m-2)
+        self.rebuild()
+
+    def rebuild(self):
+        x = self.positions
+        self.anchor = x.mean(axis=0)
+        c = x - self.anchor
+        self.shift = c.mean(axis=0)
+        c -= self.shift
+        self.scatter = c.T @ c
+        self.trace = self.peak = float(self.scatter.trace())
+
+    def covariance(self, j: int) -> np.ndarray:
+        """Covariance of every chain but ``j``; sets ``exact`` if computed afresh."""
+        m = self.positions.shape[0]
+        delta = (self.positions[j] - self.anchor) - self.shift
+        trace = self.trace - self._down * float(delta @ delta)
+        self.exact = trace < _DOWNDATE_FLOOR * self.peak
+        if self.exact:
+            return _loo_covariance(self.positions, _others(m, j))
+        scatter = np.multiply.outer(delta, delta)
+        scatter *= -self._down
+        scatter += self.scatter
+        self._without = (self.shift - delta / (m - 1), scatter, trace)
+        return scatter * self._to_cov
+
+    def accept(self, x: np.ndarray):
+        """Record that the chain last passed to ``covariance`` moved to ``x``.
+
+        ``positions`` must already hold ``x``.
+        """
+        if self.exact:
+            self.rebuild()
+            return
+        shift, scatter, trace = self._without
+        e = (x - self.anchor) - shift
+        self.shift = shift + e / self.positions.shape[0]
+        outer = np.multiply.outer(e, e)
+        outer *= self._up
+        scatter += outer
+        self.scatter = scatter
+        self.trace = trace + self._up * float(e @ e)
+        self.peak = max(self.peak, self.trace)
+
+
 def ensemble_covariance(state, exclude: int) -> np.ndarray:
     """Sample covariance of all chains except ``exclude``.
 
@@ -166,22 +236,37 @@ def ensemble_covariance(state, exclude: int) -> np.ndarray:
     return cov
 
 
-def _jitter_matrix(jitter_cov, d: int):
-    """``None`` (jitter from the ensemble) or the jitter covariance as a matrix."""
-    if jitter_cov is None:
-        return None
-    jitter_cov = np.asarray(jitter_cov, dtype=float)
-    if jitter_cov.ndim == 0:
-        return float(jitter_cov) * np.eye(d)
-    return jitter_cov
+def _jitter_factor(jitter_cov, d: int) -> np.ndarray:
+    """Cholesky factor of a constant de jitter covariance; zeros for none."""
+    jitter = np.asarray(jitter_cov, dtype=float)
+    if jitter.ndim == 0:
+        jitter = float(jitter) * np.eye(d)
+    if np.trace(jitter) == 0.0:
+        return np.zeros((d, d))
+    return _cholesky_with_ridge(jitter)[0]
 
 
-def _propose(method, positions, j, keep, gamma, law, jitter, rng):
+def _exact_factor(method, cov) -> np.ndarray:
+    """Factor shaping a gaussian step or ensemble de jitter from ``cov``.
+
+    de ridge-checks the covariance first and then factors a fifth of it: a
+    rank-deficient ensemble needs both stages.
+    """
+    chol, cov = _cholesky_with_ridge(cov)
+    if method == "gaussian":
+        return chol
+    return _cholesky_with_ridge(cov / 5.0)[0]
+
+
+_SQRT_FIFTH = np.sqrt(0.2)
+
+
+def _propose(method, positions, j, factor, gamma, law, rng):
     """Candidate for chain ``j`` and the log volume factor of its move.
 
-    ``keep`` masks out chain ``j`` for the covariance-shaped moves;
-    ``jitter`` is a ``_jitter_matrix`` result.  Random draws happen in a
-    fixed order per method, which the streams depend on.
+    ``factor`` is the Cholesky factor of the gaussian step's covariance or
+    of the de jitter (unused by stretch).  Random draws happen in a fixed
+    order per method, which the streams depend on.
     """
     m, d = positions.shape
     current = positions[j]
@@ -192,22 +277,11 @@ def _propose(method, positions, j, keep, gamma, law, jitter, rng):
         z = float(sample_stretch_factor(law, rng))
         return positions[k] + z * (current - positions[k]), (d - 1) * np.log(z)
     if method == "gaussian":
-        chol, _ = _cholesky_with_ridge(_loo_covariance(positions, keep))
-        return current + gamma * (chol @ rng.standard_normal(d)), 0.0
+        return current + gamma * (factor @ rng.standard_normal(d)), 0.0
     k, l = rng.choice(m - 1, size=2, replace=False)
     k += k >= j
     l += l >= j
-    if jitter is None:
-        # ridge-check the covariance first, then factor a fifth of it:
-        # a rank-deficient ensemble needs both stages
-        _, cov = _cholesky_with_ridge(_loo_covariance(positions, keep))
-        jitter = cov / 5.0
-    z = rng.standard_normal(d)
-    if np.trace(jitter) == 0.0:
-        eps = np.zeros(d)
-    else:
-        chol, _ = _cholesky_with_ridge(jitter)
-        eps = chol @ z
+    eps = factor @ rng.standard_normal(d)
     return current + gamma * (positions[k] - positions[l] + eps), 0.0
 
 
@@ -216,10 +290,13 @@ def _single_update(method, target, positions, j, gamma, law, jitter_cov, rng):
     m, d = positions.shape
     current = positions[j]
     lp_current = _checked(float(target.log_density(current)), current)
-    candidate, log_volume = _propose(
-        method, positions, j, _others(m, j), gamma, law,
-        _jitter_matrix(jitter_cov, d), rng,
-    )
+    if method == "stretch":
+        factor = None
+    elif method == "de" and jitter_cov is not None:
+        factor = _jitter_factor(jitter_cov, d)
+    else:
+        factor = _exact_factor(method, _loo_covariance(positions, _others(m, j)))
+    candidate, log_volume = _propose(method, positions, j, factor, gamma, law, rng)
     accepted, _ = _metropolis_update(target, lp_current, candidate, log_volume, rng)
     return (candidate if accepted else current), accepted
 
@@ -322,7 +399,10 @@ def run_ensemble(
             RuntimeWarning,
             stacklevel=2,
         )
-    if method == "gaussian" and m < d + 2:
+    # the gaussian move and de's ensemble jitter are shaped by each chain's
+    # leave-one-out covariance
+    shaped = method == "gaussian" or (method == "de" and jitter_cov is None)
+    if shaped and m < d + 2:
         warnings.warn(
             f"covariance proposals want m >= d + 2 chains (m={m}, d={d}); "
             "the ensemble covariance will be singular up to ridging",
@@ -335,23 +415,35 @@ def run_ensemble(
     # one cached log density per chain: each update evaluates the target
     # at its candidate only
     lp = [_checked(float(target.log_density(x)), x) for x in positions]
-    jitter = _jitter_matrix(jitter_cov, d)
-    keep = np.ones(m, dtype=bool)
+    factor = None
+    if method == "de" and jitter_cov is not None:
+        factor = _jitter_factor(jitter_cov, d)
+    # full-rank ensembles downdate running moments; smaller ones, whose
+    # covariances need ridging, take the exact path
+    running = shaped and m >= d + 2
     history = np.empty((n_sweeps, m, d))
     accepted = np.empty((n_sweeps, m), dtype=bool)
     for sweep in range(n_sweeps):
+        # rebuilding exactly once per sweep bounds the running moments' drift
+        moments = _LooMoments(positions) if running else None
         for j in range(m):
-            keep[j] = False
+            if running:
+                factor, _ = _cholesky_with_ridge(moments.covariance(j))
+                if method == "de":
+                    factor *= _SQRT_FIFTH
+            elif shaped:
+                factor = _exact_factor(method, _loo_covariance(positions, _others(m, j)))
             candidate, log_volume = _propose(
-                method, positions, j, keep, gamma, law, jitter, rng
+                method, positions, j, factor, gamma, law, rng
             )
-            keep[j] = True
             acc, lp_candidate = _metropolis_update(
                 target, lp[j], candidate, log_volume, rng
             )
             if acc:
                 positions[j] = candidate
                 lp[j] = lp_candidate
+                if running:
+                    moments.accept(candidate)
             accepted[sweep, j] = acc
         history[sweep] = positions
     return EnsembleState(

@@ -4,12 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import mcmclab.ensemble as ens
 from mcmclab.diagnostics import per_coordinate_tau
 from mcmclab.ensemble import (
+    ENSEMBLE_METHODS,
     StretchLaw,
+    _LooMoments,
     _loo_covariance,
     de_step,
     de_trajectory_count,
@@ -60,6 +63,25 @@ class CountingTarget(TargetDensity):
         return -0.5 * float(theta @ theta)
 
 
+class CorrelatedGaussian2D(TargetDensity):
+    """N(0, Sigma) in 2-D with marginal scales ``scales`` and correlation ``rho``."""
+
+    def __init__(self, rho, scales):
+        self.dim = 2
+        cov = np.outer(scales, scales) * np.array([[1.0, rho], [rho, 1.0]])
+        self.chol = np.linalg.cholesky(cov)
+        self.precision = np.linalg.inv(cov)
+
+    def log_density(self, theta):
+        return -0.5 * float(theta @ self.precision @ theta)
+
+
+def assert_close_in_norm(got, want, rtol):
+    """Largest entrywise error within ``rtol`` of the largest entry of ``want``."""
+    err = np.max(np.abs(got - want))
+    assert err <= rtol * np.max(np.abs(want)), (err, np.max(np.abs(want)))
+
+
 # moves that fling the candidate far outside the unit ball
 FAR_MOVES = {
     "gaussian": lambda pos, j, rng, target: ensemble_gaussian_step(
@@ -98,6 +120,63 @@ class TestLooCovariance:
         )
         got = _loo_covariance(positions, keep)
         np.testing.assert_array_equal(got, expected)
+
+
+class TestLooMoments:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 8),
+        extra_chains=st.sampled_from([0, 0, 1, 5, 20]),
+        log_offset=st.floats(0.0, 6.0),
+        log_scale=st.floats(-3.0, 3.0),
+        log_outlier=st.one_of(st.none(), st.floats(0.0, 8.0)),
+    )
+    def test_downdates_match_exact_covariance(
+        self, seed, d, extra_chains, log_offset, log_scale, log_outlier
+    ):
+        # random accept sequences, without the driver's per-sweep rebuild
+        rng = np.random.default_rng(seed)
+        m = d + 2 + extra_chains
+        centre = 10.0 ** log_offset * rng.standard_normal(d)
+        scale = 10.0 ** log_scale
+
+        def far():
+            direction = rng.standard_normal(d)
+            return scale * 10.0 ** rng.uniform(0.0, 8.0) * direction / np.linalg.norm(direction)
+
+        positions = centre + scale * rng.standard_normal((m, d))
+        # leaving out a lone walker 1e4 spreads away keeps < 1e-6 of the trace,
+        # so that update must be exact
+        lone_outlier = log_outlier is not None and log_outlier >= 4.0
+        if log_outlier is not None:
+            direction = rng.standard_normal(d)
+            positions[0] += scale * 10.0 ** log_outlier * direction / np.linalg.norm(direction)
+        moments = _LooMoments(positions)
+        for _ in range(3 * m):
+            j = int(rng.integers(m))
+            cov = moments.covariance(j)
+            assert_close_in_norm(cov, _loo_covariance(positions, np.arange(m) != j), 1e-12)
+            if lone_outlier and j == 0:
+                assert moments.exact
+            if rng.random() < 0.5:
+                jump = rng.random() < 0.1
+                positions[j] = centre + (far() if jump else scale * rng.standard_normal(d))
+                moments.accept(positions[j])
+                lone_outlier = lone_outlier and j != 0 and not jump
+                # chain j's own position never enters its covariance
+                assert_close_in_norm(moments.covariance(j), cov, 1e-12)
+
+    def test_far_walker_is_left_out_exactly(self):
+        rng = np.random.default_rng(26)
+        positions = rng.standard_normal((6, 2))
+        positions[3] += 1e5
+        moments = _LooMoments(positions)
+        cov = moments.covariance(3)
+        assert moments.exact
+        np.testing.assert_array_equal(cov, _loo_covariance(positions, np.arange(6) != 3))
+        moments.covariance(2)
+        assert not moments.exact
 
 
 class TestEnsembleCovariance:
@@ -361,17 +440,57 @@ class TestSingleCodePath:
         target = IsotropicGaussianTarget(d, 1.0)
         gamma = None if method == "stretch" else 1.2 / np.sqrt(d)
         law = StretchLaw(2.0)
+        rng_run, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             state = run_ensemble(
-                method, target, m=m, n_sweeps=40, rng=np.random.default_rng(seed),
+                method, target, m=m, n_sweeps=40, rng=rng_run,
                 gamma=gamma, law=law, jitter_cov=jitter_cov,
             )
         history, accepted = hand_loop(
-            method, target, m, 40, np.random.default_rng(seed), gamma, law, jitter_cov
+            method, target, m, 40, rng_loop, gamma, law, jitter_cov
         )
-        np.testing.assert_array_equal(state.history, history)
         np.testing.assert_array_equal(state.accepted, accepted)
+        assert rng_run.bit_generator.state == rng_loop.bit_generator.state
+        covariance_shaped = method == "gaussian" or (method == "de" and jitter_cov is None)
+        if covariance_shaped and m >= d + 2:
+            # the driver downdates running moments where the step functions
+            # recompute each covariance: same draws, rounding-level drift
+            np.testing.assert_allclose(state.history, history, rtol=1e-9, atol=0.0)
+        else:
+            np.testing.assert_array_equal(state.history, history)
+
+    @pytest.mark.parametrize(
+        "method, m, jitter_cov, per_run, per_update",
+        [
+            ("de", 12, 0.0, 0, 0),
+            ("de", 12, 0.05, 1, 0),
+            ("de", 4, np.diag([0.2, 0.1, 0.05]), 1, 0),
+            ("de", 12, None, 0, 1),
+            ("gaussian", 12, None, 0, 1),
+            ("de", 4, None, 0, 2),
+            ("gaussian", 4, None, 0, 1),
+            ("stretch", 12, None, 0, 0),
+        ],
+    )
+    def test_factorizations(self, monkeypatch, method, m, jitter_cov, per_run, per_update):
+        # a constant jitter is factored once per run; a covariance move
+        # factors once per update, except de below d + 2 chains, which
+        # ridge-checks the covariance before factoring a fifth of it
+        calls = []
+        factor = ens._cholesky_with_ridge
+
+        def counting(cov):
+            calls.append(1)
+            return factor(cov)
+
+        monkeypatch.setattr(ens, "_cholesky_with_ridge", counting)
+        n_sweeps = 10
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run_ensemble(method, IsotropicGaussianTarget(3, 1.0), m=m, n_sweeps=n_sweeps,
+                         rng=np.random.default_rng(27), jitter_cov=jitter_cov)
+        assert len(calls) == per_run + per_update * n_sweeps * m
 
     @pytest.mark.parametrize("method", ["gaussian", "de", "stretch"])
     def test_one_target_evaluation_per_update(self, method):
@@ -442,6 +561,19 @@ class TestRunEnsemble:
         with pytest.raises(ValueError):
             run_ensemble("gaussian", target, m=1, n_sweeps=5, rng=np.random.default_rng(14))
 
+    @pytest.mark.parametrize("method", ["gaussian", "de"])
+    def test_covariance_moves_warn_below_d_plus_2_chains(self, method):
+        target = IsotropicGaussianTarget(5, 1.0)
+        with pytest.warns(RuntimeWarning, match=r"m >= d \+ 2"):
+            run_ensemble(method, target, m=4, n_sweeps=1, rng=np.random.default_rng(28))
+
+    def test_de_with_constant_jitter_does_not_warn(self):
+        target = IsotropicGaussianTarget(5, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_ensemble("de", target, m=4, n_sweeps=1, rng=np.random.default_rng(29),
+                         jitter_cov=0.01)
+
     def test_zero_sweeps_returns_initial_state(self):
         target = IsotropicGaussianTarget(2, 1.0)
         state = run_ensemble(
@@ -506,3 +638,37 @@ class TestRunEnsemble:
             means_b.append(sb.history[50:].mean())
         se = np.sqrt(np.var(means_a, ddof=1) / 20 + np.var(means_b, ddof=1) / 20)
         assert abs(np.mean(means_a) - np.mean(means_b)) < 3.0 * se
+
+
+class TestInvariance:
+    @pytest.mark.parametrize("method", ENSEMBLE_METHODS)
+    # no shrinking: each example runs 6,000 updates, so shrinking a failure takes minutes
+    @settings(max_examples=5, deadline=None, derandomize=True, phases=(Phase.generate,))
+    @given(
+        rho=st.floats(-0.95, 0.95),
+        log_ratio=st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_move_leaves_correlated_gaussian_invariant(self, method, rho, log_ratio, seed):
+        m, n_sweeps = 12, 500
+        target = CorrelatedGaussian2D(rho, np.array([1.0, 10.0 ** log_ratio]))
+        draws = np.random.default_rng([seed, 1]).standard_normal((m, 2)) @ target.chol.T
+        # run_ensemble starts at theta0 plus its first standard-normal draw;
+        # subtracting that draw starts the walkers at exact target draws
+        theta0 = draws - np.random.default_rng(seed).standard_normal((m, 2))
+        state = run_ensemble(method, target, m=m, n_sweeps=n_sweeps,
+                             rng=np.random.default_rng(seed), theta0=theta0)
+        np.testing.assert_allclose(state.starts, draws, atol=1e-12)
+        # whitened, every walker is N(0, I) at every sweep if the move is
+        # invariant: the per-sweep ensemble averages of w1, w2, w1^2 - 1,
+        # w2^2 - 1 and w1 w2 all have mean 0
+        w = state.history @ np.linalg.inv(target.chol).T
+        stats = np.stack(
+            [w[..., 0], w[..., 1], w[..., 0] ** 2 - 1.0, w[..., 1] ** 2 - 1.0,
+             w[..., 0] * w[..., 1]],
+            axis=-1,
+        ).mean(axis=1)
+        taus = [t.tau for t in per_coordinate_tau(stats)]
+        se = stats.std(axis=0, ddof=1) * np.sqrt(np.maximum(taus, 1.0) / n_sweeps)
+        z = stats.mean(axis=0) / se
+        assert np.all(np.abs(z) < 5.0), (z, taus)
