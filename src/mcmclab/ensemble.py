@@ -16,8 +16,17 @@ sweep driver keeps one log density per chain, so an update evaluates the
 target only at its candidate.  With at least ``d + 2`` chains it also keeps
 the ensemble mean and scatter current, so each covariance update downdates
 them in O(d^2) instead of recomputing the leave-one-out covariance; they are
-rebuilt exactly once per sweep.  The public step functions are single updates
-through the same proposal code and accept rule, with exact covariances.
+rebuilt exactly once per sweep.
+
+A stretch update's draws never depend on the ensemble, so a stretch sweep
+makes all of them first, in sequential order, and then evaluates the chains
+in dependency levels: chain ``j`` whose partner ``k`` comes later in the
+sweep reads ``k``'s old position and sits at level 0; otherwise it sits one
+level above ``k``.  Each level builds its candidates in one array operation
+and evaluates them with one ``log_density_many`` call, and the sweep equals
+the one-update-at-a-time sweep bit for bit.  The public step functions are
+single updates through the same proposal code and accept rule, with exact
+covariances.
 """
 
 import warnings
@@ -26,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .mh import Chain, _checked, _metropolis_update
+from .mh import Chain, _accepts, _checked, _metropolis_update
 
 __all__ = [
     "EnsembleState",
@@ -98,8 +107,8 @@ class StretchLaw:
         g = np.asarray(gamma, dtype=float)
         norm = 2.0 * (np.sqrt(self.a) - 1.0 / np.sqrt(self.a))
         inside = (g >= 1.0 / self.a) & (g <= self.a)
-        with np.errstate(divide="ignore"):
-            vals = np.where(inside, g ** -0.5 / norm, 0.0)
+        # the power sees 1 outside the window, where the density is 0
+        vals = np.where(inside, np.where(inside, g, 1.0) ** -0.5 / norm, 0.0)
         return vals if vals.ndim else float(vals)
 
 
@@ -261,6 +270,38 @@ def _exact_factor(method, cov) -> np.ndarray:
 _SQRT_FIFTH = np.sqrt(0.2)
 
 
+def _stretch_draws(m: int, j: int, law, rng):
+    """Partner index and stretch factor for chain ``j``, in stream order."""
+    k = int(rng.integers(m - 1))
+    if k >= j:
+        k += 1
+    return k, float(sample_stretch_factor(law, rng))
+
+
+def _stretch_candidates(partners, currents, z):
+    """Stretch candidates on the lines through ``partners`` and ``currents``.
+
+    One point with a scalar ``z``, or rows with ``z`` a column: the same
+    arithmetic either way.
+    """
+    return partners + z * (currents - partners)
+
+
+def _de_partners(m: int, rng):
+    """Two distinct indices below ``m - 1``, as ``rng.choice(m - 1, 2, replace=False)``.
+
+    The same draws spelled out (Floyd's sampling, then a shuffle of the
+    pair) at a fraction of ``choice``'s call overhead.
+    """
+    a = int(rng.integers(m - 2))
+    b = int(rng.integers(m - 1))
+    if b == a:
+        b = m - 2
+    if rng.integers(2) == 0:
+        a, b = b, a
+    return a, b
+
+
 def _propose(method, positions, j, factor, gamma, law, rng):
     """Candidate for chain ``j`` and the log volume factor of its move.
 
@@ -271,14 +312,11 @@ def _propose(method, positions, j, factor, gamma, law, rng):
     m, d = positions.shape
     current = positions[j]
     if method == "stretch":
-        k = int(rng.integers(m - 1))
-        if k >= j:
-            k += 1
-        z = float(sample_stretch_factor(law, rng))
-        return positions[k] + z * (current - positions[k]), (d - 1) * np.log(z)
+        k, z = _stretch_draws(m, j, law, rng)
+        return _stretch_candidates(positions[k], current, z), (d - 1) * np.log(z)
     if method == "gaussian":
         return current + gamma * (factor @ rng.standard_normal(d)), 0.0
-    k, l = rng.choice(m - 1, size=2, replace=False)
+    k, l = _de_partners(m, rng)
     k += k >= j
     l += l >= j
     eps = factor @ rng.standard_normal(d)
@@ -358,6 +396,54 @@ def stretch_step(target, state, j: int, law: StretchLaw, rng):
     return _single_update("stretch", target, positions, j, None, law, None, rng)
 
 
+def _stretch_sweep(target, positions, lp, law, rng, accepted):
+    """One stretch sweep in dependency levels; updates its arguments in place.
+
+    ``lp`` holds each chain's log density and ``accepted`` is this sweep's
+    row of flags.  Every level reads its positions before it writes any, so
+    level 0 sees the ensemble as the sweep found it.
+    """
+    m, d = positions.shape
+    partners, z, u = [], [], []
+    level = []
+    levels = []  # chains of each level, in ascending order
+    for j in range(m):
+        k, z_j = _stretch_draws(m, j, law, rng)
+        partners.append(k)
+        z.append(z_j)
+        u.append(rng.random())
+        # j sees k's old position if k updates later, else k's new one
+        lv = 0 if k > j else level[k] + 1
+        level.append(lv)
+        if lv == len(levels):
+            levels.append([j])
+        else:
+            levels[lv].append(j)
+    partners = np.array(partners)
+    z = np.array(z)
+    log_volume = ((d - 1) * np.log(z)).tolist()
+    log_u = np.log(u).tolist()
+    for members in levels:
+        rows = np.array(members)
+        candidates = _stretch_candidates(
+            positions[partners[rows]], positions[rows], z[rows, None]
+        )
+        lp_new = np.asarray(target.log_density_many(candidates), dtype=float)
+        if lp_new.shape != rows.shape:
+            raise ValueError(
+                f"log_density_many returned shape {lp_new.shape} for "
+                f"{rows.size} points; expected ({rows.size},)"
+            )
+        taken = []
+        for j, lp_j, candidate in zip(members, lp_new.tolist(), candidates):
+            acc = _accepts(lp[j], lp_j, candidate, log_volume[j], log_u[j])
+            if acc:
+                lp[j] = lp_j
+            taken.append(acc)
+        accepted[rows] = taken
+        positions[rows[taken]] = candidates[taken]
+
+
 def run_ensemble(
     method: str,
     target,
@@ -424,6 +510,10 @@ def run_ensemble(
     history = np.empty((n_sweeps, m, d))
     accepted = np.empty((n_sweeps, m), dtype=bool)
     for sweep in range(n_sweeps):
+        if method == "stretch":
+            _stretch_sweep(target, positions, lp, law, rng, accepted[sweep])
+            history[sweep] = positions
+            continue
         # rebuilding exactly once per sweep bounds the running moments' drift
         moments = _LooMoments(positions) if running else None
         for j in range(m):

@@ -131,6 +131,12 @@ def _log_accept_prob(lp_current, lp_candidate, candidate, log_correction=0.0) ->
     return 0.0 if log_t > 0.0 else log_t
 
 
+def _accepts(lp_current, lp_candidate, candidate, log_correction, log_u) -> bool:
+    """Whether the move is taken for the uniform ``u``: ``log u <= log min(1, T)``."""
+    log_a = _log_accept_prob(lp_current, lp_candidate, candidate, log_correction)
+    return log_a > -math.inf and log_u <= log_a
+
+
 def _metropolis_update(target, lp_current, candidate, log_correction, rng):
     """Evaluate ``candidate``, draw ``u`` and apply the accept rule.
 
@@ -138,11 +144,8 @@ def _metropolis_update(target, lp_current, candidate, log_correction, rng):
     ``(accepted, lp_candidate)``.
     """
     lp_candidate = float(target.log_density(candidate))
-    u = rng.random()
-    log_a = _log_accept_prob(lp_current, lp_candidate, candidate, log_correction)
-    if log_a > -math.inf and np.log(u) <= log_a:
-        return True, lp_candidate
-    return False, lp_candidate
+    log_u = np.log(rng.random())
+    return _accepts(lp_current, lp_candidate, candidate, log_correction, log_u), lp_candidate
 
 
 def transition_probability(target, proposal, current, candidate) -> float:

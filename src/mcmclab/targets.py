@@ -40,10 +40,15 @@ class TargetDensity:
         raise NotImplementedError
 
     def log_density_many(self, points) -> np.ndarray:
-        """Log density at each row of an ``(n, dim)`` array.
+        """Log density at each row of an ``(n, dim)`` array, shape ``(n,)``.
 
-        The default loops over rows; subclasses override with vectorized
-        evaluation where it pays off.
+        Row ``i`` must equal ``log_density(points[i])`` bit for bit, with the
+        same value contract: finite or ``-inf``, never NaN or ``+inf``.  The
+        ensemble driver evaluates stretch candidates in batches through this
+        method, and its streams match one-at-a-time evaluation only if the
+        rows agree exactly.  The default loops over rows; subclasses
+        override with vectorized evaluation that keeps the per-row
+        arithmetic (``np.vecdot`` for a dot product, not a sum of squares).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.array([self.log_density(p) for p in pts])
@@ -86,7 +91,7 @@ class IsotropicGaussianTarget(TargetDensity):
 
     def log_density_many(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return -0.5 * (pts ** 2).sum(axis=1) / (self.sigma ** 2)
+        return np.vecdot(-0.5 * pts, pts) / (self.sigma ** 2)
 
     @property
     def norm_constant(self) -> float:
@@ -128,7 +133,7 @@ class DiagonalGaussianTarget(TargetDensity):
     def log_density_many(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         z = (pts - self._mu) / self._sig
-        return -0.5 * (z ** 2).sum(axis=1)
+        return np.vecdot(-0.5 * z, z)
 
     @property
     def norm_constant(self) -> float:

@@ -51,6 +51,25 @@ class Ball(TargetDensity):
         return -0.5 * r2 if r2 < 100.0 else self.outside
 
 
+class VectorBall(Ball):
+    """``Ball`` with a vectorised ``log_density_many`` that logs each batch.
+
+    ``batches`` holds each call's row count and ``outside_rows`` counts the rows
+    evaluated beyond radius 10.
+    """
+
+    def __init__(self, dim, outside):
+        super().__init__(dim, outside)
+        self.batches = []
+        self.outside_rows = 0
+
+    def log_density_many(self, points):
+        r2 = np.vecdot(points, points)
+        self.batches.append(len(points))
+        self.outside_rows += int(np.sum(r2 >= 100.0))
+        return np.where(r2 < 100.0, -0.5 * r2, self.outside)
+
+
 class CountingTarget(TargetDensity):
     """N(0, I) that counts its single-point evaluations."""
 
@@ -332,6 +351,37 @@ class TestStretchFactor:
         with pytest.raises(ValueError):
             StretchLaw(a=1.0)
 
+    def test_density_outside_window_is_zero_without_warnings(self):
+        law = StretchLaw(a=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert law.density(-1.0) == 0.0
+            assert law.density(0.0) == 0.0
+            assert law.density(3.0) == 0.0
+            np.testing.assert_array_equal(
+                law.density(np.array([-4.0, -0.5, 0.0, 0.25, 2.5, np.nan])), 0.0
+            )
+            assert law.density(1.0) == pytest.approx(1.0 / (2.0 * (np.sqrt(2.0) - np.sqrt(0.5))))
+
+
+class TestDePartners:
+    @pytest.mark.parametrize("m", [3, 4, 5, 12, 99, 100])
+    def test_matches_rng_choice(self, m):
+        # the spelled-out draws must track numpy's own choice exactly; a
+        # numpy that samples differently fails here, not in a stream drift
+        spelled, reference = np.random.default_rng(m), np.random.default_rng(m)
+        got, want = [], []
+        for _ in range(4000):
+            got.append(ens._de_partners(m, spelled))
+            want.append(tuple(int(i) for i in reference.choice(m - 1, size=2, replace=False)))
+            # other draws in between, as in a de update
+            spelled.standard_normal(3)
+            reference.standard_normal(3)
+            spelled.random()
+            reference.random()
+        assert got == want
+        assert spelled.bit_generator.state == reference.bit_generator.state
+
 
 class TestStretchStep:
     def test_unit_gamma_leaves_state_unchanged(self, monkeypatch):
@@ -420,6 +470,31 @@ def hand_loop(method, target, m, n_sweeps, rng, gamma, law, jitter_cov):
     return history, accepted
 
 
+def assert_run_matches_hand_loop(method, target, m, jitter_cov, seed, law=StretchLaw(2.0)):
+    """``run_ensemble`` against ``hand_loop``: same flags, stream and history."""
+    d = target.dim
+    gamma = None if method == "stretch" else 1.2 / np.sqrt(d)
+    rng_run, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        state = run_ensemble(
+            method, target, m=m, n_sweeps=40, rng=rng_run,
+            gamma=gamma, law=law, jitter_cov=jitter_cov,
+        )
+    history, accepted = hand_loop(
+        method, target, m, 40, rng_loop, gamma, law, jitter_cov
+    )
+    np.testing.assert_array_equal(state.accepted, accepted)
+    assert rng_run.bit_generator.state == rng_loop.bit_generator.state
+    covariance_shaped = method == "gaussian" or (method == "de" and jitter_cov is None)
+    if covariance_shaped and m >= d + 2:
+        # the driver downdates running moments where the step functions
+        # recompute each covariance: same draws, rounding-level drift
+        np.testing.assert_allclose(state.history, history, rtol=1e-9, atol=0.0)
+    else:
+        np.testing.assert_array_equal(state.history, history)
+
+
 class TestSingleCodePath:
     @pytest.mark.parametrize(
         "method, m, d, jitter_cov",
@@ -437,28 +512,21 @@ class TestSingleCodePath:
     )
     @pytest.mark.parametrize("seed", [0, 1])
     def test_run_ensemble_equals_step_functions(self, method, m, d, jitter_cov, seed):
-        target = IsotropicGaussianTarget(d, 1.0)
-        gamma = None if method == "stretch" else 1.2 / np.sqrt(d)
-        law = StretchLaw(2.0)
-        rng_run, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            state = run_ensemble(
-                method, target, m=m, n_sweeps=40, rng=rng_run,
-                gamma=gamma, law=law, jitter_cov=jitter_cov,
-            )
-        history, accepted = hand_loop(
-            method, target, m, 40, rng_loop, gamma, law, jitter_cov
+        assert_run_matches_hand_loop(
+            method, IsotropicGaussianTarget(d, 1.0), m, jitter_cov, seed
         )
-        np.testing.assert_array_equal(state.accepted, accepted)
-        assert rng_run.bit_generator.state == rng_loop.bit_generator.state
-        covariance_shaped = method == "gaussian" or (method == "de" and jitter_cov is None)
-        if covariance_shaped and m >= d + 2:
-            # the driver downdates running moments where the step functions
-            # recompute each covariance: same draws, rounding-level drift
-            np.testing.assert_allclose(state.history, history, rtol=1e-9, atol=0.0)
-        else:
-            np.testing.assert_array_equal(state.history, history)
+
+    @pytest.mark.parametrize("m", [2, 3, 40])
+    @pytest.mark.parametrize("d", [1, 20])
+    @pytest.mark.parametrize("a", [1.1, 5.0])
+    @pytest.mark.parametrize("target_cls", [IsotropicGaussianTarget, CountingTarget])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_stretch_levels_equal_step_functions(self, m, d, a, target_cls, seed):
+        # the dependency-level sweep, through a vectorised log_density_many
+        # and through the default per-row one, against one update at a time
+        assert_run_matches_hand_loop(
+            "stretch", target_cls(d), m, None, seed, law=StretchLaw(a)
+        )
 
     @pytest.mark.parametrize(
         "method, m, jitter_cov, per_run, per_update",
@@ -545,6 +613,62 @@ class TestTargetContract:
         assert not state.accepted.all()
         radii2 = np.einsum("...i,...i->...", state.history, state.history)
         assert np.all(radii2 < 100.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_batched_sweep_raises_in_the_sweep_of_the_bad_value(self, bad):
+        # the draws never depend on the target, so a -inf twin of the target
+        # shows in which sweep the first candidate leaves the ball
+        def run(outside, n_sweeps):
+            target = VectorBall(2, outside)
+            run_ensemble("stretch", target, m=6, n_sweeps=n_sweeps,
+                         rng=np.random.default_rng(33), law=StretchLaw(a=4.0))
+            return target
+
+        first = next(s for s in range(1, 200) if run(-np.inf, s).outside_rows)
+        assert first > 1
+        run(bad, first - 1)
+        with pytest.raises(NumericalError, match=str(bad)):
+            run(bad, first)
+
+    def test_batched_sweep_rejects_neg_inf_candidate(self):
+        target = VectorBall(2, -np.inf)
+        state = run_ensemble("stretch", target, m=6, n_sweeps=50,
+                             rng=np.random.default_rng(24), law=StretchLaw(a=1000.0))
+        assert target.outside_rows > 0
+        assert not state.accepted.all()
+        radii2 = np.einsum("...i,...i->...", state.history, state.history)
+        assert np.all(radii2 < 100.0)
+
+    def test_one_batch_per_dependency_level(self):
+        # replay the sweep's draws: chain j sits at level 0 if its partner k
+        # comes later in the sweep, else one level above k
+        m, d, n_sweeps, seed = 9, 3, 20, 31
+        target = VectorBall(d, -np.inf)
+        run_ensemble("stretch", target, m=m, n_sweeps=n_sweeps,
+                     rng=np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        rng.standard_normal((m, d))
+        expected = []
+        for _ in range(n_sweeps):
+            level = []
+            for j in range(m):
+                k = int(rng.integers(m - 1))
+                k += k >= j
+                rng.random()
+                rng.random()
+                level.append(0 if k > j else level[k] + 1)
+            expected += np.bincount(level).tolist()
+        assert target.batches == expected
+        assert len(expected) < m * n_sweeps
+
+    def test_batched_sweep_checks_result_shape(self):
+        class Column(VectorBall):
+            def log_density_many(self, points):
+                return super().log_density_many(points)[:, None]
+
+        with pytest.raises(ValueError, match="shape"):
+            run_ensemble("stretch", Column(2, -np.inf), m=4, n_sweeps=1,
+                         rng=np.random.default_rng(34))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_run_ensemble_raises_on_bad_start(self, bad):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
@@ -82,6 +84,43 @@ class TestLogUnnormDensity:
             assert model.log_density([t]) == pytest.approx(
                 norm.logpdf(t, 25.0, 1.5), rel=1e-12
             )
+
+
+def random_target(kind, dim, rng):
+    """A target of ``kind`` with random parameters; noisy-mean is 1-D."""
+    if kind == "isotropic":
+        return IsotropicGaussianTarget(dim, float(10.0 ** rng.uniform(-2, 2)))
+    if kind == "diagonal":
+        return DiagonalGaussianTarget(
+            tuple(rng.normal(0.0, 10.0, dim)), tuple(10.0 ** rng.uniform(-2, 2, dim))
+        )
+    observations = tuple(
+        (float(v), float(s))
+        for v, s in zip(rng.normal(25.0, 5.0, dim - 1), 10.0 ** rng.uniform(-1, 1, dim - 1))
+    )
+    return NoisyMeanModel(observations, float(rng.normal(25.0, 5.0)), 1.5)
+
+
+class TestBatchedEvaluation:
+    # the ensemble driver's streams rely on each row of log_density_many
+    # equalling the single-point log_density bit for bit
+    @pytest.mark.parametrize("kind", ["isotropic", "diagonal", "noisy-mean"])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dim=st.integers(1, 40),
+        n=st.integers(1, 50),
+        log_scale=st.floats(-3.0, 3.0),
+        offset=st.floats(-1e3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_single_point_evaluation(self, kind, dim, n, log_scale, offset, seed):
+        rng = np.random.default_rng(seed)
+        target = random_target(kind, dim, rng)
+        points = offset + 10.0 ** log_scale * rng.standard_normal((n, target.dim))
+        many = target.log_density_many(points)
+        each = np.array([target.log_density(p) for p in points])
+        assert many.shape == (n,)
+        assert many.tobytes() == each.tobytes()
 
 
 class TestNoisyMeanShape:
