@@ -38,7 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sc = sub.add_parser("scaling", help="run a sampler across dimensions")
     sc.add_argument("sampler", choices=harness.SCALING_SAMPLERS)
-    sc.add_argument("--dims", help="comma-separated dimensions, e.g. 2,5,10,20")
+    sc.add_argument("--dims", type=harness.parse_dims,
+                    help="comma-separated dimensions, e.g. 2,5,10,20")
     sc.add_argument("--n", type=int, help="iterations (single chain) or sweeps (ensemble)")
     sc.add_argument("--m", type=int, help="ensemble size")
     sc.add_argument("--replicates", type=int, help="independent replicates per dimension")
@@ -57,22 +58,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_dims(text):
-    if text is None:
-        return None
-    try:
-        dims = tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad --dims value: {text!r}") from exc
-    if not dims:
-        raise ConfigError("--dims needs at least one dimension")
-    return dims
+def _overrides(args) -> dict:
+    """Config values from the flags: every parsed option but ``--config``."""
+    return {key: val for key, val in vars(args).items()
+            if key not in ("command", "name", "sampler", "config")}
 
 
 def _cmd_exercise(args) -> int:
-    overrides = {"seed": args.seed, "out": args.out}
     cfg = harness.config_from_sources(
-        args.name, config_path=args.config, overrides=overrides
+        args.name, config_path=args.config, overrides=_overrides(args)
     )
     rows, text = harness.run_exercise(cfg)
     out = cfg.out or f"mcmclab_{args.name}.csv"
@@ -83,22 +77,9 @@ def _cmd_exercise(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    overrides = {
-        "dims": _parse_dims(args.dims),
-        "n": args.n,
-        "m": args.m,
-        "replicates": args.replicates,
-        "jobs": args.jobs,
-        "burn_in": args.burn_in,
-        "gamma": args.gamma,
-        "delta": args.delta,
-        "stretch_a": args.stretch_a,
-        "budget": args.budget,
-        "seed": args.seed,
-        "out": args.out,
-    }
     cfg = harness.config_from_sources(
-        "scaling", sampler=args.sampler, config_path=args.config, overrides=overrides
+        "scaling", sampler=args.sampler, config_path=args.config,
+        overrides=_overrides(args),
     )
     rows = harness.run_scaling(cfg)
     out = cfg.out or f"mcmclab_scaling_{args.sampler}.csv"

@@ -48,11 +48,17 @@ __all__ = [
     "stretch_step",
     "run_ensemble",
     "ENSEMBLE_METHODS",
+    "MIN_CHAINS",
+    "DEFAULT_DELTA",
 ]
 
 ENSEMBLE_METHODS = ("gaussian", "de", "stretch")
 
-_MIN_CHAINS = {"gaussian": 3, "de": 3, "stretch": 2}
+# fewest chains each move can run with
+MIN_CHAINS = {"gaussian": 3, "de": 3, "stretch": 2}
+
+# default gamma = DEFAULT_DELTA / sqrt(d) of the moves that take a scale
+DEFAULT_DELTA = {"gaussian": 2.5, "de": 1.7}
 
 
 @dataclass(frozen=True)
@@ -461,22 +467,20 @@ def run_ensemble(
     Within a sweep, chains update in ascending order and each sees the
     others' latest positions.  Chains start at ``theta0`` (default origin)
     plus unit Gaussian jitter, since identical starts would make the
-    ensemble covariance singular.  ``gamma`` defaults to ``2.5/sqrt(d)`` for
-    the Gaussian method and ``1.7/sqrt(d)`` for the difference move.
+    ensemble covariance singular.  ``gamma`` defaults to
+    ``DEFAULT_DELTA[method] / sqrt(d)`` for the Gaussian and difference moves.
     """
     if method not in ENSEMBLE_METHODS:
         raise ValueError(f"unknown ensemble method {method!r}")
-    if m < _MIN_CHAINS[method]:
+    if m < MIN_CHAINS[method]:
         raise ValueError(
-            f"method {method!r} needs at least {_MIN_CHAINS[method]} chains, got {m}"
+            f"method {method!r} needs at least {MIN_CHAINS[method]} chains, got {m}"
         )
     if n_sweeps < 0:
         raise ValueError("n_sweeps must be >= 0")
     d = target.dim
-    if gamma is None:
-        gamma = {"gaussian": 2.5, "de": 1.7, "stretch": None}[method]
-        if gamma is not None:
-            gamma = gamma / np.sqrt(d)
+    if gamma is None and method in DEFAULT_DELTA:
+        gamma = DEFAULT_DELTA[method] / np.sqrt(d)
     if law is None:
         law = StretchLaw()
     if method != "stretch" and gamma == 0.0:

@@ -12,13 +12,15 @@ import csv
 import io
 import os
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
+from types import MappingProxyType
 
 import numpy as np
 
 from . import diagnostics, summaries
-from .ensemble import StretchLaw, run_ensemble
+from .ensemble import DEFAULT_DELTA, MIN_CHAINS, StretchLaw, run_ensemble
 from .errors import ConfigError, ResourceLimitError
 from .grid import GridSpec, build_grid, grid_evidence, grid_log_weights
 from .importance import (
@@ -36,32 +38,48 @@ from .targets import DiagonalGaussianTarget, IsotropicGaussianTarget, NoisyMeanM
 __all__ = [
     "ExperimentConfig",
     "ResultRow",
+    "SamplerSpec",
     "EXERCISES",
+    "SAMPLERS",
     "SCALING_SAMPLERS",
     "noisy_mean_model",
     "noisy_mean_alt_model",
     "exercise_2d_target",
     "run_exercise",
     "run_scaling",
-    "run_mh_2d_replicates",
     "write_exercise_csv",
     "write_scaling_csv",
     "read_scaling_rows",
     "report_table",
+    "parse_dims",
 ]
 
 DEFAULT_SEED = 1905
 DEFAULT_BUDGET = 500_000_000  # total chain updates allowed per scaling run
 
 EXERCISES = ("noisy-mean", "grid-2d", "importance-2d", "mh-2d")
-SCALING_SAMPLERS = ("mh-fixed", "mh-adaptive", "ens-gaussian", "ens-de", "ens-stretch")
 
-# Default iteration counts and proposal scales for the scaling battery.
-_SCALING_N = {"mh-fixed": 20_000, "mh-adaptive": 20_000,
-              "ens-gaussian": 1500, "ens-de": 1500, "ens-stretch": 1500}
-_SCALING_DELTA = {"mh-adaptive": 2.5, "ens-gaussian": 2.5, "ens-de": 1.7}
-# Samplers tuned for a ~25% acceptance target (used by the report flags).
-_BAND_SAMPLERS = ("mh-adaptive", "ens-gaussian", "ens-de")
+
+@dataclass(frozen=True)
+class SamplerSpec:
+    """One row of the sampler table: what the scaling battery knows of a sampler."""
+
+    move: str | None            # ensemble move; None for a single chain
+    n: int                      # default iterations (single chain) or sweeps
+    gamma: float | None = None  # default fixed proposal scale, or
+    delta: float | None = None  # default scale delta / sqrt(d); neither: no scale
+    in_band: bool = False       # tuned for ACCEPTANCE_BAND, flagged in reports
+
+
+SAMPLERS = MappingProxyType({
+    "mh-fixed": SamplerSpec(None, 20_000, gamma=float(np.sqrt(2.0))),
+    # the rule of the covariance-shaped ensemble step, with unit covariance
+    "mh-adaptive": SamplerSpec(None, 20_000, delta=DEFAULT_DELTA["gaussian"], in_band=True),
+    "ens-gaussian": SamplerSpec("gaussian", 1500, delta=DEFAULT_DELTA["gaussian"], in_band=True),
+    "ens-de": SamplerSpec("de", 1500, delta=DEFAULT_DELTA["de"], in_band=True),
+    "ens-stretch": SamplerSpec("stretch", 1500),
+})
+SCALING_SAMPLERS = tuple(SAMPLERS)
 ACCEPTANCE_BAND = (0.15, 0.35)
 
 # Evidence-from-chain histograms get 10 bins per axis; beyond a few
@@ -87,12 +105,6 @@ EXERCISE_2D_MEAN = (-0.3, 0.8)
 EXERCISE_2D_SIGMAS = (np.sqrt(2.0), np.sqrt(0.5))
 
 EXERCISE_CSV_HEADER = ("experiment", "case", "quantity", "index", "value")
-SCALING_CSV_HEADER = (
-    "experiment", "dim", "replicate", "seed", "sampler", "n", "m",
-    "acceptance_fraction", "tau_hat", "ess", "evidence_hat",
-    "mean_0", "mean_1", "ci68_lo_0", "ci68_hi_0", "ci68_lo_1", "ci68_hi_1",
-    "wall_time_s",
-)
 SCHEMA_LINE = "# schema=1"
 
 
@@ -131,7 +143,6 @@ class ExperimentConfig:
     grid_hi: float = 50.0
     grid_cells: int = 10_000
     proposal_sigma: float = 1.0
-    start: tuple = (0.0, 0.0)
     bins: int = 10
     bins_lo: float = -5.0
     bins_hi: float = 5.0
@@ -140,13 +151,18 @@ class ExperimentConfig:
         if self.experiment not in EXERCISES + ("scaling",):
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.experiment == "scaling":
-            if self.sampler not in SCALING_SAMPLERS:
+            if self.sampler not in SAMPLERS:
                 raise ConfigError(f"unknown sampler {self.sampler!r}")
             if not self.dims or any(d < 1 for d in self.dims):
                 raise ConfigError("dims must be positive integers")
+            move = SAMPLERS[self.sampler].move
+            if move is not None and self.m < MIN_CHAINS[move]:
+                raise ConfigError(f"{self.sampler} needs m >= {MIN_CHAINS[move]}")
         for name in ("m", "replicates", "jobs", "budget", "grid_cells", "bins"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.n is not None and self.n < 1:
             raise ConfigError("n must be >= 1")
         if not 0.0 <= self.burn_in < 1.0:
@@ -166,23 +182,26 @@ class ExperimentConfig:
         if self.n is not None:
             return self.n
         if self.experiment == "scaling":
-            return _SCALING_N[self.sampler]
+            return SAMPLERS[self.sampler].n
         return {"importance-2d": 10_000, "mh-2d": 1000}.get(self.experiment, 1000)
 
     def proposal_scale(self, dim: int) -> float | None:
-        """Resolved gamma for one dimension (None for the stretch move)."""
-        if self.sampler == "ens-stretch":
+        """Resolved gamma for one dimension (None for a sampler without a scale).
+
+        A set ``gamma`` beats a set ``delta``, and either beats the table's
+        default.
+        """
+        spec = SAMPLERS[self.sampler]
+        if spec.gamma is None and spec.delta is None:
             return None
-        if self.gamma is not None:
-            return self.gamma
-        if self.delta is not None:
-            return self.delta / np.sqrt(dim)
-        if self.sampler == "mh-fixed":
-            return float(np.sqrt(2.0))
-        return _SCALING_DELTA[self.sampler] / np.sqrt(dim)
+        gamma, delta = spec.gamma, spec.delta
+        if self.gamma is not None or self.delta is not None:
+            gamma, delta = self.gamma, self.delta
+        return gamma if gamma is not None else delta / np.sqrt(dim)
 
 
-# Keys accepted from a config file, per experiment section.
+# Keys accepted from a config file, per experiment section.  Each names the
+# ExperimentConfig field it sets, apart from those in _FILE_KEY_FIELDS.
 _COMMON_KEYS = {"seed", "out"}
 _SECTION_KEYS = {
     "noisy-mean": _COMMON_KEYS | {"grid_lo", "grid_hi", "grid_cells"},
@@ -197,11 +216,23 @@ _SECTION_KEYS = {
         "gamma", "delta", "a", "jobs", "budget",
     },
 }
-_INT_KEYS = {"seed", "n", "m", "replicates", "jobs", "budget", "grid_cells", "bins"}
-_FLOAT_KEYS = {
-    "burn_in", "gamma", "delta", "a", "grid_lo", "grid_hi",
-    "proposal_sigma", "bins_lo", "bins_hi",
-}
+_FILE_KEY_FIELDS = {"a": "stretch_a"}
+
+
+def _value_type(annotation):
+    """The type a field holds when set: ``int`` for ``int | None``."""
+    return next((t for t in typing.get_args(annotation) if t is not type(None)), annotation)
+
+
+_CONFIG_TYPES = {f.name: _value_type(f.type) for f in fields(ExperimentConfig)}
+
+
+def parse_dims(text: str) -> tuple:
+    """Dimensions from comma-separated text such as ``2,5,10,20``."""
+    dims = tuple(int(tok) for tok in text.split(",") if tok.strip())
+    if not dims:
+        raise ValueError(f"no dimensions in {text!r}")
+    return dims
 
 
 def parse_config_file(path: str, section: str) -> dict:
@@ -240,16 +271,11 @@ def parse_config_file(path: str, section: str) -> dict:
 
 
 def _parse_value(key: str, val: str, where: str):
+    value_type = _CONFIG_TYPES[_FILE_KEY_FIELDS.get(key, key)]
     try:
-        if key == "dims":
-            return tuple(int(tok) for tok in val.split(",") if tok.strip())
-        if key in _INT_KEYS:
-            return int(val)
-        if key in _FLOAT_KEYS:
-            return float(val)
+        return parse_dims(val) if value_type is tuple else value_type(val)
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key}: {val!r}") from exc
-    return val
 
 
 def config_from_sources(experiment, sampler=None, config_path=None, overrides=None):
@@ -257,10 +283,8 @@ def config_from_sources(experiment, sampler=None, config_path=None, overrides=No
     values: dict = {}
     if config_path is not None:
         section = sampler if experiment == "scaling" else experiment
-        file_values = parse_config_file(config_path, section)
-        if "a" in file_values:
-            file_values["stretch_a"] = file_values.pop("a")
-        values.update(file_values)
+        for key, val in parse_config_file(config_path, section).items():
+            values[_FILE_KEY_FIELDS.get(key, key)] = val
     for key, val in (overrides or {}).items():
         if val is not None:
             values[key] = val
@@ -299,6 +323,15 @@ class ResultRow:
     ci68_lo_1: float | None
     ci68_hi_1: float | None
     wall_time_s: float
+
+
+# The scaling CSV has one column per ResultRow field, in field order; an
+# empty cell is None.
+_ROW_TYPES = {
+    f.name: (_value_type(f.type), type(None) in typing.get_args(f.type))
+    for f in fields(ResultRow)
+}
+SCALING_CSV_HEADER = tuple(_ROW_TYPES)
 
 
 def _fmt(value) -> str:
@@ -355,7 +388,8 @@ def _scaling_row(cfg: ExperimentConfig, dim: int, replicate: int) -> ResultRow:
     n = cfg.iterations()
     t0 = time.perf_counter()
 
-    if cfg.sampler in ("mh-fixed", "mh-adaptive"):
+    move = SAMPLERS[cfg.sampler].move
+    if move is None:
         gamma = cfg.proposal_scale(dim)
         # start from a draw of the target itself: at the exact mode a
         # wide fixed proposal in high dimension essentially never accepts
@@ -371,9 +405,8 @@ def _scaling_row(cfg: ExperimentConfig, dim: int, replicate: int) -> ResultRow:
         ess = diagnostics.ess_from_tau(len(kept), tau)
         m_col = None
     else:
-        method = cfg.sampler.removeprefix("ens-")
         state = run_ensemble(
-            method, target, m=cfg.m, n_sweeps=n, rng=rng,
+            move, target, m=cfg.m, n_sweeps=n, rng=rng,
             gamma=cfg.proposal_scale(dim), law=StretchLaw(cfg.stretch_a),
             seed=seed_id,
         )
@@ -415,7 +448,7 @@ def run_scaling(cfg: ExperimentConfig) -> list:
     if cfg.experiment != "scaling":
         raise ConfigError("run_scaling needs a scaling config")
     n = cfg.iterations()
-    per_iter = cfg.m if cfg.sampler.startswith("ens-") else 1
+    per_iter = 1 if SAMPLERS[cfg.sampler].move is None else cfg.m
     total_updates = n * per_iter * len(cfg.dims) * cfg.replicates
     if total_updates > cfg.budget:
         raise ResourceLimitError(
@@ -602,11 +635,11 @@ def run_importance_2d_exercise(cfg: ExperimentConfig):
     return rows, "\n".join(lines)
 
 
-def _mh_2d_run(cfg: ExperimentConfig, start, rng, seed_id=None):
+def _mh_2d_run(cfg: ExperimentConfig, start, rng):
     target = exercise_2d_target()
     chain = run_chain(
         target, GaussianRandomWalk(cfg.proposal_sigma), np.asarray(start, float),
-        cfg.iterations(), rng, seed=seed_id,
+        cfg.iterations(), rng,
     )
     return target, chain
 
@@ -617,7 +650,7 @@ def run_mh_2d_exercise(cfg: ExperimentConfig):
     is emitted for burn-in inspection."""
     rows = []
     rng = derive_rng(cfg.seed, "mh-2d", "origin")
-    target, chain = _mh_2d_run(cfg, cfg.start, rng)
+    target, chain = _mh_2d_run(cfg, (0.0, 0.0), rng)
     accept = acceptance_fraction(chain)
     kept = drop_burn_in(chain, cfg.burn_in)
     samples = kept.states
@@ -641,7 +674,7 @@ def run_mh_2d_exercise(cfg: ExperimentConfig):
         _row("mh-2d", case, "evidence_hat", z),
     ]
     far_rng = derive_rng(cfg.seed, "mh-2d", "far-start")
-    _, far_chain = _mh_2d_run(replace(cfg, start=(10.0, 10.0)), (10.0, 10.0), far_rng)
+    _, far_chain = _mh_2d_run(cfg, (10.0, 10.0), far_rng)
     for i, (x, y) in enumerate(far_chain.states):
         rows.append(_row("mh-2d", "start-10-10", "trace_x", x, index=i))
         rows.append(_row("mh-2d", "start-10-10", "trace_y", y, index=i))
@@ -651,34 +684,6 @@ def run_mh_2d_exercise(cfg: ExperimentConfig):
         f"mh-2d far start (10,10): trace of {len(far_chain)} steps emitted"
     )
     return rows, text
-
-
-def run_mh_2d_replicates(cfg: ExperimentConfig) -> list:
-    """Replicated origin-start runs of the 2-D MH exercise as scaling-style
-    rows (one per replicate), for aggregation and spread checks."""
-    rows = []
-    for r in range(cfg.replicates):
-        labels = ("mh-2d", 2, r)
-        rng = derive_rng(cfg.seed, *labels)
-        seed_id = stream_id(cfg.seed, *labels)
-        t0 = time.perf_counter()
-        target, chain = _mh_2d_run(cfg, cfg.start, rng, seed_id=seed_id)
-        accept = acceptance_fraction(chain)
-        kept = drop_burn_in(chain, cfg.burn_in)
-        samples = kept.states
-        tau = _mean_tau(samples)
-        ess = diagnostics.ess_from_tau(len(kept), tau)
-        hd = default_evidence_histogram(samples, bins=cfg.bins,
-                                        lo=cfg.bins_lo, hi=cfg.bins_hi)
-        z = diagnostics.evidence_from_chain(target, samples, hd)
-        coords = _coordinate_summaries(samples)
-        rows.append(ResultRow(
-            experiment="mh-2d", dim=2, replicate=r, seed=seed_id,
-            sampler="mh-rw", n=cfg.iterations(), m=None,
-            acceptance_fraction=accept, tau_hat=tau, ess=ess, evidence_hat=z,
-            wall_time_s=time.perf_counter() - t0, **coords,
-        ))
-    return rows
 
 
 _EXERCISE_RUNNERS = {
@@ -720,20 +725,27 @@ def scaling_csv_text(rows) -> str:
     writer = csv.writer(buf)
     writer.writerow(SCALING_CSV_HEADER)
     for row in rows:
-        writer.writerow([
-            row.experiment, row.dim, row.replicate, row.seed, row.sampler,
-            row.n, _fmt(row.m), _fmt(row.acceptance_fraction), _fmt(row.tau_hat),
-            _fmt(row.ess), _fmt(row.evidence_hat), _fmt(row.mean_0),
-            _fmt(row.mean_1), _fmt(row.ci68_lo_0), _fmt(row.ci68_hi_0),
-            _fmt(row.ci68_lo_1), _fmt(row.ci68_hi_1),
-            f"{row.wall_time_s:.3f}",
-        ])
+        cells = {name: _fmt(getattr(row, name)) for name in SCALING_CSV_HEADER}
+        cells["wall_time_s"] = f"{row.wall_time_s:.3f}"
+        writer.writerow(cells.values())
     return buf.getvalue()
 
 
 def write_scaling_csv(path: str, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(scaling_csv_text(rows))
+
+
+def _parse_row(rec, where: str) -> ResultRow:
+    if len(rec) != len(_ROW_TYPES):
+        raise ConfigError(f"{where}: {len(rec)} fields, expected {len(_ROW_TYPES)}")
+    values = {}
+    for (name, (value_type, optional)), cell in zip(_ROW_TYPES.items(), rec):
+        try:
+            values[name] = None if optional and not cell else value_type(cell)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: bad {name} value {cell!r}") from exc
+    return ResultRow(**values)
 
 
 def read_scaling_rows(paths) -> list:
@@ -749,30 +761,9 @@ def read_scaling_rows(paths) -> list:
         header = tuple(next(reader, ()))
         if header != SCALING_CSV_HEADER:
             raise ConfigError(f"{path}: CSV header does not match the row schema")
-        for rec in reader:
-            if not rec:
-                continue
-            vals = dict(zip(SCALING_CSV_HEADER, rec))
-            rows.append(ResultRow(
-                experiment=vals["experiment"],
-                dim=int(vals["dim"]),
-                replicate=int(vals["replicate"]),
-                seed=int(vals["seed"]),
-                sampler=vals["sampler"],
-                n=int(vals["n"]),
-                m=int(vals["m"]) if vals["m"] else None,
-                acceptance_fraction=float(vals["acceptance_fraction"]),
-                tau_hat=float(vals["tau_hat"]) if vals["tau_hat"] else None,
-                ess=float(vals["ess"]) if vals["ess"] else None,
-                evidence_hat=float(vals["evidence_hat"]) if vals["evidence_hat"] else None,
-                mean_0=float(vals["mean_0"]) if vals["mean_0"] else None,
-                mean_1=float(vals["mean_1"]) if vals["mean_1"] else None,
-                ci68_lo_0=float(vals["ci68_lo_0"]) if vals["ci68_lo_0"] else None,
-                ci68_hi_0=float(vals["ci68_hi_0"]) if vals["ci68_hi_0"] else None,
-                ci68_lo_1=float(vals["ci68_lo_1"]) if vals["ci68_lo_1"] else None,
-                ci68_hi_1=float(vals["ci68_hi_1"]) if vals["ci68_hi_1"] else None,
-                wall_time_s=float(vals["wall_time_s"]),
-            ))
+        for i, rec in enumerate(reader, start=1):
+            if rec:
+                rows.append(_parse_row(rec, f"{path}: row {i}"))
     return rows
 
 
@@ -802,7 +793,8 @@ def report_table(rows) -> str:
                  if (r.experiment, r.sampler, r.dim) == (experiment, sampler, dim)]
         accs = [r.acceptance_fraction for r in group]
         flags = []
-        if sampler in _BAND_SAMPLERS and not (
+        spec = SAMPLERS.get(sampler)
+        if spec is not None and spec.in_band and not (
             ACCEPTANCE_BAND[0] <= float(np.mean(accs)) <= ACCEPTANCE_BAND[1]
         ):
             flags.append("ACCEPTANCE-BAND")

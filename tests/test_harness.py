@@ -1,5 +1,7 @@
 """Experiment harness: configs, CSV schema, determinism, reporting."""
 
+import argparse
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,17 +9,22 @@ import sys
 import numpy as np
 import pytest
 
+from mcmclab import cli
+from mcmclab.ensemble import ENSEMBLE_METHODS, MIN_CHAINS
 from mcmclab.errors import ConfigError, ResourceLimitError
 from mcmclab.harness import (
+    _FILE_KEY_FIELDS,
+    _SECTION_KEYS,
     EXERCISE_CSV_HEADER,
+    SAMPLERS,
     SCALING_CSV_HEADER,
+    SCALING_SAMPLERS,
     ExperimentConfig,
     config_from_sources,
     parse_config_file,
     read_scaling_rows,
     report_table,
     run_exercise,
-    run_mh_2d_replicates,
     run_scaling,
     scaling_csv_text,
     write_exercise_csv,
@@ -77,6 +84,49 @@ class TestConfig:
         vals = parse_config_file(str(path), "noisy-mean")
         assert vals == {"grid_cells": 2000}
 
+    def test_every_key_parses_to_its_field_type(self, tmp_path):
+        # one valid value per annotated type; each fails to parse as the others
+        text = {int: "3", float: "1.25", tuple: "2,5", str: "rows.csv"}
+        annotations = {
+            f.name: f.type for f in dataclasses.fields(ExperimentConfig)
+        }
+
+        def value_type(key):
+            annotation = annotations[_FILE_KEY_FIELDS.get(key, key)]
+            return next(t for t in (int, float, tuple, str)
+                        if annotation in (t, t | None))
+
+        sections = {**_SECTION_KEYS}
+        sections.update(dict.fromkeys(SCALING_SAMPLERS, sections.pop("scaling")))
+        path = tmp_path / "every.cfg"
+        path.write_text("".join(
+            f"[{name}]\n" + "".join(f"{key} = {text[value_type(key)]}\n" for key in keys)
+            for name, keys in sections.items()
+        ))
+        for name, keys in sections.items():
+            vals = parse_config_file(str(path), name)
+            assert set(vals) == keys
+            for key, val in vals.items():
+                assert type(val) is value_type(key), (name, key, val)
+
+    def test_sampler_table_matches_cli_and_ensemble(self):
+        scaling = next(
+            action for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ).choices["scaling"]
+        sampler = next(a for a in scaling._actions if a.dest == "sampler")
+        assert tuple(sampler.choices) == SCALING_SAMPLERS == tuple(SAMPLERS)
+        for spec in SAMPLERS.values():
+            assert spec.move is None or spec.move in ENSEMBLE_METHODS
+            assert spec.gamma is None or spec.delta is None
+
+    @pytest.mark.parametrize("name", [n for n, s in SAMPLERS.items() if s.move])
+    def test_too_few_chains_rejected(self, name):
+        fewest = MIN_CHAINS[SAMPLERS[name].move]
+        ExperimentConfig("scaling", sampler=name, m=fewest)
+        with pytest.raises(ConfigError):
+            ExperimentConfig("scaling", sampler=name, m=fewest - 1)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[noisy-mean]\nwalkers = 7\n")
@@ -132,8 +182,6 @@ class TestScaling:
 
     def test_adding_replicates_keeps_earlier_rows(self, small_scaling_rows):
         cfg, rows = small_scaling_rows
-        import dataclasses
-
         bigger = dataclasses.replace(cfg, replicates=3)
         rows3 = run_scaling(bigger)
         by_key = {(r.dim, r.replicate): r for r in rows3}
@@ -145,6 +193,14 @@ class TestScaling:
 
     def test_csv_round_trip(self, small_scaling_rows, tmp_path):
         _, rows = small_scaling_rows
+        ensemble = run_scaling(ExperimentConfig(
+            "scaling", sampler="ens-stretch", dims=(2,), n=60, m=12, seed=5,
+        ))
+        one_dim = run_scaling(ExperimentConfig(
+            "scaling", sampler="mh-fixed", dims=(1,), n=300, seed=5,
+        ))
+        rows = [*rows, *ensemble, *one_dim]
+        assert ensemble[0].m == 12 and one_dim[0].mean_1 is None
         path = tmp_path / "rows.csv"
         write_scaling_csv(str(path), rows)
         text = path.read_text()
@@ -153,9 +209,10 @@ class TestScaling:
         back = read_scaling_rows([str(path)])
         assert len(back) == len(rows)
         for a, b in zip(back, rows):
-            assert a.seed == b.seed
-            assert a.acceptance_fraction == pytest.approx(b.acceptance_fraction)
-            assert a.m is None and b.m is None
+            for name in SCALING_CSV_HEADER[:-1]:
+                # repr tells None, types and every float bit apart
+                assert repr(getattr(a, name)) == repr(getattr(b, name)), name
+            assert f"{a.wall_time_s:.3f}" == f"{b.wall_time_s:.3f}"
 
     def test_schema_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -260,8 +317,6 @@ class TestReport:
         assert f"{rows[0].acceptance_fraction:.4g}" in table
 
     def test_acceptance_band_flag(self, small_scaling_rows):
-        import dataclasses
-
         _, rows = small_scaling_rows
         bad = [dataclasses.replace(rows[0], acceptance_fraction=0.02)]
         table = report_table(bad)
@@ -270,18 +325,21 @@ class TestReport:
         assert "ACCEPTANCE-BAND" not in good_table
 
     def test_replicate_spread_consistent_with_ess(self):
-        # 30 replicates of the 2-D chain: the spread of mean-x should match
+        # 30 replicates of the 2-D chain: the spread of mean_0 should match
         # the ESS-based standard error prediction within a factor of 2
-        cfg = ExperimentConfig("mh-2d", n=1000, replicates=30, seed=2024)
-        rows = run_mh_2d_replicates(cfg)
+        cfg = ExperimentConfig(
+            "scaling", sampler="mh-adaptive", dims=(2,), n=1000, replicates=30,
+            seed=2024,
+        )
+        rows = run_scaling(cfg)
         assert len(rows) == 30
         means = np.array([r.mean_0 for r in rows])
         esses = np.array([r.ess for r in rows])
         observed = means.std(ddof=1)
-        predicted = np.sqrt(2.0 / esses).mean()  # posterior sd_x = sqrt(2)
+        predicted = np.sqrt(1.0 / esses).mean()  # unit-variance target
         assert observed == pytest.approx(predicted, rel=1.0)  # within factor 2
         table = report_table(rows)
-        assert "mh-2d" in table
+        assert "mh-adaptive" in table
 
 
 class TestCli:
@@ -321,6 +379,42 @@ class TestCli:
     def test_unknown_sampler_exit_code(self):
         res = self._run("scaling", "mh-warp")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("fault", ["dim", "short"])
+    def test_malformed_report_row_exit_code(self, fault, small_scaling_rows, tmp_path):
+        _, rows = small_scaling_rows
+        path = tmp_path / "rows.csv"
+        write_scaling_csv(str(path), rows)
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        if fault == "dim":
+            cells[1] = "two"
+        else:
+            cells = cells[:4]
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        res = self._run("report", str(path))
+        assert res.returncode == 2
+        assert f"{path}: row 2" in res.stderr
+
+    @pytest.mark.parametrize("args, env, config", [
+        (("mh-fixed", "--seed", "-1"), None, None),
+        (("mh-fixed",), {"MCMCLAB_SEED": "-1"}, None),
+        (("mh-fixed",), None, "[mh-fixed]\nseed = -1\n"),
+        (("ens-stretch", "--m", "1"), None, None),
+        (("ens-gaussian", "--m", "2"), None, None),
+        (("ens-de", "--m", "2"), None, None),
+    ], ids=["seed-flag", "seed-env", "seed-file", "stretch-m1", "gaussian-m2", "de-m2"])
+    def test_bad_seed_or_chain_count_exit_code(self, args, env, config, tmp_path,
+                                               monkeypatch):
+        argv = ["scaling", *args, "--dims", "2", "--out", str(tmp_path / "never.csv")]
+        if config is not None:
+            (tmp_path / "lab.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "lab.cfg")]
+        for key, val in (env or {}).items():
+            monkeypatch.setenv(key, val)
+        assert cli.main(argv) == 2
+        assert not (tmp_path / "never.csv").exists()
 
     def test_resource_guard_exit_code(self, tmp_path):
         res = self._run(
