@@ -10,13 +10,17 @@ Three proposal families are provided:
   stretch factor drawn from a power-law window and a ``gamma**(d-1)``
   volume factor in the acceptance ratio.
 
+The gaussian step and de's default jitter are drawn without forming any
+covariance: a weighted sum of the other chains' deviations from their mean,
+with standard normal weights, is exactly Normal(0, C) for C the other
+chains' covariance (the walk move of Goodman & Weare 2010, taken over all
+complementary walkers).  That is one (m,)-by-(m, d) product per update, with
+no factorization and no ridge.
+
 A sweep updates chains in fixed ascending order, each update seeing the
 others' latest positions, so runs are reproducible for a fixed seed.  The
 sweep driver keeps one log density per chain, so an update evaluates the
-target only at its candidate.  With at least ``d + 2`` chains it also keeps
-the ensemble mean and scatter current, so each covariance update downdates
-them in O(d^2) instead of recomputing the leave-one-out covariance; they are
-rebuilt exactly once per sweep.
+target only at its candidate.
 
 A stretch update's draws never depend on the ensemble, so a stretch sweep
 makes all of them first, in sequential order, and then evaluates the chains
@@ -25,10 +29,10 @@ sweep reads ``k``'s old position and sits at level 0; otherwise it sits one
 level above ``k``.  Each level builds its candidates in one array operation
 and evaluates them with one ``log_density_many`` call, and the sweep equals
 the one-update-at-a-time sweep bit for bit.  The public step functions are
-single updates through the same proposal code and accept rule, with exact
-covariances.
+single updates through the same proposal code and accept rule.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -168,80 +172,14 @@ def _loo_covariance(positions: np.ndarray, keep) -> np.ndarray:
     return c
 
 
-# rounding in the running scatter scales with the largest trace it has held
-# since its last rebuild; a downdate whose trace falls below this share of
-# that peak would lose too many digits, so that update is exact
-_DOWNDATE_FLOOR = 1e-2
-
-
-class _LooMoments:
-    """Running ensemble mean and centred scatter for leave-one-out covariances.
-
-    ``positions`` is the ensemble's array, which the sweep driver updates in
-    place.  The mean is held as ``anchor + shift``, ``anchor`` fixed at the
-    last rebuild, so an ensemble far from the origin loses no digits; the
-    scatter is ``S = sum (x_i - mean)(x_i - mean)^T``.  ``covariance(j)``
-    removes chain ``j`` in O(d^2) and ``accept(x)`` puts it back at ``x``;
-    ``rebuild()`` recomputes both from ``positions`` in O(m d^2).
-    """
-
-    def __init__(self, positions: np.ndarray):
-        m = positions.shape[0]
-        self.positions = positions
-        self._down = m / (m - 1)      # S_-j = S - m/(m-1) dd^T
-        self._up = (m - 1) / m        # S = S_-j + (m-1)/m ee^T
-        self._to_cov = 1.0 / (m - 2)  # C_-j = S_-j / (m-2)
-        self.rebuild()
-
-    def rebuild(self):
-        x = self.positions
-        self.anchor = x.mean(axis=0)
-        c = x - self.anchor
-        self.shift = c.mean(axis=0)
-        c -= self.shift
-        self.scatter = c.T @ c
-        self.trace = self.peak = float(self.scatter.trace())
-
-    def covariance(self, j: int) -> np.ndarray:
-        """Covariance of every chain but ``j``; sets ``exact`` if computed afresh."""
-        m = self.positions.shape[0]
-        delta = (self.positions[j] - self.anchor) - self.shift
-        trace = self.trace - self._down * float(delta @ delta)
-        self.exact = trace < _DOWNDATE_FLOOR * self.peak
-        if self.exact:
-            return _loo_covariance(self.positions, _others(m, j))
-        scatter = np.multiply.outer(delta, delta)
-        scatter *= -self._down
-        scatter += self.scatter
-        self._without = (self.shift - delta / (m - 1), scatter, trace)
-        return scatter * self._to_cov
-
-    def accept(self, x: np.ndarray):
-        """Record that the chain last passed to ``covariance`` moved to ``x``.
-
-        ``positions`` must already hold ``x``.
-        """
-        if self.exact:
-            self.rebuild()
-            return
-        shift, scatter, trace = self._without
-        e = (x - self.anchor) - shift
-        self.shift = shift + e / self.positions.shape[0]
-        outer = np.multiply.outer(e, e)
-        outer *= self._up
-        scatter += outer
-        self.scatter = scatter
-        self.trace = trace + self._up * float(e @ e)
-        self.peak = max(self.peak, self.trace)
-
-
 def ensemble_covariance(state, exclude: int) -> np.ndarray:
     """Sample covariance of all chains except ``exclude``.
 
     The result is symmetric positive semidefinite; if it is numerically
     singular a trace-scaled ridge is added so that a Cholesky factorization
-    exists.  Chain ``exclude``'s own position never enters, which keeps
-    proposals built from this matrix symmetric.
+    exists.  Chain ``exclude``'s own position never enters.  This is the
+    covariance of the gaussian move's steps (before ``gamma**2``), which
+    draws them without forming it.
     """
     positions = _positions_of(state)
     m = positions.shape[0]
@@ -261,19 +199,25 @@ def _jitter_factor(jitter_cov, d: int) -> np.ndarray:
     return _cholesky_with_ridge(jitter)[0]
 
 
-def _exact_factor(method, cov) -> np.ndarray:
-    """Factor shaping a gaussian step or ensemble de jitter from ``cov``.
+def _walk(positions: np.ndarray, j: int, rng) -> np.ndarray:
+    """Step ~ Normal(0, C), C the covariance of every chain but ``j``.
 
-    de ridge-checks the covariance first and then factors a fifth of it: a
-    rank-deficient ensemble needs both stages.
+    ``sum_k w_k (x_k - mean)`` over the other chains, with iid standard
+    normal ``w`` scaled by ``1/sqrt(m - 2)``, has covariance exactly C: the
+    walk move of Goodman & Weare (2010) over all complementary walkers.  The
+    centred weights sum to zero, so the mean never needs forming; the step
+    is odd in ``w``, so proposals built from it are symmetric bit for bit.
     """
-    chol, cov = _cholesky_with_ridge(cov)
-    if method == "gaussian":
-        return chol
-    return _cholesky_with_ridge(cov / 5.0)[0]
+    m = positions.shape[0]
+    w = rng.standard_normal(m)
+    w[j] = 0.0
+    w -= w.sum() / (m - 1)
+    w[j] = 0.0
+    w *= 1.0 / math.sqrt(m - 2)
+    return w @ positions
 
 
-_SQRT_FIFTH = np.sqrt(0.2)
+_SQRT_FIFTH = math.sqrt(0.2)
 
 
 def _stretch_draws(m: int, j: int, law, rng):
@@ -311,9 +255,10 @@ def _de_partners(m: int, rng):
 def _propose(method, positions, j, factor, gamma, law, rng):
     """Candidate for chain ``j`` and the log volume factor of its move.
 
-    ``factor`` is the Cholesky factor of the gaussian step's covariance or
-    of the de jitter (unused by stretch).  Random draws happen in a fixed
-    order per method, which the streams depend on.
+    ``factor`` is the Cholesky factor of a constant de jitter; None makes
+    de's jitter a fifth of the ensemble covariance (unused by the other
+    moves).  Random draws happen in a fixed order per method, which the
+    streams depend on.
     """
     m, d = positions.shape
     current = positions[j]
@@ -321,25 +266,22 @@ def _propose(method, positions, j, factor, gamma, law, rng):
         k, z = _stretch_draws(m, j, law, rng)
         return _stretch_candidates(positions[k], current, z), (d - 1) * np.log(z)
     if method == "gaussian":
-        return current + gamma * (factor @ rng.standard_normal(d)), 0.0
+        return current + gamma * _walk(positions, j, rng), 0.0
     k, l = _de_partners(m, rng)
     k += k >= j
     l += l >= j
-    eps = factor @ rng.standard_normal(d)
+    if factor is None:
+        eps = _SQRT_FIFTH * _walk(positions, j, rng)
+    else:
+        eps = factor @ rng.standard_normal(d)
     return current + gamma * (positions[k] - positions[l] + eps), 0.0
 
 
 def _single_update(method, target, positions, j, gamma, law, jitter_cov, rng):
     """One update of chain ``j`` from scratch; ``(new_position, accepted)``."""
-    m, d = positions.shape
     current = positions[j]
     lp_current = _checked(float(target.log_density(current)), current)
-    if method == "stretch":
-        factor = None
-    elif method == "de" and jitter_cov is not None:
-        factor = _jitter_factor(jitter_cov, d)
-    else:
-        factor = _exact_factor(method, _loo_covariance(positions, _others(m, j)))
+    factor = None if jitter_cov is None else _jitter_factor(jitter_cov, positions.shape[1])
     candidate, log_volume = _propose(method, positions, j, factor, gamma, law, rng)
     accepted, _ = _metropolis_update(target, lp_current, candidate, log_volume, rng)
     return (candidate if accepted else current), accepted
@@ -466,8 +408,8 @@ def run_ensemble(
 
     Within a sweep, chains update in ascending order and each sees the
     others' latest positions.  Chains start at ``theta0`` (default origin)
-    plus unit Gaussian jitter, since identical starts would make the
-    ensemble covariance singular.  ``gamma`` defaults to
+    plus unit Gaussian jitter, since identical starts would give the
+    covariance moves zero steps.  ``gamma`` defaults to
     ``DEFAULT_DELTA[method] / sqrt(d)`` for the Gaussian and difference moves.
     """
     if method not in ENSEMBLE_METHODS:
@@ -489,13 +431,13 @@ def run_ensemble(
             RuntimeWarning,
             stacklevel=2,
         )
-    # the gaussian move and de's ensemble jitter are shaped by each chain's
-    # leave-one-out covariance
+    # the gaussian move and de's ensemble jitter step within the span of
+    # the other chains, which is all of R^d only from d + 2 chains on
     shaped = method == "gaussian" or (method == "de" and jitter_cov is None)
     if shaped and m < d + 2:
         warnings.warn(
             f"covariance proposals want m >= d + 2 chains (m={m}, d={d}); "
-            "the ensemble covariance will be singular up to ridging",
+            "their steps stay in the span of the other chains, and nothing is ridged",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -508,9 +450,6 @@ def run_ensemble(
     factor = None
     if method == "de" and jitter_cov is not None:
         factor = _jitter_factor(jitter_cov, d)
-    # full-rank ensembles downdate running moments; smaller ones, whose
-    # covariances need ridging, take the exact path
-    running = shaped and m >= d + 2
     history = np.empty((n_sweeps, m, d))
     accepted = np.empty((n_sweeps, m), dtype=bool)
     for sweep in range(n_sweeps):
@@ -518,15 +457,7 @@ def run_ensemble(
             _stretch_sweep(target, positions, lp, law, rng, accepted[sweep])
             history[sweep] = positions
             continue
-        # rebuilding exactly once per sweep bounds the running moments' drift
-        moments = _LooMoments(positions) if running else None
         for j in range(m):
-            if running:
-                factor, _ = _cholesky_with_ridge(moments.covariance(j))
-                if method == "de":
-                    factor *= _SQRT_FIFTH
-            elif shaped:
-                factor = _exact_factor(method, _loo_covariance(positions, _others(m, j)))
             candidate, log_volume = _propose(
                 method, positions, j, factor, gamma, law, rng
             )
@@ -536,8 +467,6 @@ def run_ensemble(
             if acc:
                 positions[j] = candidate
                 lp[j] = lp_candidate
-                if running:
-                    moments.accept(candidate)
             accepted[sweep, j] = acc
         history[sweep] = positions
     return EnsembleState(

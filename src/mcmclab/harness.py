@@ -217,6 +217,19 @@ _SECTION_KEYS = {
     },
 }
 _FILE_KEY_FIELDS = {"a": "stretch_a"}
+_FIELD_FILE_KEYS = {field: key for key, field in _FILE_KEY_FIELDS.items()}
+
+
+def _unused_keys(spec: SamplerSpec) -> set:
+    """Config fields a scaling sampler ignores, so setting one is an error."""
+    unused = set()
+    if spec.gamma is None and spec.delta is None:
+        unused |= {"gamma", "delta"}
+    if spec.move is None:
+        unused.add("m")
+    if spec.move != "stretch":
+        unused.add("stretch_a")
+    return unused
 
 
 def _value_type(annotation):
@@ -288,6 +301,11 @@ def config_from_sources(experiment, sampler=None, config_path=None, overrides=No
     for key, val in (overrides or {}).items():
         if val is not None:
             values[key] = val
+    if experiment == "scaling" and sampler in SAMPLERS:
+        unused = _unused_keys(SAMPLERS[sampler]) & values.keys()
+        if unused:
+            names = ", ".join(sorted(_FIELD_FILE_KEYS.get(k, k) for k in unused))
+            raise ConfigError(f"{sampler} does not use {names}")
     if "seed" not in values:
         env = os.environ.get("MCMCLAB_SEED")
         if env is not None:
@@ -749,15 +767,18 @@ def _parse_row(rec, where: str) -> ResultRow:
 
 
 def read_scaling_rows(paths) -> list:
-    """Parse ResultRow CSVs; a wrong header is a schema mismatch."""
+    """Parse ResultRow CSVs; a wrong version line or header is a schema mismatch."""
     rows = []
     for path in paths:
         try:
             with open(path, "r", encoding="utf-8", newline="") as fh:
-                lines = [ln for ln in fh if not ln.startswith("#")]
-        except OSError as exc:
+                version = fh.readline().rstrip("\r\n")
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read {path}: {exc}") from exc
-        reader = csv.reader(io.StringIO("".join(lines)))
+        if version != SCHEMA_LINE:
+            raise ConfigError(f"{path}: first line {version!r} is not {SCHEMA_LINE!r}")
+        reader = csv.reader(io.StringIO(text))
         header = tuple(next(reader, ()))
         if header != SCALING_CSV_HEADER:
             raise ConfigError(f"{path}: CSV header does not match the row schema")

@@ -12,8 +12,9 @@ from mcmclab.diagnostics import per_coordinate_tau
 from mcmclab.ensemble import (
     ENSEMBLE_METHODS,
     StretchLaw,
-    _LooMoments,
     _loo_covariance,
+    _others,
+    _walk,
     de_step,
     de_trajectory_count,
     ensemble_covariance,
@@ -141,61 +142,96 @@ class TestLooCovariance:
         np.testing.assert_array_equal(got, expected)
 
 
-class TestLooMoments:
-    @settings(max_examples=200, deadline=None)
+class UnitWeights:
+    """Duck-typed generator whose ``standard_normal(m)`` calls return e_0, e_1, ..."""
+
+    def __init__(self):
+        self.i = 0
+
+    def standard_normal(self, size):
+        e = np.zeros(size)
+        e[self.i] = 1.0
+        self.i += 1
+        return e
+
+
+class FixedWeights:
+    """Duck-typed generator whose ``standard_normal`` returns a copy of ``w``."""
+
+    def __init__(self, w):
+        self.w = w
+
+    def standard_normal(self, size):
+        return self.w.copy()
+
+
+def walk_rounding(positions):
+    """Bound on the rounding of each entry of a ``_walk`` step.
+
+    Each entry is a dot product of m weights, of 1-norm below
+    ``2/sqrt(m-2)``, with the positions, so it rounds by at most
+    ``(m + 2) eps`` times that norm times the largest position: the scale of
+    the positions, not of their spread.
+    """
+    m = positions.shape[0]
+    return (m + 2) * np.finfo(float).eps * 2.0 / np.sqrt(m - 2) * np.max(np.abs(positions))
+
+
+class TestWalk:
+    @settings(max_examples=300, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
+        m=st.integers(3, 30),
         d=st.integers(1, 8),
-        extra_chains=st.sampled_from([0, 0, 1, 5, 20]),
-        log_offset=st.floats(0.0, 6.0),
+        log_offset=st.one_of(st.none(), st.floats(-2.0, 6.0)),
         log_scale=st.floats(-3.0, 3.0),
-        log_outlier=st.one_of(st.none(), st.floats(0.0, 8.0)),
     )
-    def test_downdates_match_exact_covariance(
-        self, seed, d, extra_chains, log_offset, log_scale, log_outlier
-    ):
-        # random accept sequences, without the driver's per-sweep rebuild
+    def test_unit_weights_sum_to_the_covariance(self, seed, m, d, log_offset, log_scale):
+        # sum_i step(e_i) step(e_i)^T is C exactly, also below d + 2 chains
         rng = np.random.default_rng(seed)
-        m = d + 2 + extra_chains
-        centre = 10.0 ** log_offset * rng.standard_normal(d)
         scale = 10.0 ** log_scale
+        offset = 0.0 if log_offset is None else 10.0 ** log_offset
+        positions = scale * (offset * rng.standard_normal(d) + rng.standard_normal((m, d)))
+        j = int(rng.integers(m))
+        weights = UnitWeights()
+        steps = np.array([_walk(positions, j, weights) for _ in range(m)])
+        np.testing.assert_array_equal(steps[j], 0.0)
+        want = _loo_covariance(positions, _others(m, j))
+        err = np.max(np.abs(steps.T @ steps - want))
+        # 1e-12 of C's largest entry, plus what the positions' own rounding
+        # does to m outer products; that dominates only for offsets far
+        # larger than the spread
+        r = walk_rounding(positions)
+        assert err <= 1e-12 * np.max(np.abs(want)) + m * (2.0 * np.max(np.abs(steps)) * r + r**2)
 
-        def far():
-            direction = rng.standard_normal(d)
-            return scale * 10.0 ** rng.uniform(0.0, 8.0) * direction / np.linalg.norm(direction)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(3, 30),
+        d=st.integers(1, 8),
+        log_offset=st.floats(-2.0, 6.0),
+    )
+    def test_step_is_odd_in_the_weights(self, seed, m, d, log_offset):
+        rng = np.random.default_rng(seed)
+        positions = 10.0 ** log_offset + rng.standard_normal((m, d))
+        j = int(rng.integers(m))
+        w = rng.standard_normal(m)
+        step = _walk(positions, j, FixedWeights(w))
+        np.testing.assert_array_equal(_walk(positions, j, FixedWeights(-w)), -step)
 
-        positions = centre + scale * rng.standard_normal((m, d))
-        # leaving out a lone walker 1e4 spreads away keeps < 1e-6 of the trace,
-        # so that update must be exact
-        lone_outlier = log_outlier is not None and log_outlier >= 4.0
-        if log_outlier is not None:
-            direction = rng.standard_normal(d)
-            positions[0] += scale * 10.0 ** log_outlier * direction / np.linalg.norm(direction)
-        moments = _LooMoments(positions)
-        for _ in range(3 * m):
-            j = int(rng.integers(m))
-            cov = moments.covariance(j)
-            assert_close_in_norm(cov, _loo_covariance(positions, np.arange(m) != j), 1e-12)
-            if lone_outlier and j == 0:
-                assert moments.exact
-            if rng.random() < 0.5:
-                jump = rng.random() < 0.1
-                positions[j] = centre + (far() if jump else scale * rng.standard_normal(d))
-                moments.accept(positions[j])
-                lone_outlier = lone_outlier and j != 0 and not jump
-                # chain j's own position never enters its covariance
-                assert_close_in_norm(moments.covariance(j), cov, 1e-12)
-
-    def test_far_walker_is_left_out_exactly(self):
-        rng = np.random.default_rng(26)
-        positions = rng.standard_normal((6, 2))
-        positions[3] += 1e5
-        moments = _LooMoments(positions)
-        cov = moments.covariance(3)
-        assert moments.exact
-        np.testing.assert_array_equal(cov, _loo_covariance(positions, np.arange(6) != 3))
-        moments.covariance(2)
-        assert not moments.exact
+    @pytest.mark.parametrize("point", [0.0, 1.0, -3e5])
+    @pytest.mark.parametrize("m, d", [(3, 1), (5, 3), (4, 8), (100, 20)])
+    def test_collapsed_ensemble_steps_nowhere(self, point, m, d):
+        positions = np.full((m, d), point)
+        rng = np.random.default_rng(m + d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            steps = np.array([_walk(positions, j, rng) for j in range(m)])
+        assert np.all(np.isfinite(steps))
+        # zero up to the rounding of the positions themselves
+        assert np.max(np.abs(steps)) <= walk_rounding(positions)
+        if point == 0.0:
+            np.testing.assert_array_equal(steps, 0.0)
 
 
 class TestEnsembleCovariance:
@@ -486,13 +522,7 @@ def assert_run_matches_hand_loop(method, target, m, jitter_cov, seed, law=Stretc
     )
     np.testing.assert_array_equal(state.accepted, accepted)
     assert rng_run.bit_generator.state == rng_loop.bit_generator.state
-    covariance_shaped = method == "gaussian" or (method == "de" and jitter_cov is None)
-    if covariance_shaped and m >= d + 2:
-        # the driver downdates running moments where the step functions
-        # recompute each covariance: same draws, rounding-level drift
-        np.testing.assert_allclose(state.history, history, rtol=1e-9, atol=0.0)
-    else:
-        np.testing.assert_array_equal(state.history, history)
+    np.testing.assert_array_equal(state.history, history)
 
 
 class TestSingleCodePath:
@@ -529,36 +559,35 @@ class TestSingleCodePath:
         )
 
     @pytest.mark.parametrize(
-        "method, m, jitter_cov, per_run, per_update",
+        "method, m, jitter_cov, per_run",
         [
-            ("de", 12, 0.0, 0, 0),
-            ("de", 12, 0.05, 1, 0),
-            ("de", 4, np.diag([0.2, 0.1, 0.05]), 1, 0),
-            ("de", 12, None, 0, 1),
-            ("gaussian", 12, None, 0, 1),
-            ("de", 4, None, 0, 2),
-            ("gaussian", 4, None, 0, 1),
-            ("stretch", 12, None, 0, 0),
+            ("de", 12, 0.0, 0),
+            ("de", 12, 0.05, 1),
+            ("de", 4, np.diag([0.2, 0.1, 0.05]), 1),
+            ("de", 12, None, 0),
+            ("gaussian", 12, None, 0),
+            ("de", 4, None, 0),
+            ("gaussian", 4, None, 0),
+            ("stretch", 12, None, 0),
         ],
     )
-    def test_factorizations(self, monkeypatch, method, m, jitter_cov, per_run, per_update):
-        # a constant jitter is factored once per run; a covariance move
-        # factors once per update, except de below d + 2 chains, which
-        # ridge-checks the covariance before factoring a fifth of it
+    def test_factorizations(self, monkeypatch, method, m, jitter_cov, per_run):
+        # a constant jitter is factored once per run; the covariance moves
+        # draw their steps from the other chains and factor nothing
         calls = []
-        factor = ens._cholesky_with_ridge
+        cholesky = np.linalg.cholesky
 
-        def counting(cov):
+        def counting(a):
             calls.append(1)
-            return factor(cov)
+            return cholesky(a)
 
-        monkeypatch.setattr(ens, "_cholesky_with_ridge", counting)
-        n_sweeps = 10
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        monkeypatch.setattr(ens, "_loo_covariance", None)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            run_ensemble(method, IsotropicGaussianTarget(3, 1.0), m=m, n_sweeps=n_sweeps,
+            run_ensemble(method, IsotropicGaussianTarget(3, 1.0), m=m, n_sweeps=10,
                          rng=np.random.default_rng(27), jitter_cov=jitter_cov)
-        assert len(calls) == per_run + per_update * n_sweeps * m
+        assert len(calls) == per_run
 
     @pytest.mark.parametrize("method", ["gaussian", "de", "stretch"])
     def test_one_target_evaluation_per_update(self, method):

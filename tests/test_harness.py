@@ -416,6 +416,60 @@ class TestCli:
         assert cli.main(argv) == 2
         assert not (tmp_path / "never.csv").exists()
 
+    @pytest.mark.parametrize("args, config, named", [
+        (("ens-stretch", "--gamma", "5"), None, "gamma"),
+        (("ens-stretch", "--delta", "3"), None, "delta"),
+        (("ens-stretch",), "[ens-stretch]\ngamma = 5\n", "gamma"),
+        (("mh-fixed", "--m", "77"), None, "m"),
+        (("mh-adaptive",), "[mh-adaptive]\nm = 77\n", "m"),
+        (("mh-fixed", "--a", "3"), None, "a"),
+        (("ens-gaussian", "--a", "3"), None, "a"),
+        (("ens-de",), "[ens-de]\na = 3\n", "a"),
+    ], ids=["stretch-gamma", "stretch-delta", "stretch-gamma-file", "fixed-m",
+            "adaptive-m-file", "fixed-a", "gaussian-a", "de-a-file"])
+    def test_key_the_sampler_ignores_exit_code(self, args, config, named, tmp_path, capsys):
+        argv = ["scaling", *args, "--dims", "2", "--out", str(tmp_path / "never.csv")]
+        if config is not None:
+            (tmp_path / "lab.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "lab.cfg")]
+        assert cli.main(argv) == 2
+        assert f"{args[0]} does not use {named}" in capsys.readouterr().err
+        assert not (tmp_path / "never.csv").exists()
+
+    def test_keys_the_sampler_uses_are_accepted(self):
+        for sampler, overrides in [
+            ("mh-adaptive", {"gamma": 0.5}),
+            ("mh-fixed", {"delta": 2.0}),
+            ("ens-de", {"gamma": 0.3, "m": 10}),
+            ("ens-stretch", {"stretch_a": 3.0, "m": 10}),
+        ]:
+            cfg = config_from_sources("scaling", sampler=sampler, overrides=overrides)
+            for key, val in overrides.items():
+                assert getattr(cfg, key) == val
+
+    # None drops the version line, so the header comes first
+    @pytest.mark.parametrize("first", ["# schema=2", None])
+    def test_report_checks_the_schema_line(self, first, small_scaling_rows, tmp_path, capsys):
+        _, rows = small_scaling_rows
+        path = tmp_path / "rows.csv"
+        write_scaling_csv(str(path), rows)
+        lines = path.read_text().splitlines()
+        assert cli.main(["report", str(path)]) == 0
+        if first is None:
+            del lines[0]
+        else:
+            lines[0] = first
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main(["report", str(path)]) == 2
+        assert f"{path}: first line" in capsys.readouterr().err
+
+    def test_report_rejects_an_undecodable_file(self, tmp_path, capsys):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(b"# schema=1\n\xae\xff\n")
+        assert cli.main(["report", str(path)]) == 2
+        assert f"cannot read {path}" in capsys.readouterr().err
+
     def test_resource_guard_exit_code(self, tmp_path):
         res = self._run(
             "scaling", "ens-gaussian", "--dims", "10", "--n", "100000",
