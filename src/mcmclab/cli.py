@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--burn-in", type=float, dest="burn_in", help="burn-in fraction")
     sc.add_argument("--gamma", type=float, help="fixed proposal scale")
     sc.add_argument("--delta", type=float, help="proposal scale as delta/sqrt(d)")
-    sc.add_argument("--a", type=float, dest="stretch_a", help="stretch range parameter")
+    sc.add_argument("--a", type=float, help="stretch range parameter")
     sc.add_argument("--budget", type=int, help="total chain-update budget")
     sc.add_argument("--config", help="config file (key=value with [sections])")
     sc.add_argument("--seed", type=int, help="master seed")

@@ -76,10 +76,6 @@ class EnsembleState:
     seed: int | None = None
 
     @property
-    def n_chains(self) -> int:
-        return self.positions.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.positions.shape[1]
 
@@ -183,8 +179,8 @@ def ensemble_covariance(state, exclude: int) -> np.ndarray:
     """
     positions = _positions_of(state)
     m = positions.shape[0]
-    if m < 3:
-        raise ValueError("ensemble covariance needs at least 3 chains")
+    if m < MIN_CHAINS["gaussian"]:
+        raise ValueError(f"ensemble covariance needs at least {MIN_CHAINS['gaussian']} chains")
     _, cov = _cholesky_with_ridge(_loo_covariance(positions, _others(m, exclude)))
     return cov
 
@@ -279,6 +275,9 @@ def _propose(method, positions, j, factor, gamma, law, rng):
 
 def _single_update(method, target, positions, j, gamma, law, jitter_cov, rng):
     """One update of chain ``j`` from scratch; ``(new_position, accepted)``."""
+    m = positions.shape[0]
+    if m < MIN_CHAINS[method]:
+        raise ValueError(f"{method} moves need at least {MIN_CHAINS[method]} chains, got {m}")
     current = positions[j]
     lp_current = _checked(float(target.log_density(current)), current)
     factor = None if jitter_cov is None else _jitter_factor(jitter_cov, positions.shape[1])
@@ -294,16 +293,13 @@ def ensemble_gaussian_step(target, state, j: int, gamma: float, rng):
     the other chains.  The proposal is symmetric, so acceptance is the plain
     Metropolis ratio.  Returns ``(new_position, accepted)``.
     """
-    positions = _positions_of(state)
-    if positions.shape[0] < 3:
-        raise ValueError("ensemble covariance needs at least 3 chains")
-    return _single_update("gaussian", target, positions, j, gamma, None, None, rng)
+    return _single_update("gaussian", target, _positions_of(state), j, gamma, None, None, rng)
 
 
 def de_trajectory_count(m: int) -> int:
     """Distinct difference-vector pairs, ignoring order: (m-1)(m-2)/2."""
-    if m < 3:
-        raise ValueError("difference moves need at least 3 chains")
+    if m < MIN_CHAINS["de"]:
+        raise ValueError(f"difference moves need at least {MIN_CHAINS['de']} chains")
     return (m - 1) * (m - 2) // 2
 
 
@@ -317,10 +313,7 @@ def de_step(target, state, j: int, gamma: float, rng, jitter_cov=None):
     the ensemble covariance; pass ``0`` for no jitter.  The proposal is
     symmetric.  Returns ``(new_position, accepted)``.
     """
-    positions = _positions_of(state)
-    if positions.shape[0] < 3:
-        raise ValueError("de_step needs at least 3 chains")
-    return _single_update("de", target, positions, j, gamma, None, jitter_cov, rng)
+    return _single_update("de", target, _positions_of(state), j, gamma, None, jitter_cov, rng)
 
 
 def sample_stretch_factor(law: StretchLaw, rng, size=None):
@@ -338,10 +331,7 @@ def stretch_step(target, state, j: int, law: StretchLaw, rng):
     (in log space) to account for the volume change along the line.
     Returns ``(new_position, accepted)``.
     """
-    positions = _positions_of(state)
-    if positions.shape[0] < 2:
-        raise ValueError("stretch_step needs at least 2 chains")
-    return _single_update("stretch", target, positions, j, None, law, None, rng)
+    return _single_update("stretch", target, _positions_of(state), j, None, law, None, rng)
 
 
 def _stretch_sweep(target, positions, lp, law, rng, accepted):

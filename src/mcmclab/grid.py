@@ -92,10 +92,6 @@ class GridSpec:
         return len(self._edges)
 
     @property
-    def cell_counts(self) -> tuple:
-        return tuple(e.size - 1 for e in self._edges)
-
-    @property
     def n_cells(self) -> int:
         return int(np.prod([e.size - 1 for e in self._edges], dtype=object))
 

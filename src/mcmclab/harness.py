@@ -15,6 +15,7 @@ import time
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import product, repeat
 from types import MappingProxyType
 
 import numpy as np
@@ -120,20 +121,58 @@ def exercise_2d_target() -> DiagonalGaussianTarget:
     return DiagonalGaussianTarget(EXERCISE_2D_MEAN, EXERCISE_2D_SIGMAS)
 
 
+# The keys each run reads beyond ``seed`` and ``out``; a scaling sampler
+# also reads those its SAMPLERS row calls for (see _keys_used).
+_RUN_KEYS = MappingProxyType({
+    "noisy-mean": {"grid_lo", "grid_hi", "grid_cells"},
+    "grid-2d": set(),
+    "importance-2d": {"n", "replicates"},
+    "mh-2d": {"n", "burn_in", "proposal_sigma", "bins", "bins_lo", "bins_hi"},
+    "scaling": {"dims", "n", "replicates", "burn_in", "jobs", "budget"},
+})
+# Defaults of the exercises' ``n`` and ``replicates``; a scaling run takes
+# ``n`` from its SAMPLERS row and one replicate.
+_RUN_DEFAULTS = MappingProxyType({
+    "importance-2d": {"n": 10_000, "replicates": 100},
+    "mh-2d": {"n": 1000},
+})
+
+
+def _keys_used(experiment: str, sampler: str | None = None) -> set:
+    """Config keys the run reads; setting any other key is an error."""
+    if experiment not in _RUN_KEYS:
+        raise ConfigError(f"unknown experiment {experiment!r}")
+    keys = {"seed", "out"} | _RUN_KEYS[experiment]
+    if experiment == "scaling":
+        if sampler not in SAMPLERS:
+            raise ConfigError(f"unknown sampler {sampler!r}")
+        spec = SAMPLERS[sampler]
+        if spec.gamma is not None or spec.delta is not None:
+            keys |= {"gamma", "delta"}
+        if spec.move is not None:
+            keys.add("m")
+        if spec.move == "stretch":
+            keys.add("a")
+    return keys
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; CLI flags override file values override defaults."""
+    """Everything a run needs; CLI flags override file values override defaults.
+
+    An unset ``n`` or ``replicates`` takes the run's default.
+    """
 
     experiment: str
     sampler: str | None = None
     dims: tuple = (2, 5, 10, 20)
     n: int | None = None
     m: int = 100
-    replicates: int = 1
+    replicates: int | None = None
     burn_in: float = 0.2
     gamma: float | None = None   # fixed proposal scale
     delta: float | None = None   # scale as delta / sqrt(d)
-    stretch_a: float = 2.0
+    a: float = 2.0               # stretch range parameter
     seed: int = DEFAULT_SEED
     out: str | None = None
     jobs: int = 1
@@ -148,42 +187,36 @@ class ExperimentConfig:
     bins_hi: float = 5.0
 
     def __post_init__(self):
-        if self.experiment not in EXERCISES + ("scaling",):
-            raise ConfigError(f"unknown experiment {self.experiment!r}")
+        _keys_used(self.experiment, self.sampler)  # rejects unknown names
+        defaults = _RUN_DEFAULTS.get(self.experiment, {})
         if self.experiment == "scaling":
-            if self.sampler not in SAMPLERS:
-                raise ConfigError(f"unknown sampler {self.sampler!r}")
             if not self.dims or any(d < 1 for d in self.dims):
                 raise ConfigError("dims must be positive integers")
             move = SAMPLERS[self.sampler].move
             if move is not None and self.m < MIN_CHAINS[move]:
                 raise ConfigError(f"{self.sampler} needs m >= {MIN_CHAINS[move]}")
-        for name in ("m", "replicates", "jobs", "budget", "grid_cells", "bins"):
-            if getattr(self, name) < 1:
+            defaults = {"n": SAMPLERS[self.sampler].n, "replicates": 1}
+        for name, value in defaults.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
+        for name in ("n", "m", "replicates", "jobs", "budget", "grid_cells", "bins"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.n is not None and self.n < 1:
-            raise ConfigError("n must be >= 1")
         if not 0.0 <= self.burn_in < 1.0:
             raise ConfigError("burn_in must lie in [0, 1)")
         if self.gamma is not None and self.gamma <= 0:
             raise ConfigError("gamma must be positive")
         if self.delta is not None and self.delta <= 0:
             raise ConfigError("delta must be positive")
-        if self.stretch_a <= 1.0:
+        if self.a <= 1.0:
             raise ConfigError("a must exceed 1")
         if self.proposal_sigma <= 0:
             raise ConfigError("proposal_sigma must be positive")
         if self.grid_hi <= self.grid_lo or self.bins_hi <= self.bins_lo:
             raise ConfigError("upper bounds must exceed lower bounds")
-
-    def iterations(self) -> int:
-        if self.n is not None:
-            return self.n
-        if self.experiment == "scaling":
-            return SAMPLERS[self.sampler].n
-        return {"importance-2d": 10_000, "mh-2d": 1000}.get(self.experiment, 1000)
 
     def proposal_scale(self, dim: int) -> float | None:
         """Resolved gamma for one dimension (None for a sampler without a scale).
@@ -198,38 +231,6 @@ class ExperimentConfig:
         if self.gamma is not None or self.delta is not None:
             gamma, delta = self.gamma, self.delta
         return gamma if gamma is not None else delta / np.sqrt(dim)
-
-
-# Keys accepted from a config file, per experiment section.  Each names the
-# ExperimentConfig field it sets, apart from those in _FILE_KEY_FIELDS.
-_COMMON_KEYS = {"seed", "out"}
-_SECTION_KEYS = {
-    "noisy-mean": _COMMON_KEYS | {"grid_lo", "grid_hi", "grid_cells"},
-    "grid-2d": set(_COMMON_KEYS),
-    "importance-2d": _COMMON_KEYS | {"n", "replicates"},
-    "mh-2d": _COMMON_KEYS | {
-        "n", "replicates", "burn_in", "proposal_sigma",
-        "bins", "bins_lo", "bins_hi",
-    },
-    "scaling": _COMMON_KEYS | {
-        "dims", "n", "m", "replicates", "burn_in",
-        "gamma", "delta", "a", "jobs", "budget",
-    },
-}
-_FILE_KEY_FIELDS = {"a": "stretch_a"}
-_FIELD_FILE_KEYS = {field: key for key, field in _FILE_KEY_FIELDS.items()}
-
-
-def _unused_keys(spec: SamplerSpec) -> set:
-    """Config fields a scaling sampler ignores, so setting one is an error."""
-    unused = set()
-    if spec.gamma is None and spec.delta is None:
-        unused |= {"gamma", "delta"}
-    if spec.move is None:
-        unused.add("m")
-    if spec.move != "stretch":
-        unused.add("stretch_a")
-    return unused
 
 
 def _value_type(annotation):
@@ -251,11 +252,9 @@ def parse_dims(text: str) -> tuple:
 def parse_config_file(path: str, section: str) -> dict:
     """Read ``key=value`` lines from the named section of a config file.
 
-    Sections are introduced by ``[name]`` headers; keys outside the
-    experiment's allowed set are rejected.  Blank lines and ``#`` comments
-    are ignored.
+    Sections are introduced by ``[name]`` headers; a key that names no
+    config field is rejected.  Blank lines and ``#`` comments are ignored.
     """
-    allowed = _SECTION_KEYS["scaling" if section in SCALING_SAMPLERS else section]
     values: dict = {}
     current = None
     try:
@@ -273,18 +272,18 @@ def parse_config_file(path: str, section: str) -> dict:
                     continue
                 key, _, val = line.partition("=")
                 key, val = key.strip(), val.strip()
-                if key not in allowed:
+                if key not in _CONFIG_TYPES:
                     raise ConfigError(
                         f"{path}:{lineno}: unknown key {key!r} for [{section}]"
                     )
                 values[key] = _parse_value(key, val, f"{path}:{lineno}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
 
 
 def _parse_value(key: str, val: str, where: str):
-    value_type = _CONFIG_TYPES[_FILE_KEY_FIELDS.get(key, key)]
+    value_type = _CONFIG_TYPES[key]
     try:
         return parse_dims(val) if value_type is tuple else value_type(val)
     except ValueError as exc:
@@ -292,20 +291,19 @@ def _parse_value(key: str, val: str, where: str):
 
 
 def config_from_sources(experiment, sampler=None, config_path=None, overrides=None):
-    """Merge defaults, config-file values, and CLI overrides into a config."""
-    values: dict = {}
-    if config_path is not None:
-        section = sampler if experiment == "scaling" else experiment
-        for key, val in parse_config_file(config_path, section).items():
-            values[_FILE_KEY_FIELDS.get(key, key)] = val
+    """Merge defaults, config-file values, and CLI overrides into a config.
+
+    A file or flag key the run does not read (see ``_keys_used``) is an
+    error.
+    """
+    name = sampler if experiment == "scaling" else experiment
+    values = parse_config_file(config_path, name) if config_path is not None else {}
     for key, val in (overrides or {}).items():
         if val is not None:
             values[key] = val
-    if experiment == "scaling" and sampler in SAMPLERS:
-        unused = _unused_keys(SAMPLERS[sampler]) & values.keys()
-        if unused:
-            names = ", ".join(sorted(_FIELD_FILE_KEYS.get(k, k) for k in unused))
-            raise ConfigError(f"{sampler} does not use {names}")
+    unused = values.keys() - _keys_used(experiment, sampler)
+    if unused:
+        raise ConfigError(f"{name} does not use {', '.join(sorted(unused))}")
     if "seed" not in values:
         env = os.environ.get("MCMCLAB_SEED")
         if env is not None:
@@ -403,41 +401,35 @@ def _scaling_row(cfg: ExperimentConfig, dim: int, replicate: int) -> ResultRow:
     rng = derive_rng(cfg.seed, *labels)
     seed_id = stream_id(cfg.seed, *labels)
     target = IsotropicGaussianTarget(dim, 1.0)
-    n = cfg.iterations()
     t0 = time.perf_counter()
 
     move = SAMPLERS[cfg.sampler].move
     if move is None:
-        gamma = cfg.proposal_scale(dim)
         # start from a draw of the target itself: at the exact mode a
         # wide fixed proposal in high dimension essentially never accepts
         # its first move, so the run would measure the start, not the law
         theta0 = rng.standard_normal(dim)
         chain = run_chain(
-            target, GaussianRandomWalk(gamma), theta0, n, rng, seed=seed_id
+            target, GaussianRandomWalk(cfg.proposal_scale(dim)), theta0, cfg.n, rng,
+            seed=seed_id,
         )
-        accept = acceptance_fraction(chain)
-        kept = drop_burn_in(chain, cfg.burn_in)
-        samples = kept.states
-        tau = _mean_tau(samples)
-        ess = diagnostics.ess_from_tau(len(kept), tau)
+        # a single chain is an ensemble of one: (n,) flags, (n, 1, d) history
+        accepted, history = chain.accepted, chain.states[:, None, :]
         m_col = None
     else:
         state = run_ensemble(
-            move, target, m=cfg.m, n_sweeps=n, rng=rng,
-            gamma=cfg.proposal_scale(dim), law=StretchLaw(cfg.stretch_a),
-            seed=seed_id,
+            move, target, m=cfg.m, n_sweeps=cfg.n, rng=rng,
+            gamma=cfg.proposal_scale(dim), law=StretchLaw(cfg.a), seed=seed_id,
         )
-        accept = state.acceptance_fraction()
-        first = int(np.floor(cfg.burn_in * n))
-        hist = state.history[first:]
-        kept_len = hist.shape[0]
-        chain_taus = [_mean_tau(hist[:, j, :]) for j in range(cfg.m)]
-        tau = float(np.mean(chain_taus))
-        ess = float(np.mean([diagnostics.ess_from_tau(kept_len, t) for t in chain_taus]))
-        samples = hist.reshape(-1, dim)
+        accepted, history = state.accepted, state.history
         m_col = cfg.m
 
+    accept = float(accepted.mean())
+    hist = history[int(np.floor(cfg.burn_in * cfg.n)):]
+    chain_taus = [_mean_tau(hist[:, j, :]) for j in range(hist.shape[1])]
+    tau = float(np.mean(chain_taus))
+    ess = float(np.mean([diagnostics.ess_from_tau(hist.shape[0], t) for t in chain_taus]))
+    samples = hist.reshape(-1, dim)
     evidence = None
     if dim <= _EVIDENCE_MAX_DIM:
         hd = default_evidence_histogram(samples)
@@ -446,15 +438,10 @@ def _scaling_row(cfg: ExperimentConfig, dim: int, replicate: int) -> ResultRow:
     wall = time.perf_counter() - t0
     return ResultRow(
         experiment="scaling", dim=dim, replicate=replicate, seed=seed_id,
-        sampler=cfg.sampler, n=n, m=m_col, acceptance_fraction=accept,
+        sampler=cfg.sampler, n=cfg.n, m=m_col, acceptance_fraction=accept,
         tau_hat=tau, ess=ess, evidence_hat=evidence, wall_time_s=wall,
         **coords,
     )
-
-
-def _scaling_cell(args):
-    cfg, dim, replicate = args
-    return _scaling_row(cfg, dim, replicate)
 
 
 def run_scaling(cfg: ExperimentConfig) -> list:
@@ -465,20 +452,17 @@ def run_scaling(cfg: ExperimentConfig) -> list:
     """
     if cfg.experiment != "scaling":
         raise ConfigError("run_scaling needs a scaling config")
-    n = cfg.iterations()
     per_iter = 1 if SAMPLERS[cfg.sampler].move is None else cfg.m
-    total_updates = n * per_iter * len(cfg.dims) * cfg.replicates
+    total_updates = cfg.n * per_iter * len(cfg.dims) * cfg.replicates
     if total_updates > cfg.budget:
         raise ResourceLimitError(
             f"requested {total_updates} chain updates exceeds budget {cfg.budget}"
         )
-    cells = [(cfg, d, r) for d in cfg.dims for r in range(cfg.replicates)]
+    dims, replicates = zip(*product(cfg.dims, range(cfg.replicates)))
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(_scaling_cell, cells))
-    else:
-        rows = [_scaling_cell(cell) for cell in cells]
-    return rows
+            return list(pool.map(_scaling_row, repeat(cfg), dims, replicates))
+    return list(map(_scaling_row, repeat(cfg), dims, replicates))
 
 
 # ---------------------------------------------------------------------------
@@ -608,14 +592,13 @@ def run_importance_2d_exercise(cfg: ExperimentConfig):
     """Importance sampling of the 2-D Gaussian from centered proposals of
     width 1 and 2, plus a replicate study of the evidence estimator."""
     target = exercise_2d_target()
-    n = cfg.iterations()
     rows = []
     lines = []
     for sigma_q in (1.0, 2.0):
         case = f"sigma{sigma_q:g}"
         proposal = DiagonalGaussianProposal((0.0, 0.0), (sigma_q, sigma_q))
         rng = derive_rng(cfg.seed, "importance-2d", case)
-        ws = importance_weights(target, proposal, draw_iid(proposal, n, rng))
+        ws = importance_weights(target, proposal, draw_iid(proposal, cfg.n, rng))
         z = is_evidence(ws)
         mean_xy = np.asarray(is_expectation(ws, lambda p: p))
         kish = diagnostics.kish_ess(log_weights=ws.log_weights)
@@ -635,21 +618,21 @@ def run_importance_2d_exercise(cfg: ExperimentConfig):
     # replicate spread of the evidence estimate at sigma_q = 1
     proposal = DiagonalGaussianProposal((0.0, 0.0), (1.0, 1.0))
     estimates = []
-    for r in range(cfg.replicates if cfg.replicates > 1 else 100):
+    for r in range(cfg.replicates):
         rng = derive_rng(cfg.seed, "importance-2d", "replicates", r)
-        ws = importance_weights(target, proposal, draw_iid(proposal, n, rng))
+        ws = importance_weights(target, proposal, draw_iid(proposal, cfg.n, rng))
         estimates.append(is_evidence(ws))
     estimates = np.asarray(estimates)
+    z = float(estimates.mean())
+    se = np.nan  # one replicate has no spread to measure
+    if cfg.replicates > 1:
+        se = float(estimates.std(ddof=1) / np.sqrt(cfg.replicates))
     rows += [
-        _row("importance-2d", "replicates", "evidence_mean", float(estimates.mean())),
-        _row("importance-2d", "replicates", "evidence_se",
-             float(estimates.std(ddof=1) / np.sqrt(estimates.size))),
-        _row("importance-2d", "replicates", "count", float(estimates.size)),
+        _row("importance-2d", "replicates", "evidence_mean", z),
+        _row("importance-2d", "replicates", "evidence_se", se),
+        _row("importance-2d", "replicates", "count", float(cfg.replicates)),
     ]
-    lines.append(
-        f"importance-2d replicates: Z={estimates.mean():.4f} "
-        f"+- {estimates.std(ddof=1) / np.sqrt(estimates.size):.4f}"
-    )
+    lines.append(f"importance-2d replicates: Z={z:.4f} +- {se:.4f}")
     return rows, "\n".join(lines)
 
 
@@ -657,7 +640,7 @@ def _mh_2d_run(cfg: ExperimentConfig, start, rng):
     target = exercise_2d_target()
     chain = run_chain(
         target, GaussianRandomWalk(cfg.proposal_sigma), np.asarray(start, float),
-        cfg.iterations(), rng,
+        cfg.n, rng,
     )
     return target, chain
 

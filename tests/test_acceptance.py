@@ -220,7 +220,7 @@ class TestAcceptance:
             # ensemble is at equilibrium from the first sweep
             oracle = {
                 d: _stretch_equilibrium_acceptance(
-                    d, cfg.stretch_a,
+                    d, cfg.a,
                     derive_rng(2026, "acceptance", "stretch-oracle", d),
                 )
                 for d in dims

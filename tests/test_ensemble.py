@@ -11,6 +11,7 @@ import mcmclab.ensemble as ens
 from mcmclab.diagnostics import per_coordinate_tau
 from mcmclab.ensemble import (
     ENSEMBLE_METHODS,
+    MIN_CHAINS,
     StretchLaw,
     _loo_covariance,
     _others,
@@ -485,6 +486,22 @@ class TestStretchStep:
         target = IsotropicGaussianTarget(2, 1.0)
         with pytest.raises(ValueError):
             stretch_step(target, np.zeros((1, 2)), 0, StretchLaw(), np.random.default_rng(13))
+
+
+@pytest.mark.parametrize("method, step", [
+    ("gaussian", lambda target, positions, rng:
+        ensemble_gaussian_step(target, positions, 0, 1.0, rng)),
+    ("de", lambda target, positions, rng: de_step(target, positions, 0, 1.0, rng)),
+    ("stretch", lambda target, positions, rng:
+        stretch_step(target, positions, 0, StretchLaw(), rng)),
+], ids=["gaussian", "de", "stretch"])
+def test_step_needs_min_chains(method, step):
+    target = IsotropicGaussianTarget(2, 1.0)
+    fewest = MIN_CHAINS[method]
+    rng = np.random.default_rng(17)
+    with pytest.raises(ValueError, match=f"at least {fewest} chains, got {fewest - 1}"):
+        step(target, rng.standard_normal((fewest - 1, 2)), rng)
+    step(target, rng.standard_normal((fewest, 2)), rng)
 
 
 def hand_loop(method, target, m, n_sweeps, rng, gamma, law, jitter_cov):

@@ -13,9 +13,9 @@ from mcmclab import cli
 from mcmclab.ensemble import ENSEMBLE_METHODS, MIN_CHAINS
 from mcmclab.errors import ConfigError, ResourceLimitError
 from mcmclab.harness import (
-    _FILE_KEY_FIELDS,
-    _SECTION_KEYS,
+    _keys_used,
     EXERCISE_CSV_HEADER,
+    EXERCISES,
     SAMPLERS,
     SCALING_CSV_HEADER,
     SCALING_SAMPLERS,
@@ -32,6 +32,10 @@ from mcmclab.harness import (
 )
 
 
+# every run: each exercise, and the scaling battery with each sampler
+RUNS = [(name, None) for name in EXERCISES] + [("scaling", name) for name in SAMPLERS]
+
+
 def strip_wall_time(csv_text: str) -> str:
     return "\n".join(line.rsplit(",", 1)[0] for line in csv_text.splitlines())
 
@@ -43,12 +47,12 @@ def quantities(rows):
 class TestConfig:
     def test_defaults_resolve(self):
         cfg = ExperimentConfig("scaling", sampler="mh-fixed")
-        assert cfg.iterations() == 20_000
+        assert cfg.n == 20_000
         assert cfg.proposal_scale(9) == pytest.approx(np.sqrt(2.0))
         adaptive = ExperimentConfig("scaling", sampler="mh-adaptive")
         assert adaptive.proposal_scale(25) == pytest.approx(0.5)
         de = ExperimentConfig("scaling", sampler="ens-de")
-        assert de.iterations() == 1500
+        assert de.n == 1500
         assert de.proposal_scale(4) == pytest.approx(1.7 / 2.0)
 
     def test_explicit_gamma_overrides_delta_rule(self):
@@ -65,7 +69,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig("mh-2d", burn_in=1.0)
         with pytest.raises(ConfigError):
-            ExperimentConfig("scaling", sampler="ens-stretch", stretch_a=1.0)
+            ExperimentConfig("scaling", sampler="ens-stretch", a=1.0)
 
     def test_config_file_parsing(self, tmp_path):
         path = tmp_path / "lab.cfg"
@@ -92,22 +96,40 @@ class TestConfig:
         }
 
         def value_type(key):
-            annotation = annotations[_FILE_KEY_FIELDS.get(key, key)]
             return next(t for t in (int, float, tuple, str)
-                        if annotation in (t, t | None))
+                        if annotations[key] in (t, t | None))
 
-        sections = {**_SECTION_KEYS}
-        sections.update(dict.fromkeys(SCALING_SAMPLERS, sections.pop("scaling")))
         path = tmp_path / "every.cfg"
-        path.write_text("".join(
-            f"[{name}]\n" + "".join(f"{key} = {text[value_type(key)]}\n" for key in keys)
-            for name, keys in sections.items()
-        ))
-        for name, keys in sections.items():
+        for experiment, sampler in RUNS:
+            name = sampler or experiment
+            keys = _keys_used(experiment, sampler)
+            path.write_text(f"[{name}]\n" + "".join(
+                f"{key} = {text[value_type(key)]}\n" for key in keys
+            ))
             vals = parse_config_file(str(path), name)
             assert set(vals) == keys
             for key, val in vals.items():
                 assert type(val) is value_type(key), (name, key, val)
+            for key in annotations.keys() - keys:
+                path.write_text(f"[{name}]\n{key} = {text[value_type(key)]}\n")
+                with pytest.raises(ConfigError, match=f"^{name} does not use {key}$"):
+                    config_from_sources(experiment, sampler, config_path=str(path))
+
+    @pytest.mark.parametrize("experiment, sampler", RUNS)
+    def test_seed_out_and_jobs_accepted(self, experiment, sampler):
+        # every run takes --seed and --out, and every sampler --jobs
+        overrides = {"seed": 3, "out": "rows.csv"}
+        if sampler is not None:
+            overrides["jobs"] = 2
+        cfg = config_from_sources(experiment, sampler, overrides=overrides)
+        for key, val in overrides.items():
+            assert getattr(cfg, key) == val
+
+    def test_run_defaults(self):
+        assert ExperimentConfig("scaling", sampler="ens-de").replicates == 1
+        importance = ExperimentConfig("importance-2d")
+        assert (importance.n, importance.replicates) == (10_000, 100)
+        assert ExperimentConfig("mh-2d").n == 1000
 
     def test_sampler_table_matches_cli_and_ensemble(self):
         scaling = next(
@@ -285,6 +307,18 @@ class TestExercises:
         )
         assert vals[("sigma2", "kish_ess")] < 4000
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("replicates, count", [(None, "100.0"), (1, "1.0")])
+    def test_importance_2d_replicate_count(self, replicates, count, tmp_path):
+        config = "[importance-2d]\nn = 200\n"
+        if replicates is not None:
+            config += f"replicates = {replicates}\n"
+        (tmp_path / "lab.cfg").write_text(config)
+        out = tmp_path / "is.csv"
+        argv = ["exercise", "importance-2d", "--config", str(tmp_path / "lab.cfg")]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert f"importance-2d,replicates,count,,{count}" in out.read_text().splitlines()
+
     def test_mh_2d_trace_emitted(self):
         cfg = ExperimentConfig("mh-2d", n=400)
         rows, _ = run_exercise(cfg)
@@ -436,12 +470,34 @@ class TestCli:
         assert f"{args[0]} does not use {named}" in capsys.readouterr().err
         assert not (tmp_path / "never.csv").exists()
 
+    @pytest.mark.parametrize("name, config, named", [
+        ("mh-2d", "replicates = 7", "replicates"),
+        ("noisy-mean", "n = 5", "n"),
+    ])
+    def test_key_the_exercise_ignores_exit_code(self, name, config, named, tmp_path,
+                                                capsys):
+        (tmp_path / "lab.cfg").write_text(f"[{name}]\n{config}\n")
+        argv = ["exercise", name, "--config", str(tmp_path / "lab.cfg"),
+                "--out", str(tmp_path / "never.csv")]
+        assert cli.main(argv) == 2
+        assert f"{name} does not use {named}" in capsys.readouterr().err
+        assert not (tmp_path / "never.csv").exists()
+
+    def test_undecodable_config_file_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"[mh-fixed]\n\xae\xff\n")
+        argv = ["scaling", "mh-fixed", "--dims", "2", "--config", str(path),
+                "--out", str(tmp_path / "never.csv")]
+        assert cli.main(argv) == 2
+        assert f"cannot read config file {path}" in capsys.readouterr().err
+        assert not (tmp_path / "never.csv").exists()
+
     def test_keys_the_sampler_uses_are_accepted(self):
         for sampler, overrides in [
             ("mh-adaptive", {"gamma": 0.5}),
             ("mh-fixed", {"delta": 2.0}),
             ("ens-de", {"gamma": 0.3, "m": 10}),
-            ("ens-stretch", {"stretch_a": 3.0, "m": 10}),
+            ("ens-stretch", {"a": 3.0, "m": 10}),
         ]:
             cfg = config_from_sources("scaling", sampler=sampler, overrides=overrides)
             for key, val in overrides.items():
