@@ -37,7 +37,7 @@ for axis, (name, true_mean) in enumerate((("x", -0.3), ("y", 0.8))):
     print(f"mean_{name} = {series.mean():+.3f} (truth {true_mean:+.1f}), "
           f"68% interval [{lo:+.3f}, {hi:+.3f}]")
 
-hd = default_evidence_histogram(kept.states, bins=10, lo=-5.0, hi=5.0)
+hd = default_evidence_histogram(kept.states)
 z = evidence_from_chain(target, kept.states, hd)
 print(f"evidence from chain: {z:.4f} vs 2*pi = {2 * np.pi:.4f}\n")
 

@@ -13,6 +13,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import NumericalError, ZeroVarianceError
+from .grid import _cell_volumes
 from .mh import Chain
 
 __all__ = [
@@ -241,10 +242,7 @@ class HistogramDensity:
 
     @property
     def volumes(self) -> np.ndarray:
-        vol = np.diff(self.edges[0])
-        for e in self.edges[1:]:
-            vol = np.multiply.outer(vol, np.diff(e))
-        return vol
+        return _cell_volumes(self.edges)
 
     def bin_indices(self, points) -> np.ndarray:
         """Per-dimension bin index of each point; -1 marks out-of-box.

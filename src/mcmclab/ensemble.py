@@ -173,9 +173,9 @@ def ensemble_covariance(state, exclude: int) -> np.ndarray:
 
     The result is symmetric positive semidefinite; if it is numerically
     singular a trace-scaled ridge is added so that a Cholesky factorization
-    exists.  Chain ``exclude``'s own position never enters.  This is the
-    covariance of the gaussian move's steps (before ``gamma**2``), which
-    draws them without forming it.
+    exists.  Chain ``exclude``'s own position never enters.  Unless a ridge
+    was added, this is the covariance of the gaussian move's steps (before
+    ``gamma**2``), which draws them without forming it and never ridges them.
     """
     positions = _positions_of(state)
     m = positions.shape[0]

@@ -43,36 +43,14 @@ def _validate_edges(edges: np.ndarray) -> np.ndarray:
 class GridSpec:
     """Axis definitions for a rectangular grid.
 
-    ``axes`` holds one item per dimension: either a ``(lower, upper, cells)``
-    triple for a uniform axis or an explicit strictly increasing edge list
-    for a nonuniform one.
+    ``edges`` holds one strictly increasing edge array per dimension;
+    ``regular`` builds uniform axes.
     """
 
-    axes: tuple
+    edges: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "axes", tuple(self.axes))
-        object.__setattr__(self, "_edges", tuple(self._build_edges()))
-
-    def _build_edges(self):
-        edges = []
-        for axis in self.axes:
-            # a (lo, hi, cells) triple is a tuple/list whose third entry is
-            # an integer; arrays and float lists are explicit edge lists
-            if (
-                isinstance(axis, (tuple, list))
-                and len(axis) == 3
-                and isinstance(axis[2], (int, np.integer))
-            ):
-                lo, hi, k = float(axis[0]), float(axis[1]), int(axis[2])
-                if k < 1:
-                    raise ValueError("cell count must be >= 1")
-                if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
-                    raise ValueError("axis bounds must be finite with upper > lower")
-                edges.append(np.linspace(lo, hi, k + 1))
-            else:
-                edges.append(_validate_edges(np.asarray(axis, dtype=float)))
-        return edges
+        object.__setattr__(self, "edges", tuple(_validate_edges(e) for e in self.edges))
 
     @classmethod
     def regular(cls, bounds, cells) -> "GridSpec":
@@ -80,20 +58,24 @@ class GridSpec:
         or one int per dimension."""
         bounds = list(bounds)
         if np.isscalar(cells):
-            cells = [int(cells)] * len(bounds)
-        return cls(tuple((lo, hi, k) for (lo, hi), k in zip(bounds, cells)))
-
-    @property
-    def edges(self) -> tuple:
-        return self._edges
+            cells = [cells] * len(bounds)
+        edges = []
+        for (lo, hi), k in zip(bounds, cells, strict=True):
+            lo, hi, k = float(lo), float(hi), int(k)
+            if k < 1:
+                raise ValueError("cell count must be >= 1")
+            if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
+                raise ValueError("axis bounds must be finite with upper > lower")
+            edges.append(np.linspace(lo, hi, k + 1))
+        return cls(tuple(edges))
 
     @property
     def dim(self) -> int:
-        return len(self._edges)
+        return len(self.edges)
 
     @property
     def n_cells(self) -> int:
-        return int(np.prod([e.size - 1 for e in self._edges], dtype=object))
+        return int(np.prod([e.size - 1 for e in self.edges], dtype=object))
 
 
 @dataclass(frozen=True)
@@ -125,14 +107,24 @@ def build_grid(spec: GridSpec) -> GridCells:
         raise ResourceLimitError(
             f"grid would have {spec.n_cells} cells (limit {MAX_GRID_CELLS})"
         )
-    mids = [(e[:-1] + e[1:]) / 2.0 for e in spec.edges]
-    widths = [np.diff(e) for e in spec.edges]
+    return GridCells(
+        midpoints=_cell_midpoints(spec.edges), volumes=_cell_volumes(spec.edges).ravel()
+    )
+
+
+def _cell_midpoints(edges) -> np.ndarray:
+    """Midpoints ``(n, d)`` of the cell lattice of per-axis edges, row-major."""
+    mids = [(e[:-1] + e[1:]) / 2.0 for e in edges]
     mesh = np.meshgrid(*mids, indexing="ij")
-    midpoints = np.stack([m.ravel() for m in mesh], axis=1)
-    vol = widths[0]
-    for w in widths[1:]:
-        vol = np.multiply.outer(vol, w)
-    return GridCells(midpoints=midpoints, volumes=vol.ravel())
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def _cell_volumes(edges) -> np.ndarray:
+    """Volumes of the same lattice, shaped as cells per axis."""
+    vol = np.diff(edges[0])
+    for e in edges[1:]:
+        vol = np.multiply.outer(vol, np.diff(e))
+    return vol
 
 
 def _check_dims(target, cells: GridCells):

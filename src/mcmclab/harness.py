@@ -99,11 +99,14 @@ NOISY_MEAN_OBSERVATIONS = (
 )
 NOISY_MEAN_PRIOR = (25.0, 1.5)
 NOISY_MEAN_ALT_PRIOR = (30.0, 3.0)
+# The noisy-mean posterior grid: (lower, upper, cells).
+NOISY_MEAN_GRID = (10.0, 50.0, 10_000)
 
 # The fixed 2-D Gaussian studied by the grid / importance / MH exercises:
 # means (-0.3, 0.8), variances (2, 0.5), hence evidence 2*pi*sx*sy = 2*pi.
 EXERCISE_2D_MEAN = (-0.3, 0.8)
 EXERCISE_2D_SIGMAS = (np.sqrt(2.0), np.sqrt(0.5))
+EXERCISE_2D_PROPOSAL_SIGMA = 1.0  # random-walk scale of the mh-2d exercise
 
 EXERCISE_CSV_HEADER = ("experiment", "case", "quantity", "index", "value")
 SCHEMA_LINE = "# schema=1"
@@ -124,10 +127,10 @@ def exercise_2d_target() -> DiagonalGaussianTarget:
 # The keys each run reads beyond ``seed`` and ``out``; a scaling sampler
 # also reads those its SAMPLERS row calls for (see _keys_used).
 _RUN_KEYS = MappingProxyType({
-    "noisy-mean": {"grid_lo", "grid_hi", "grid_cells"},
+    "noisy-mean": set(),
     "grid-2d": set(),
     "importance-2d": {"n", "replicates"},
-    "mh-2d": {"n", "burn_in", "proposal_sigma", "bins", "bins_lo", "bins_hi"},
+    "mh-2d": {"n", "burn_in"},
     "scaling": {"dims", "n", "replicates", "burn_in", "jobs", "budget"},
 })
 # Defaults of the exercises' ``n`` and ``replicates``; a scaling run takes
@@ -177,21 +180,13 @@ class ExperimentConfig:
     out: str | None = None
     jobs: int = 1
     budget: int = DEFAULT_BUDGET
-    # exercise-specific knobs
-    grid_lo: float = 10.0
-    grid_hi: float = 50.0
-    grid_cells: int = 10_000
-    proposal_sigma: float = 1.0
-    bins: int = 10
-    bins_lo: float = -5.0
-    bins_hi: float = 5.0
 
     def __post_init__(self):
         _keys_used(self.experiment, self.sampler)  # rejects unknown names
         defaults = _RUN_DEFAULTS.get(self.experiment, {})
         if self.experiment == "scaling":
-            if not self.dims or any(d < 1 for d in self.dims):
-                raise ConfigError("dims must be positive integers")
+            if not self.dims or min(self.dims) < 1 or len(set(self.dims)) < len(self.dims):
+                raise ConfigError(f"dims {self.dims} must be distinct positive integers")
             move = SAMPLERS[self.sampler].move
             if move is not None and self.m < MIN_CHAINS[move]:
                 raise ConfigError(f"{self.sampler} needs m >= {MIN_CHAINS[move]}")
@@ -199,7 +194,7 @@ class ExperimentConfig:
         for name, value in defaults.items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)
-        for name in ("n", "m", "replicates", "jobs", "budget", "grid_cells", "bins"):
+        for name in ("n", "m", "replicates", "jobs", "budget"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -213,10 +208,6 @@ class ExperimentConfig:
             raise ConfigError("delta must be positive")
         if self.a <= 1.0:
             raise ConfigError("a must exceed 1")
-        if self.proposal_sigma <= 0:
-            raise ConfigError("proposal_sigma must be positive")
-        if self.grid_hi <= self.grid_lo or self.bins_hi <= self.bins_lo:
-            raise ConfigError("upper bounds must exceed lower bounds")
 
     def proposal_scale(self, dim: int) -> float | None:
         """Resolved gamma for one dimension (None for a sampler without a scale).
@@ -242,18 +233,17 @@ _CONFIG_TYPES = {f.name: _value_type(f.type) for f in fields(ExperimentConfig)}
 
 
 def parse_dims(text: str) -> tuple:
-    """Dimensions from comma-separated text such as ``2,5,10,20``."""
-    dims = tuple(int(tok) for tok in text.split(",") if tok.strip())
-    if not dims:
-        raise ValueError(f"no dimensions in {text!r}")
-    return dims
+    """Dimensions from comma-separated text such as ``2,5,10,20``; an empty
+    entry is an error."""
+    return tuple(int(tok) for tok in text.split(","))
 
 
 def parse_config_file(path: str, section: str) -> dict:
     """Read ``key=value`` lines from the named section of a config file.
 
-    Sections are introduced by ``[name]`` headers; a key that names no
-    config field is rejected.  Blank lines and ``#`` comments are ignored.
+    Sections are introduced by ``[name]`` headers.  A key before the first
+    header, or one that names no config field, is rejected in any section.
+    Blank lines and ``#`` comments are ignored.
     """
     values: dict = {}
     current = None
@@ -268,15 +258,16 @@ def parse_config_file(path: str, section: str) -> dict:
                     continue
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value")
-                if current != section:
-                    continue
                 key, _, val = line.partition("=")
                 key, val = key.strip(), val.strip()
+                if current is None:
+                    raise ConfigError(f"{path}:{lineno}: key {key!r} before any [section]")
                 if key not in _CONFIG_TYPES:
                     raise ConfigError(
-                        f"{path}:{lineno}: unknown key {key!r} for [{section}]"
+                        f"{path}:{lineno}: unknown key {key!r} for [{current}]"
                     )
-                values[key] = _parse_value(key, val, f"{path}:{lineno}")
+                if current == section:
+                    values[key] = _parse_value(key, val, f"{path}:{lineno}")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
@@ -376,15 +367,11 @@ def _coordinate_summaries(samples: np.ndarray) -> dict:
     return out
 
 
-def default_evidence_histogram(samples: np.ndarray, bins: int = 10,
-                               lo: float = -5.0, hi: float = 5.0):
-    """Histogram for evidence estimation: fixed box, extended to cover all
-    samples when they spill outside it."""
-    bounds = []
-    for k in range(samples.shape[1]):
-        col = samples[:, k]
-        bounds.append((min(lo, float(col.min())), max(hi, float(col.max()))))
-    return diagnostics.histogram_density(samples, bins=bins, bounds=bounds)
+def default_evidence_histogram(samples: np.ndarray):
+    """Histogram for evidence estimation: 10 bins per axis on [-5, 5],
+    widened to cover all samples when they spill outside it."""
+    bounds = [(min(-5.0, float(col.min())), max(5.0, float(col.max()))) for col in samples.T]
+    return diagnostics.histogram_density(samples, bins=10, bounds=bounds)
 
 
 def _mean_tau(samples_2d: np.ndarray) -> float:
@@ -447,8 +434,9 @@ def _scaling_row(cfg: ExperimentConfig, dim: int, replicate: int) -> ResultRow:
 def run_scaling(cfg: ExperimentConfig) -> list:
     """All (dim, replicate) rows for one sampler, in deterministic order.
 
-    Cells fan out over a process pool when ``jobs > 1``; rows are ordered by
-    (dim, replicate) regardless of completion order.
+    Cells fan out over a process pool of ``jobs`` workers, capped at the
+    number of cells; rows are ordered by (dim, replicate) regardless of
+    completion order.
     """
     if cfg.experiment != "scaling":
         raise ConfigError("run_scaling needs a scaling config")
@@ -459,8 +447,10 @@ def run_scaling(cfg: ExperimentConfig) -> list:
             f"requested {total_updates} chain updates exceeds budget {cfg.budget}"
         )
     dims, replicates = zip(*product(cfg.dims, range(cfg.replicates)))
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    # the pool starts all its workers at the first submit
+    jobs = min(cfg.jobs, len(dims))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_scaling_row, repeat(cfg), dims, replicates))
     return list(map(_scaling_row, repeat(cfg), dims, replicates))
 
@@ -474,17 +464,13 @@ def _row(experiment, case, quantity, value, index=None):
     return (experiment, case, quantity, index, value)
 
 
-def _grid_posterior_1d(model, lo, hi, k):
-    cells = build_grid(GridSpec.regular([(lo, hi)], k))
-    post = DiscretizedPosterior.from_grid(model, cells)
-    return cells, post
-
-
 def run_noisy_mean_exercise(cfg: ExperimentConfig):
     """Point estimates, intervals, predictive widths, and model comparison
     for the five-measurement noisy-mean dataset, all from a dense 1-D grid."""
     model = noisy_mean_model()
-    cells, post = _grid_posterior_1d(model, cfg.grid_lo, cfg.grid_hi, cfg.grid_cells)
+    grid_lo, grid_hi, grid_cells = NOISY_MEAN_GRID
+    cells = build_grid(GridSpec.regular([(grid_lo, grid_hi)], grid_cells))
+    post = DiscretizedPosterior.from_grid(model, cells)
     mean = summaries.point_estimate(post, LossSpec.squared())
     sd = float(np.sqrt((post.points - mean) ** 2 @ post.masses))
     median = summaries.point_estimate(post, LossSpec.absolute())
@@ -511,7 +497,7 @@ def run_noisy_mean_exercise(cfg: ExperimentConfig):
             _row("noisy-mean", "default", f"hpd{tag}_lo", float(post.points[member].min())),
             _row("noisy-mean", "default", f"hpd{tag}_hi", float(post.points[member].max())),
         ]
-    t_grid = np.linspace(cfg.grid_lo, cfg.grid_hi, 2001)
+    t_grid = np.linspace(grid_lo, grid_hi, 2001)
     for sigma_new in (0.0, 0.5, 2.0):
         dens = summaries.posterior_predictive_noisy_mean(model, sigma_new, t_grid)
         mass = dens / dens.sum()
@@ -639,7 +625,7 @@ def run_importance_2d_exercise(cfg: ExperimentConfig):
 def _mh_2d_run(cfg: ExperimentConfig, start, rng):
     target = exercise_2d_target()
     chain = run_chain(
-        target, GaussianRandomWalk(cfg.proposal_sigma), np.asarray(start, float),
+        target, GaussianRandomWalk(EXERCISE_2D_PROPOSAL_SIGMA), np.asarray(start, float),
         cfg.n, rng,
     )
     return target, chain
@@ -659,7 +645,7 @@ def run_mh_2d_exercise(cfg: ExperimentConfig):
     taus = diagnostics.per_coordinate_tau(samples)
     tau = max(t.tau for t in taus) if not any(t.insufficient_data for t in taus) else float("nan")
     ess = min(diagnostics.ess_from_tau(len(samples), t.tau) for t in taus)
-    hd = default_evidence_histogram(samples, bins=cfg.bins, lo=cfg.bins_lo, hi=cfg.bins_hi)
+    hd = default_evidence_histogram(samples)
     z = diagnostics.evidence_from_chain(target, samples, hd)
     case = "start-origin"
     rows += [

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import HistogramDensity
-from .grid import GridCells, grid_log_weights
+from .grid import GridCells, _cell_midpoints, grid_log_weights
 from .targets import NoisyMeanModel
 
 __all__ = [
@@ -25,8 +25,6 @@ __all__ = [
     "posterior_predictive_noisy_mean",
     "bayes_factor",
 ]
-
-_LOG_2PI = np.log(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -103,9 +101,7 @@ class DiscretizedPosterior:
     @classmethod
     def from_histogram(cls, hist: HistogramDensity) -> "DiscretizedPosterior":
         """Bin-center posterior from a histogram (overflow mass dropped)."""
-        centers = [(e[:-1] + e[1:]) / 2.0 for e in hist.edges]
-        mesh = np.meshgrid(*centers, indexing="ij")
-        points = np.stack([m.ravel() for m in mesh], axis=1)
+        points = _cell_midpoints(hist.edges)
         if hist.dim == 1:
             points = points[:, 0]
         return cls(

@@ -133,7 +133,7 @@ class TestAcceptance:
             chain = run_chain(target, GaussianRandomWalk(1.0), np.zeros(2),
                               10_000, rng)
             samples = drop_burn_in(chain, 0.2).states
-            hd = default_evidence_histogram(samples, bins=10, lo=-5.0, hi=5.0)
+            hd = default_evidence_histogram(samples)
             z_chain = evidence_from_chain(target, samples, hd)
             assert z_chain == pytest.approx(truth, rel=0.25)
 

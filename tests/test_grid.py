@@ -50,7 +50,7 @@ class TestBuildGrid:
         np.testing.assert_allclose(cells.volumes, [0.5, 0.5])
 
     def test_2d_single_cell(self):
-        cells = build_grid(GridSpec([(0.0, 1.0, 1), (0.0, 2.0, 1)]))
+        cells = build_grid(GridSpec.regular([(0.0, 1.0), (0.0, 2.0)], 1))
         np.testing.assert_allclose(cells.midpoints, [[0.5, 1.0]])
         np.testing.assert_allclose(cells.volumes, [2.0])
 
@@ -72,13 +72,27 @@ class TestBuildGrid:
             [[0.5, 0.5], [0.5, 1.5], [1.5, 0.5], [1.5, 1.5]],
         )
 
+    def test_integer_edges_are_edges(self):
+        # three integers are three edges: the two cells [0, 1] and [1, 2]
+        spec = GridSpec([[0, 1, 2]])
+        assert spec.n_cells == 2
+        np.testing.assert_array_equal(spec.edges[0], GridSpec([[0.0, 1.0, 2.0]]).edges[0])
+        np.testing.assert_array_equal(build_grid(spec).volumes, [1.0, 1.0])
+
+    def test_regular_edges_are_linspace(self):
+        spec = GridSpec.regular([(-3.0, 2.0), (10.0, 50.0)], (7, 10_000))
+        for edges, (lo, hi, k) in zip(spec.edges, [(-3.0, 2.0, 7), (10.0, 50.0, 10_000)]):
+            assert np.array_equal(edges, np.linspace(lo, hi, k + 1))
+
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
-            GridSpec([(1.0, 0.0, 4)])  # reversed bounds
+            GridSpec.regular([(1.0, 0.0)], 4)  # reversed bounds
         with pytest.raises(ValueError):
-            GridSpec([(0.0, 1.0, 0)])  # no cells
+            GridSpec.regular([(0.0, 1.0)], 0)  # no cells
         with pytest.raises(ValueError):
-            GridSpec([(0.0, np.inf, 4)])  # nonfinite bound
+            GridSpec.regular([(0.0, np.inf)], 4)  # nonfinite bound
+        with pytest.raises(ValueError):
+            GridSpec.regular([(0.0, 1.0)] * 2, (3,))  # a cell count short
         with pytest.raises(ValueError):
             GridSpec([np.array([0.0, 0.5, 0.4])])  # not increasing
 

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from mcmclab import cli
+from mcmclab import cli, harness
 from mcmclab.ensemble import ENSEMBLE_METHODS, MIN_CHAINS
 from mcmclab.errors import ConfigError, ResourceLimitError
 from mcmclab.harness import (
@@ -80,13 +80,18 @@ class TestConfig:
             "replicates = 3\n"
             "seed = 99\n"
             "\n"
-            "[noisy-mean]\n"
-            "grid_cells = 2000  # comment\n"
+            "[importance-2d]\n"
+            "n = 2000  # comment\n"
         )
         vals = parse_config_file(str(path), "mh-adaptive")
         assert vals == {"dims": (2, 5), "n": 500, "replicates": 3, "seed": 99}
-        vals = parse_config_file(str(path), "noisy-mean")
-        assert vals == {"grid_cells": 2000}
+        vals = parse_config_file(str(path), "importance-2d")
+        assert vals == {"n": 2000}
+
+    def test_exercise_keys(self):
+        # the exercises are fixed problems: only their sizes are settable
+        assert _keys_used("noisy-mean") == _keys_used("grid-2d") == {"seed", "out"}
+        assert _keys_used("mh-2d") == {"seed", "out", "n", "burn_in"}
 
     def test_every_key_parses_to_its_field_type(self, tmp_path):
         # one valid value per annotated type; each fails to parse as the others
@@ -259,6 +264,39 @@ class TestScaling:
         assert all(r.m == 12 for r in rows)
         assert rows[0].evidence_hat is not None
         assert rows[1].evidence_hat is None
+
+    @pytest.mark.parametrize("dims, replicates, jobs, workers", [
+        ((2,), 1, 64, []),
+        ((1, 2), 1, 64, [2]),
+        ((1, 2), 3, 64, [6]),
+        ((1, 2), 3, 4, [4]),
+    ])
+    def test_jobs_capped_at_cells(self, dims, replicates, jobs, workers, monkeypatch):
+        created = []
+
+        class InProcessPool:
+            """Records ``max_workers`` and maps in this process."""
+
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        cfg = ExperimentConfig("scaling", sampler="mh-fixed", dims=dims, n=50,
+                               replicates=replicates, jobs=jobs)
+        rows = run_scaling(cfg)
+        assert created == workers
+        assert [(r.dim, r.replicate) for r in rows] == [
+            (d, r) for d in dims for r in range(replicates)
+        ]
 
     def test_jobs_do_not_change_rows(self):
         cfg1 = ExperimentConfig(
@@ -481,6 +519,38 @@ class TestCli:
                 "--out", str(tmp_path / "never.csv")]
         assert cli.main(argv) == 2
         assert f"{name} does not use {named}" in capsys.readouterr().err
+        assert not (tmp_path / "never.csv").exists()
+
+    @pytest.mark.parametrize("dims", ["2,2", "2,,5", "2,5,", "5,2,5"])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_repeated_or_empty_dims_exit_code(self, dims, source, tmp_path):
+        argv = ["scaling", "mh-fixed", "--n", "50", "--out", str(tmp_path / "never.csv")]
+        if source == "flag":
+            argv += ["--dims", dims]
+        else:
+            (tmp_path / "lab.cfg").write_text(f"[mh-fixed]\ndims = {dims}\n")
+            argv += ["--config", str(tmp_path / "lab.cfg")]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects a bad --dims value this way
+            code = exc.code
+        assert code == 2
+        assert not (tmp_path / "never.csv").exists()
+
+    @pytest.mark.parametrize("config, where", [
+        ("n = 50\n[mh-fixed]\n", ":1: key 'n' before any [section]"),
+        ("[mh-fixed]\nn = 50\n[noisy-mean]\nwalkers = 7\n",
+         ":4: unknown key 'walkers' for [noisy-mean]"),
+        ("[mh-fixed]\nn = 50\n\n[noisy-mean]\ngrid_cells = 20000\n",
+         ":5: unknown key 'grid_cells' for [noisy-mean]"),
+    ], ids=["before-section", "other-section", "removed-key"])
+    def test_unchecked_config_line_exit_code(self, config, where, tmp_path, capsys):
+        path = tmp_path / "lab.cfg"
+        path.write_text(config)
+        argv = ["scaling", "mh-fixed", "--dims", "2", "--config", str(path),
+                "--out", str(tmp_path / "never.csv")]
+        assert cli.main(argv) == 2
+        assert f"{path}{where}" in capsys.readouterr().err
         assert not (tmp_path / "never.csv").exists()
 
     def test_undecodable_config_file_exit_code(self, tmp_path, capsys):
