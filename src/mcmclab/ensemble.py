@@ -15,7 +15,8 @@ covariance: a weighted sum of the other chains' deviations from their mean,
 with standard normal weights, is exactly Normal(0, C) for C the other
 chains' covariance (the walk move of Goodman & Weare 2010, taken over all
 complementary walkers).  That is one (m,)-by-(m, d) product per update, with
-no factorization and no ridge.
+no factorization.  A constant de jitter is a standard deviation, a scalar or
+one per coordinate, as in ter Braak (2006).
 
 A sweep updates chains in fixed ascending order, each update seeing the
 others' latest positions, so runs are reproducible for a fixed seed.  The
@@ -28,8 +29,8 @@ in dependency levels: chain ``j`` whose partner ``k`` comes later in the
 sweep reads ``k``'s old position and sits at level 0; otherwise it sits one
 level above ``k``.  Each level builds its candidates in one array operation
 and evaluates them with one ``log_density_many`` call, and the sweep equals
-the one-update-at-a-time sweep bit for bit.  The public step functions are
-single updates through the same proposal code and accept rule.
+the one-update-at-a-time sweep bit for bit.  The public step functions run
+the same sweep code over the one row they update.
 """
 
 import math
@@ -38,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
 from .mh import Chain, _accepts, _checked, _metropolis_update
 
 __all__ = [
@@ -118,81 +118,43 @@ class StretchLaw:
         return vals if vals.ndim else float(vals)
 
 
-def _positions_of(state) -> np.ndarray:
-    if isinstance(state, EnsembleState):
-        return state.positions
-    return np.atleast_2d(np.asarray(state, dtype=float))
+def _positions(state, j: int, method: str) -> np.ndarray:
+    """``state``'s positions, once the chain count suits ``method`` and ``j`` is a chain."""
+    positions = state.positions if isinstance(state, EnsembleState) else state
+    positions = np.atleast_2d(np.asarray(positions, dtype=float))
+    m = positions.shape[0]
+    if m < MIN_CHAINS[method]:
+        raise ValueError(f"{method} moves need at least {MIN_CHAINS[method]} chains, got {m}")
+    # a negative j would let a partner index step onto chain j itself
+    if not 0 <= j < m:
+        raise ValueError(f"chain index {j} outside [0, {m})")
+    return positions
 
 
-def _cholesky_with_ridge(cov: np.ndarray):
-    """Factor ``cov``; nudge degenerate matrices with a tiny ridge.
+def ensemble_covariance(state, exclude: int) -> np.ndarray:
+    """Sample covariance of all chains except ``exclude``.
 
-    The ridge scales with the trace and has an absolute floor so a fully
-    collapsed ensemble still yields a (vanishingly small) proposal instead
-    of crashing mid-run.
+    The same operations in the same order as ``np.cov(np.delete(positions,
+    exclude, 0), rowvar=False, ddof=1)``, so the result agrees bit for bit;
+    a collapsed ensemble gives exactly zero.  Chain ``exclude``'s own
+    position never enters.  This is the covariance of the gaussian move's
+    steps (before ``gamma**2``), which draws them without forming it.
     """
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    d = cov.shape[0]
-    try:
-        return np.linalg.cholesky(cov), cov
-    except np.linalg.LinAlgError:
-        pass
-    ridge = 1e-10 * np.trace(cov) / d + 1e-300
-    for _ in range(60):
-        try:
-            fixed = cov + ridge * np.eye(d)
-            return np.linalg.cholesky(fixed), fixed
-        except np.linalg.LinAlgError:
-            ridge *= 10.0
-    raise NumericalError("covariance matrix cannot be repaired by ridging")
-
-
-def _others(m: int, j: int) -> np.ndarray:
-    """Row mask selecting every chain but ``j``."""
-    keep = np.ones(m, dtype=bool)
-    keep[j] = False
-    return keep
-
-
-def _loo_covariance(positions: np.ndarray, keep) -> np.ndarray:
-    """Sample covariance of the rows ``keep`` selects, ``np.cov``'s arithmetic.
-
-    Same operations in the same order as ``np.cov(positions[keep],
-    rowvar=False, ddof=1)``, so the result agrees bit for bit, without
-    its argument handling.
-    """
-    x = positions[keep]
+    x = np.delete(_positions(state, exclude, "gaussian"), exclude, axis=0)
     x -= x.mean(axis=0)
     c = x.T @ x
     c *= 1.0 / (x.shape[0] - 1)
     return c
 
 
-def ensemble_covariance(state, exclude: int) -> np.ndarray:
-    """Sample covariance of all chains except ``exclude``.
-
-    The result is symmetric positive semidefinite; if it is numerically
-    singular a trace-scaled ridge is added so that a Cholesky factorization
-    exists.  Chain ``exclude``'s own position never enters.  Unless a ridge
-    was added, this is the covariance of the gaussian move's steps (before
-    ``gamma**2``), which draws them without forming it and never ridges them.
-    """
-    positions = _positions_of(state)
-    m = positions.shape[0]
-    if m < MIN_CHAINS["gaussian"]:
-        raise ValueError(f"ensemble covariance needs at least {MIN_CHAINS['gaussian']} chains")
-    _, cov = _cholesky_with_ridge(_loo_covariance(positions, _others(m, exclude)))
-    return cov
-
-
-def _jitter_factor(jitter_cov, d: int) -> np.ndarray:
-    """Cholesky factor of a constant de jitter covariance; zeros for none."""
-    jitter = np.asarray(jitter_cov, dtype=float)
-    if jitter.ndim == 0:
-        jitter = float(jitter) * np.eye(d)
-    if np.trace(jitter) == 0.0:
-        return np.zeros((d, d))
-    return _cholesky_with_ridge(jitter)[0]
+def _checked_jitter_sd(jitter_sd, d: int) -> np.ndarray:
+    """``jitter_sd`` as an array, if it is finite, ``>= 0`` and of shape () or (d,)."""
+    sd = np.asarray(jitter_sd, dtype=float)
+    if sd.shape not in ((), (d,)):
+        raise ValueError(f"jitter_sd must be a scalar or have shape ({d},), got shape {sd.shape}")
+    if not np.all(np.isfinite(sd) & (sd >= 0.0)):
+        raise ValueError(f"jitter_sd must be finite and >= 0, got {sd}")
+    return sd
 
 
 def _walk(positions: np.ndarray, j: int, rng) -> np.ndarray:
@@ -216,23 +178,6 @@ def _walk(positions: np.ndarray, j: int, rng) -> np.ndarray:
 _SQRT_FIFTH = math.sqrt(0.2)
 
 
-def _stretch_draws(m: int, j: int, law, rng):
-    """Partner index and stretch factor for chain ``j``, in stream order."""
-    k = int(rng.integers(m - 1))
-    if k >= j:
-        k += 1
-    return k, float(sample_stretch_factor(law, rng))
-
-
-def _stretch_candidates(partners, currents, z):
-    """Stretch candidates on the lines through ``partners`` and ``currents``.
-
-    One point with a scalar ``z``, or rows with ``z`` a column: the same
-    arithmetic either way.
-    """
-    return partners + z * (currents - partners)
-
-
 def _de_partners(m: int, rng):
     """Two distinct indices below ``m - 1``, as ``rng.choice(m - 1, 2, replace=False)``.
 
@@ -248,42 +193,97 @@ def _de_partners(m: int, rng):
     return a, b
 
 
-def _propose(method, positions, j, factor, gamma, law, rng):
-    """Candidate for chain ``j`` and the log volume factor of its move.
+def _sweep(method, target, positions, rows, lp, gamma, law, jitter_sd, rng, accepted):
+    """Update chains ``rows`` in order; updates its arguments in place.
 
-    ``factor`` is the Cholesky factor of a constant de jitter; None makes
-    de's jitter a fifth of the ensemble covariance (unused by the other
-    moves).  Random draws happen in a fixed order per method, which the
-    streams depend on.
+    ``lp`` maps each chain in ``rows`` to its log density and ``accepted``
+    takes one flag per chain.  ``jitter_sd`` is de's constant jitter, checked;
+    None makes it a fifth of the ensemble covariance.  Random draws happen
+    in a fixed order per method, which the streams depend on.
+    """
+    if method == "stretch":
+        _stretch_sweep(target, positions, rows, lp, law, rng, accepted)
+        return
+    m, d = positions.shape
+    for j in rows:
+        if method == "gaussian":
+            step = _walk(positions, j, rng)
+        else:
+            k, l = _de_partners(m, rng)
+            k += k >= j
+            l += l >= j
+            if jitter_sd is None:
+                eps = _SQRT_FIFTH * _walk(positions, j, rng)
+            else:
+                eps = jitter_sd * rng.standard_normal(d)
+            step = positions[k] - positions[l] + eps
+        candidate = positions[j] + gamma * step
+        acc, lp_candidate = _metropolis_update(target, lp[j], candidate, 0.0, rng)
+        if acc:
+            positions[j] = candidate
+            lp[j] = lp_candidate
+        accepted[j] = acc
+
+
+def _stretch_sweep(target, positions, rows, lp, law, rng, accepted):
+    """Stretch updates of chains ``rows`` in dependency levels, in place.
+
+    Arguments as for ``_sweep``.  Every level reads its positions before it
+    writes any, so level 0 sees the ensemble as the sweep found it, and a
+    partner outside ``rows`` is read where it stands.
     """
     m, d = positions.shape
-    current = positions[j]
-    if method == "stretch":
-        k, z = _stretch_draws(m, j, law, rng)
-        return _stretch_candidates(positions[k], current, z), (d - 1) * np.log(z)
-    if method == "gaussian":
-        return current + gamma * _walk(positions, j, rng), 0.0
-    k, l = _de_partners(m, rng)
-    k += k >= j
-    l += l >= j
-    if factor is None:
-        eps = _SQRT_FIFTH * _walk(positions, j, rng)
-    else:
-        eps = factor @ rng.standard_normal(d)
-    return current + gamma * (positions[k] - positions[l] + eps), 0.0
+    partners, z, u = [], [], []
+    level = [-1] * m  # each chain's level; -1 until it is drawn
+    levels = []  # indices into rows of each level, in sweep order
+    for i, j in enumerate(rows):
+        k = int(rng.integers(m - 1))
+        k += k >= j
+        partners.append(k)
+        z.append(float(sample_stretch_factor(law, rng)))
+        u.append(rng.random())
+        # j sees k's new position if k updated earlier in the sweep, else its old one
+        lv = level[k] + 1
+        level[j] = lv
+        if lv == len(levels):
+            levels.append([])
+        levels[lv].append(i)
+    rows = np.array(rows)
+    partners = np.array(partners)
+    z = np.array(z)
+    log_volume = ((d - 1) * np.log(z)).tolist()
+    log_u = np.log(u).tolist()
+    for members in levels:
+        idx = np.array(members)
+        chains = rows[idx]
+        ends = positions[partners[idx]]
+        candidates = ends + z[idx, None] * (positions[chains] - ends)
+        lp_new = np.asarray(target.log_density_many(candidates), dtype=float)
+        if lp_new.shape != chains.shape:
+            raise ValueError(
+                f"log_density_many returned shape {lp_new.shape} for "
+                f"{chains.size} points; expected ({chains.size},)"
+            )
+        taken = []
+        for i, j, lp_j, candidate in zip(members, chains.tolist(), lp_new.tolist(), candidates):
+            acc = _accepts(lp[j], lp_j, candidate, log_volume[i], log_u[i])
+            if acc:
+                lp[j] = lp_j
+            taken.append(acc)
+        accepted[chains] = taken
+        positions[chains[taken]] = candidates[taken]
 
 
-def _single_update(method, target, positions, j, gamma, law, jitter_cov, rng):
+def _single_update(method, target, state, j, gamma, law, jitter_sd, rng):
     """One update of chain ``j`` from scratch; ``(new_position, accepted)``."""
-    m = positions.shape[0]
-    if m < MIN_CHAINS[method]:
-        raise ValueError(f"{method} moves need at least {MIN_CHAINS[method]} chains, got {m}")
-    current = positions[j]
-    lp_current = _checked(float(target.log_density(current)), current)
-    factor = None if jitter_cov is None else _jitter_factor(jitter_cov, positions.shape[1])
-    candidate, log_volume = _propose(method, positions, j, factor, gamma, law, rng)
-    accepted, _ = _metropolis_update(target, lp_current, candidate, log_volume, rng)
-    return (candidate if accepted else current), accepted
+    positions = _positions(state, j, method).copy()
+    m, d = positions.shape
+    if jitter_sd is not None:
+        jitter_sd = _checked_jitter_sd(jitter_sd, d)
+    lp = {j: _checked(float(target.log_density(positions[j])), positions[j])}
+    accepted = np.zeros(m, dtype=bool)
+    _sweep(method, target, positions, [j], lp, gamma, law, jitter_sd, rng, accepted)
+    return positions[j], bool(accepted[j])
 
 
 def ensemble_gaussian_step(target, state, j: int, gamma: float, rng):
@@ -293,7 +293,7 @@ def ensemble_gaussian_step(target, state, j: int, gamma: float, rng):
     the other chains.  The proposal is symmetric, so acceptance is the plain
     Metropolis ratio.  Returns ``(new_position, accepted)``.
     """
-    return _single_update("gaussian", target, _positions_of(state), j, gamma, None, None, rng)
+    return _single_update("gaussian", target, state, j, gamma, None, None, rng)
 
 
 def de_trajectory_count(m: int) -> int:
@@ -303,17 +303,19 @@ def de_trajectory_count(m: int) -> int:
     return (m - 1) * (m - 2) // 2
 
 
-def de_step(target, state, j: int, gamma: float, rng, jitter_cov=None):
-    """Differential-evolution move for chain ``j``.
+def de_step(target, state, j: int, gamma: float, rng, jitter_sd=None):
+    """Differential-evolution move for chain ``j`` (ter Braak 2006).
 
     Picks two other chains ``k != l`` (distinct indices; their positions may
     coincide after rejections) and proposes
-    ``position_j + gamma * (position_k - position_l + eps)`` with
-    ``eps ~ Normal(0, jitter_cov)``.  ``jitter_cov=None`` uses one fifth of
-    the ensemble covariance; pass ``0`` for no jitter.  The proposal is
-    symmetric.  Returns ``(new_position, accepted)``.
+    ``position_j + gamma * (position_k - position_l + eps)``.  With
+    ``jitter_sd`` a scalar or one standard deviation per coordinate,
+    ``eps = jitter_sd * standard_normal(d)``; pass ``0`` for no jitter.
+    ``jitter_sd=None`` draws ``eps`` from one fifth of the ensemble
+    covariance.  The proposal is symmetric.  Returns ``(new_position,
+    accepted)``.
     """
-    return _single_update("de", target, _positions_of(state), j, gamma, None, jitter_cov, rng)
+    return _single_update("de", target, state, j, gamma, None, jitter_sd, rng)
 
 
 def sample_stretch_factor(law: StretchLaw, rng, size=None):
@@ -331,55 +333,7 @@ def stretch_step(target, state, j: int, law: StretchLaw, rng):
     (in log space) to account for the volume change along the line.
     Returns ``(new_position, accepted)``.
     """
-    return _single_update("stretch", target, _positions_of(state), j, None, law, None, rng)
-
-
-def _stretch_sweep(target, positions, lp, law, rng, accepted):
-    """One stretch sweep in dependency levels; updates its arguments in place.
-
-    ``lp`` holds each chain's log density and ``accepted`` is this sweep's
-    row of flags.  Every level reads its positions before it writes any, so
-    level 0 sees the ensemble as the sweep found it.
-    """
-    m, d = positions.shape
-    partners, z, u = [], [], []
-    level = []
-    levels = []  # chains of each level, in ascending order
-    for j in range(m):
-        k, z_j = _stretch_draws(m, j, law, rng)
-        partners.append(k)
-        z.append(z_j)
-        u.append(rng.random())
-        # j sees k's old position if k updates later, else k's new one
-        lv = 0 if k > j else level[k] + 1
-        level.append(lv)
-        if lv == len(levels):
-            levels.append([j])
-        else:
-            levels[lv].append(j)
-    partners = np.array(partners)
-    z = np.array(z)
-    log_volume = ((d - 1) * np.log(z)).tolist()
-    log_u = np.log(u).tolist()
-    for members in levels:
-        rows = np.array(members)
-        candidates = _stretch_candidates(
-            positions[partners[rows]], positions[rows], z[rows, None]
-        )
-        lp_new = np.asarray(target.log_density_many(candidates), dtype=float)
-        if lp_new.shape != rows.shape:
-            raise ValueError(
-                f"log_density_many returned shape {lp_new.shape} for "
-                f"{rows.size} points; expected ({rows.size},)"
-            )
-        taken = []
-        for j, lp_j, candidate in zip(members, lp_new.tolist(), candidates):
-            acc = _accepts(lp[j], lp_j, candidate, log_volume[j], log_u[j])
-            if acc:
-                lp[j] = lp_j
-            taken.append(acc)
-        accepted[rows] = taken
-        positions[rows[taken]] = candidates[taken]
+    return _single_update("stretch", target, state, j, None, law, None, rng)
 
 
 def run_ensemble(
@@ -391,7 +345,7 @@ def run_ensemble(
     theta0=None,
     gamma: float | None = None,
     law: StretchLaw | None = None,
-    jitter_cov=None,
+    jitter_sd=None,
     seed: int | None = None,
 ) -> EnsembleState:
     """Run ``n_sweeps`` sequential sweeps of an ensemble sampler.
@@ -401,6 +355,7 @@ def run_ensemble(
     plus unit Gaussian jitter, since identical starts would give the
     covariance moves zero steps.  ``gamma`` defaults to
     ``DEFAULT_DELTA[method] / sqrt(d)`` for the Gaussian and difference moves.
+    ``jitter_sd`` is de's constant jitter, as in ``de_step``.
     """
     if method not in ENSEMBLE_METHODS:
         raise ValueError(f"unknown ensemble method {method!r}")
@@ -411,6 +366,8 @@ def run_ensemble(
     if n_sweeps < 0:
         raise ValueError("n_sweeps must be >= 0")
     d = target.dim
+    if jitter_sd is not None:
+        jitter_sd = _checked_jitter_sd(jitter_sd, d)
     if gamma is None and method in DEFAULT_DELTA:
         gamma = DEFAULT_DELTA[method] / np.sqrt(d)
     if law is None:
@@ -423,11 +380,11 @@ def run_ensemble(
         )
     # the gaussian move and de's ensemble jitter step within the span of
     # the other chains, which is all of R^d only from d + 2 chains on
-    shaped = method == "gaussian" or (method == "de" and jitter_cov is None)
+    shaped = method == "gaussian" or (method == "de" and jitter_sd is None)
     if shaped and m < d + 2:
         warnings.warn(
             f"covariance proposals want m >= d + 2 chains (m={m}, d={d}); "
-            "their steps stay in the span of the other chains, and nothing is ridged",
+            "their steps stay in the span of the other chains",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -437,27 +394,11 @@ def run_ensemble(
     # one cached log density per chain: each update evaluates the target
     # at its candidate only
     lp = [_checked(float(target.log_density(x)), x) for x in positions]
-    factor = None
-    if method == "de" and jitter_cov is not None:
-        factor = _jitter_factor(jitter_cov, d)
     history = np.empty((n_sweeps, m, d))
     accepted = np.empty((n_sweeps, m), dtype=bool)
     for sweep in range(n_sweeps):
-        if method == "stretch":
-            _stretch_sweep(target, positions, lp, law, rng, accepted[sweep])
-            history[sweep] = positions
-            continue
-        for j in range(m):
-            candidate, log_volume = _propose(
-                method, positions, j, factor, gamma, law, rng
-            )
-            acc, lp_candidate = _metropolis_update(
-                target, lp[j], candidate, log_volume, rng
-            )
-            if acc:
-                positions[j] = candidate
-                lp[j] = lp_candidate
-            accepted[sweep, j] = acc
+        _sweep(method, target, positions, range(m), lp, gamma, law, jitter_sd, rng,
+               accepted[sweep])
         history[sweep] = positions
     return EnsembleState(
         positions=positions,

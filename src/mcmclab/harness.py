@@ -241,8 +241,9 @@ def parse_dims(text: str) -> tuple:
 def parse_config_file(path: str, section: str) -> dict:
     """Read ``key=value`` lines from the named section of a config file.
 
-    Sections are introduced by ``[name]`` headers.  A key before the first
-    header, or one that names no config field, is rejected in any section.
+    Sections are introduced by ``[name]`` headers, each naming an exercise
+    or a scaling sampler.  Another header, a key before the first header, or
+    one that names no config field, is rejected in any section.
     Blank lines and ``#`` comments are ignored.
     """
     values: dict = {}
@@ -255,6 +256,8 @@ def parse_config_file(path: str, section: str) -> dict:
                     continue
                 if line.startswith("[") and line.endswith("]"):
                     current = line[1:-1].strip()
+                    if current not in EXERCISES and current not in SAMPLERS:
+                        raise ConfigError(f"{path}:{lineno}: unknown section [{current}]")
                     continue
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value")

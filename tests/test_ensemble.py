@@ -13,8 +13,6 @@ from mcmclab.ensemble import (
     ENSEMBLE_METHODS,
     MIN_CHAINS,
     StretchLaw,
-    _loo_covariance,
-    _others,
     _walk,
     de_step,
     de_trajectory_count,
@@ -135,11 +133,10 @@ class TestLooCovariance:
             basis = rng.standard_normal((rank, d))
             positions = offset + scale * rng.standard_normal((m, rank)) @ basis
         j = int(rng.integers(m))
-        keep = np.arange(m) != j
         expected = np.atleast_2d(
             np.cov(np.delete(positions, j, axis=0), rowvar=False, ddof=1)
         )
-        got = _loo_covariance(positions, keep)
+        got = ensemble_covariance(positions, j)
         np.testing.assert_array_equal(got, expected)
 
 
@@ -197,7 +194,7 @@ class TestWalk:
         weights = UnitWeights()
         steps = np.array([_walk(positions, j, weights) for _ in range(m)])
         np.testing.assert_array_equal(steps[j], 0.0)
-        want = _loo_covariance(positions, _others(m, j))
+        want = ensemble_covariance(positions, j)
         err = np.max(np.abs(steps.T @ steps - want))
         # 1e-12 of C's largest entry, plus what the positions' own rounding
         # does to m outer products; that dominates only for offsets far
@@ -236,12 +233,10 @@ class TestWalk:
 
 
 class TestEnsembleCovariance:
-    def test_collapsed_ensemble_gets_tiny_ridge(self):
+    def test_collapsed_ensemble_has_exactly_zero_covariance(self):
         positions = np.vstack([np.ones((4, 3)), [[2.0, 2.0, 2.0]]])
         cov = ensemble_covariance(positions, exclude=4)  # others identical
-        chol = np.linalg.cholesky(cov)  # must factor
-        assert np.all(np.diag(chol) > 0)
-        assert np.all(np.diag(cov) < 1e-250)
+        np.testing.assert_array_equal(cov, np.zeros((3, 3)))
 
     def test_four_point_cross_is_isotropic(self):
         positions = np.array(
@@ -323,7 +318,7 @@ class TestDeStep:
         rng = np.random.default_rng(6)
         positions = rng.standard_normal((5, 2))
         current = positions[1].copy()
-        new, accepted = de_step(target, positions, 1, 0.0, rng, jitter_cov=0.0)
+        new, accepted = de_step(target, positions, 1, 0.0, rng, jitter_sd=0.0)
         assert accepted
         np.testing.assert_array_equal(new, current)
 
@@ -355,6 +350,41 @@ class TestDeStep:
         target = IsotropicGaussianTarget(2, 1.0)
         with pytest.raises(ValueError):
             de_step(target, np.zeros((2, 2)), 0, 1.0, np.random.default_rng(9))
+
+    def test_zero_sd_coordinate_gets_exactly_no_jitter(self):
+        # every chain shares the third coordinate, so the difference vector
+        # is zero there and only jitter could move it
+        target = IsotropicGaussianTarget(3, 1.0)
+        rng = np.random.default_rng(35)
+        positions = rng.standard_normal((12, 3))
+        positions[:, 2] = 0.3
+        accepts = 0
+        for _ in range(20):
+            for j in range(12):
+                positions[j], acc = de_step(
+                    target, positions, j, 0.5, rng, jitter_sd=np.sqrt([0.2, 0.1, 0.0])
+                )
+                accepts += acc
+        assert accepts > 0
+        np.testing.assert_array_equal(positions[:, 2], 0.3)
+
+    @pytest.mark.parametrize("jitter_sd, match", [
+        (np.full((3, 1), 0.1), r"shape \(3, 1\)"),
+        (np.full(2, 0.1), r"shape \(2,\)"),
+        (np.full(4, 0.1), r"shape \(4,\)"),
+        (-0.1, ">= 0"),
+        (np.array([0.1, np.nan, 0.1]), "finite"),
+        (np.inf, "finite"),
+    ], ids=["column", "short", "long", "negative", "nan", "inf"])
+    def test_jitter_sd_is_a_finite_scalar_or_one_per_coordinate(self, jitter_sd, match):
+        # a (d, 1) array would broadcast eps to (d, d)
+        target = IsotropicGaussianTarget(3, 1.0)
+        positions = np.random.default_rng(36).standard_normal((6, 3))
+        with pytest.raises(ValueError, match=match):
+            de_step(target, positions, 0, 0.5, np.random.default_rng(37), jitter_sd=jitter_sd)
+        with pytest.raises(ValueError, match=match):
+            run_ensemble("de", target, m=6, n_sweeps=1, rng=np.random.default_rng(37),
+                         jitter_sd=jitter_sd)
 
 
 class TestStretchFactor:
@@ -504,7 +534,23 @@ def test_step_needs_min_chains(method, step):
     step(target, rng.standard_normal((fewest, 2)), rng)
 
 
-def hand_loop(method, target, m, n_sweeps, rng, gamma, law, jitter_cov):
+@pytest.mark.parametrize("call", [
+    lambda target, positions, j, rng: ensemble_gaussian_step(target, positions, j, 1.0, rng),
+    lambda target, positions, j, rng: de_step(target, positions, j, 1.0, rng),
+    lambda target, positions, j, rng: stretch_step(target, positions, j, StretchLaw(), rng),
+    lambda target, positions, j, rng: ensemble_covariance(positions, j),
+], ids=["gaussian", "de", "stretch", "covariance"])
+@pytest.mark.parametrize("j", [-1, -3, 3, 4])
+def test_chain_index_outside_the_ensemble_is_rejected(call, j):
+    # a negative j let `k += k >= j` pick chain j as its own partner
+    target = IsotropicGaussianTarget(2, 1.0)
+    positions = np.random.default_rng(38).standard_normal((3, 2))
+    with pytest.raises(ValueError, match=rf"chain index {j} outside \[0, 3\)"):
+        call(target, positions, j, np.random.default_rng(39))
+    call(target, positions, 2, np.random.default_rng(39))
+
+
+def hand_loop(method, target, m, n_sweeps, rng, gamma, law, jitter_sd):
     """``run_ensemble`` spelled out with the public step functions."""
     positions = rng.standard_normal((m, target.dim))
     history = np.empty((n_sweeps, m, target.dim))
@@ -514,7 +560,7 @@ def hand_loop(method, target, m, n_sweeps, rng, gamma, law, jitter_cov):
             if method == "gaussian":
                 new, acc = ensemble_gaussian_step(target, positions, j, gamma, rng)
             elif method == "de":
-                new, acc = de_step(target, positions, j, gamma, rng, jitter_cov=jitter_cov)
+                new, acc = de_step(target, positions, j, gamma, rng, jitter_sd=jitter_sd)
             else:
                 new, acc = stretch_step(target, positions, j, law, rng)
             positions[j] = new
@@ -523,7 +569,7 @@ def hand_loop(method, target, m, n_sweeps, rng, gamma, law, jitter_cov):
     return history, accepted
 
 
-def assert_run_matches_hand_loop(method, target, m, jitter_cov, seed, law=StretchLaw(2.0)):
+def assert_run_matches_hand_loop(method, target, m, jitter_sd, seed, law=StretchLaw(2.0)):
     """``run_ensemble`` against ``hand_loop``: same flags, stream and history."""
     d = target.dim
     gamma = None if method == "stretch" else 1.2 / np.sqrt(d)
@@ -532,10 +578,10 @@ def assert_run_matches_hand_loop(method, target, m, jitter_cov, seed, law=Stretc
         warnings.simplefilter("ignore", RuntimeWarning)
         state = run_ensemble(
             method, target, m=m, n_sweeps=40, rng=rng_run,
-            gamma=gamma, law=law, jitter_cov=jitter_cov,
+            gamma=gamma, law=law, jitter_sd=jitter_sd,
         )
     history, accepted = hand_loop(
-        method, target, m, 40, rng_loop, gamma, law, jitter_cov
+        method, target, m, 40, rng_loop, gamma, law, jitter_sd
     )
     np.testing.assert_array_equal(state.accepted, accepted)
     assert rng_run.bit_generator.state == rng_loop.bit_generator.state
@@ -544,23 +590,23 @@ def assert_run_matches_hand_loop(method, target, m, jitter_cov, seed, law=Stretc
 
 class TestSingleCodePath:
     @pytest.mark.parametrize(
-        "method, m, d, jitter_cov",
+        "method, m, d, jitter_sd",
         [
             ("gaussian", 12, 3, None),
             ("gaussian", 4, 3, None),
             ("stretch", 12, 3, None),
             ("de", 12, 3, None),
             ("de", 12, 3, 0.0),
-            ("de", 12, 3, np.diag([0.2, 0.1, 0.05])),
-            ("de", 12, 3, np.diag([0.2, 0.1, 0.0])),
+            ("de", 12, 3, np.sqrt([0.2, 0.1, 0.05])),
+            ("de", 12, 3, np.sqrt([0.2, 0.1, 0.0])),
             ("de", 4, 3, None),
             ("de", 4, 3, 0.0),
         ],
     )
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_run_ensemble_equals_step_functions(self, method, m, d, jitter_cov, seed):
+    def test_run_ensemble_equals_step_functions(self, method, m, d, jitter_sd, seed):
         assert_run_matches_hand_loop(
-            method, IsotropicGaussianTarget(d, 1.0), m, jitter_cov, seed
+            method, IsotropicGaussianTarget(d, 1.0), m, jitter_sd, seed
         )
 
     @pytest.mark.parametrize("m", [2, 3, 40])
@@ -576,35 +622,38 @@ class TestSingleCodePath:
         )
 
     @pytest.mark.parametrize(
-        "method, m, jitter_cov, per_run",
+        "method, m, jitter_sd",
         [
-            ("de", 12, 0.0, 0),
-            ("de", 12, 0.05, 1),
-            ("de", 4, np.diag([0.2, 0.1, 0.05]), 1),
-            ("de", 12, None, 0),
-            ("gaussian", 12, None, 0),
-            ("de", 4, None, 0),
-            ("gaussian", 4, None, 0),
-            ("stretch", 12, None, 0),
+            ("de", 12, 0.0),
+            ("de", 12, 0.05),
+            ("de", 4, np.sqrt([0.2, 0.1, 0.05])),
+            ("de", 12, None),
+            ("gaussian", 12, None),
+            ("de", 4, None),
+            ("gaussian", 4, None),
+            ("stretch", 12, None),
         ],
     )
-    def test_factorizations(self, monkeypatch, method, m, jitter_cov, per_run):
-        # a constant jitter is factored once per run; the covariance moves
-        # draw their steps from the other chains and factor nothing
-        calls = []
-        cholesky = np.linalg.cholesky
+    def test_no_factorization(self, monkeypatch, method, m, jitter_sd):
+        # the covariance moves draw their steps from the other chains and a
+        # constant jitter is a standard deviation: nothing is factored
+        def refuse(a):
+            raise AssertionError("no move factors a matrix")
 
-        def counting(a):
-            calls.append(1)
-            return cholesky(a)
-
-        monkeypatch.setattr(np.linalg, "cholesky", counting)
-        monkeypatch.setattr(ens, "_loo_covariance", None)
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        target = IsotropicGaussianTarget(3, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            run_ensemble(method, IsotropicGaussianTarget(3, 1.0), m=m, n_sweeps=10,
-                         rng=np.random.default_rng(27), jitter_cov=jitter_cov)
-        assert len(calls) == per_run
+            state = run_ensemble(method, target, m=m, n_sweeps=10,
+                                 rng=np.random.default_rng(27), jitter_sd=jitter_sd)
+        rng = np.random.default_rng(28)
+        for j in range(m):
+            if method == "gaussian":
+                ensemble_gaussian_step(target, state, j, 0.5, rng)
+            elif method == "de":
+                de_step(target, state, j, 0.5, rng, jitter_sd=jitter_sd)
+            else:
+                stretch_step(target, state, j, StretchLaw(), rng)
 
     @pytest.mark.parametrize("method", ["gaussian", "de", "stretch"])
     def test_one_target_evaluation_per_update(self, method):
@@ -742,7 +791,7 @@ class TestRunEnsemble:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             run_ensemble("de", target, m=4, n_sweeps=1, rng=np.random.default_rng(29),
-                         jitter_cov=0.01)
+                         jitter_sd=0.1)
 
     def test_zero_sweeps_returns_initial_state(self):
         target = IsotropicGaussianTarget(2, 1.0)

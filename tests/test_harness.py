@@ -543,7 +543,10 @@ class TestCli:
          ":4: unknown key 'walkers' for [noisy-mean]"),
         ("[mh-fixed]\nn = 50\n\n[noisy-mean]\ngrid_cells = 20000\n",
          ":5: unknown key 'grid_cells' for [noisy-mean]"),
-    ], ids=["before-section", "other-section", "removed-key"])
+        ("[mh-fixd]\nn = 50\n", ":1: unknown section [mh-fixd]"),
+        ("[mh-fixed]\nn = 50\n\n[scaling]\nseed = 3\n", ":4: unknown section [scaling]"),
+    ], ids=["before-section", "other-section", "removed-key", "misspelt-section",
+            "experiment-section"])
     def test_unchecked_config_line_exit_code(self, config, where, tmp_path, capsys):
         path = tmp_path / "lab.cfg"
         path.write_text(config)
