@@ -355,7 +355,8 @@ def run_ensemble(
     plus unit Gaussian jitter, since identical starts would give the
     covariance moves zero steps.  ``gamma`` defaults to
     ``DEFAULT_DELTA[method] / sqrt(d)`` for the Gaussian and difference moves.
-    ``jitter_sd`` is de's constant jitter, as in ``de_step``.
+    ``jitter_sd`` is de's constant jitter, as in ``de_step``; the other
+    moves take none and raise ``ValueError`` if it is given.
     """
     if method not in ENSEMBLE_METHODS:
         raise ValueError(f"unknown ensemble method {method!r}")
@@ -367,6 +368,8 @@ def run_ensemble(
         raise ValueError("n_sweeps must be >= 0")
     d = target.dim
     if jitter_sd is not None:
+        if method != "de":
+            raise ValueError(f"jitter_sd is de's constant jitter; the {method} move takes none")
         jitter_sd = _checked_jitter_sd(jitter_sd, d)
     if gamma is None and method in DEFAULT_DELTA:
         gamma = DEFAULT_DELTA[method] / np.sqrt(d)

@@ -1,11 +1,14 @@
 """Single-chain Metropolis-Hastings.
 
 The accept/reject decision is made in log space (accept iff
-``log u <= min(0, dlogp + dlogq)``), and the uniform variate is drawn on
+``log u <= min(0, dlogp + dlogq)``), and a uniform variate is drawn for
 every step, even when acceptance is certain, so that random streams stay
-aligned across proposal variants.  The same rule drives the ensemble
-samplers: a ``-inf`` candidate is rejected, and a NaN or ``+inf`` log
-density breaks the target contract and raises ``NumericalError``.
+aligned across proposal variants.  A random-walk chain draws in two
+blocks: all of its steps first, then all of its uniforms.  Any other
+proposal draws its candidate and then its uniform step by step.  The same
+rule drives the ensemble samplers: a ``-inf`` candidate is rejected, and a
+NaN or ``+inf`` log density breaks the target contract and raises
+``NumericalError``.
 """
 
 import math
@@ -34,7 +37,9 @@ class MarkovProposal:
     ``propose(current, rng)`` draws a candidate; ``log_q(from_, to)``
     evaluates the conditional log density.  When ``symmetric`` is true the
     Hastings correction is identically zero and ``log_q`` is never needed
-    by the sampler.
+    by the sampler.  A symmetric random walk whose steps do not depend on
+    the state may also define ``steps(n, d, rng)``, the ``(n, d)`` steps of
+    an ``n``-step chain; ``run_chain`` then draws them all at once.
     """
 
     symmetric: bool = False
@@ -59,6 +64,12 @@ class GaussianRandomWalk(MarkovProposal):
 
     def propose(self, current, rng):
         return current + self.scale * rng.standard_normal(current.shape)
+
+    def steps(self, n, d, rng):
+        """``n`` steps in one draw: ``scale * standard_normal((n, d))``."""
+        out = rng.standard_normal((n, d))
+        out *= self.scale
+        return out
 
     def log_q(self, from_, to):
         z = (np.asarray(to, float) - np.asarray(from_, float)) / self.scale
@@ -167,16 +178,38 @@ def transition_probability(target, proposal, current, candidate) -> float:
     return float(np.exp(log_a))
 
 
-def _step(target, proposal, current, lp_current, rng):
-    """One MH transition with the current log density threaded through."""
-    candidate = proposal.propose(current, rng)
-    accepted, lp_candidate = _metropolis_update(
-        target, lp_current, candidate,
-        _hastings_log_ratio(proposal, current, candidate), rng,
-    )
-    if accepted:
-        return candidate, lp_candidate, True
-    return current, lp_current, False
+def _run_steps(target, proposal, start, lp, n, rng):
+    """``(states, accepted)`` of ``n`` MH steps from ``start``, whose log density is ``lp``.
+
+    With a ``steps`` hook, all steps are drawn first, into ``states`` (row
+    ``i`` holds step ``i`` until the state after step ``i`` overwrites it),
+    then all uniforms.  Otherwise each step draws its candidate, then its
+    uniform.
+    """
+    steps = getattr(proposal, "steps", None)
+    if steps is None:
+        states, log_us = np.empty((n, start.size)), None
+    else:
+        states = steps(n, start.size, rng)
+        # a memoryview yields Python floats without holding n float objects
+        log_us = memoryview(np.log(rng.random(n)))
+    accepted = np.empty(n, dtype=bool)
+    current = start
+    for i in range(n):
+        if log_us is None:
+            candidate = proposal.propose(current, rng)
+            log_correction = _hastings_log_ratio(proposal, current, candidate)
+            log_u = np.log(rng.random())
+        else:
+            candidate = current + states[i]
+            log_correction, log_u = 0.0, log_us[i]
+        lp_candidate = float(target.log_density(candidate))
+        acc = _accepts(lp, lp_candidate, candidate, log_correction, log_u)
+        if acc:
+            current, lp = candidate, lp_candidate
+        states[i] = current
+        accepted[i] = acc
+    return states, accepted
 
 
 def mh_step(target, proposal, current, rng):
@@ -188,15 +221,17 @@ def mh_step(target, proposal, current, rng):
     lp_current = _checked(log_unnorm_density(target, current), current)
     if np.isneginf(lp_current):
         raise ValueError("current state has zero density; chains must stay in support")
-    nxt, _, accepted = _step(target, proposal, current, lp_current, rng)
-    return nxt, accepted
+    states, accepted = _run_steps(target, proposal, current, lp_current, 1, rng)
+    return states[0], bool(accepted[0])
 
 
 def run_chain(target, proposal, theta0, n: int, rng, seed: int | None = None) -> Chain:
     """Generate an ``n``-step chain from ``theta0``.
 
     Deterministic for a fixed generator state; acceptance is recorded per
-    step.  ``theta0`` must have positive density.
+    step.  ``theta0`` must have positive density.  A proposal with a
+    ``steps`` hook (``GaussianRandomWalk``) has the chain's steps and then
+    its uniforms drawn in one block each.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -204,13 +239,7 @@ def run_chain(target, proposal, theta0, n: int, rng, seed: int | None = None) ->
     lp = _checked(log_unnorm_density(target, theta0), theta0)
     if np.isneginf(lp):
         raise ValueError("theta0 has zero density; start chains inside the support")
-    states = np.empty((n, theta0.size))
-    accepted = np.empty(n, dtype=bool)
-    current = theta0
-    for i in range(n):
-        current, lp, acc = _step(target, proposal, current, lp, rng)
-        states[i] = current
-        accepted[i] = acc
+    states, accepted = _run_steps(target, proposal, theta0, lp, n, rng)
     return Chain(states=states, accepted=accepted, start=theta0, seed=seed)
 
 

@@ -793,6 +793,15 @@ class TestRunEnsemble:
             run_ensemble("de", target, m=4, n_sweeps=1, rng=np.random.default_rng(29),
                          jitter_sd=0.1)
 
+    @pytest.mark.parametrize("method", ["gaussian", "stretch"])
+    def test_jitter_sd_only_for_de(self, method):
+        # the gaussian and stretch moves have no constant jitter, so one
+        # given to them is an error, never silently unused
+        target = IsotropicGaussianTarget(3, 1.0)
+        with pytest.raises(ValueError, match=f"the {method} move takes none"):
+            run_ensemble(method, target, m=6, n_sweeps=5, rng=np.random.default_rng(1),
+                         jitter_sd=5.0)
+
     def test_zero_sweeps_returns_initial_state(self):
         target = IsotropicGaussianTarget(2, 1.0)
         state = run_ensemble(

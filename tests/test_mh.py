@@ -1,6 +1,7 @@
 """Single-chain Metropolis-Hastings: transitions, chains, burn-in."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,22 @@ class TestTargetContract:
             mh_step(HalfPlane(bad), Jump(), np.zeros(2), np.random.default_rng(12))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_run_chain_names_the_nan_or_inf_candidate(self, bad):
+        # the origin is the only point with a finite density, so the first
+        # candidate is the first block-drawn step
+        class OnlyOrigin(TargetDensity):
+            dim = 2
+
+            def log_density(self, theta):
+                return 0.0 if not theta.any() else bad
+
+        first = 0.5 * np.random.default_rng(15).standard_normal((10, 2))[0]
+        shown = np.array2string(first, precision=6, separator=", ")
+        with pytest.raises(NumericalError, match=re.escape(shown)):
+            run_chain(OnlyOrigin(), GaussianRandomWalk(0.5), np.zeros(2), 10,
+                      np.random.default_rng(15))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_transition_probability_raises_on_nan_or_inf(self, bad):
         target = HalfPlane(bad)
         proposal = GaussianRandomWalk(1.0)
@@ -355,6 +372,81 @@ class TestRunChain:
             )
             fractions.append(acceptance_fraction(chain))
         assert all(a > b for a, b in zip(fractions, fractions[1:]))
+
+
+def block_oracle(target, scale, theta0, n, seed):
+    """A random-walk chain in plain numpy: all steps drawn, then all uniforms.
+
+    A candidate is taken iff ``log u <= min(0, dlogp)``; ``-inf`` never is.
+    """
+    rng = np.random.default_rng(seed)
+    steps = scale * rng.standard_normal((n, theta0.size))
+    log_u = np.log(rng.random(n))
+    states, accepted = np.empty((n, theta0.size)), np.zeros(n, dtype=bool)
+    x, lp = theta0, target.log_density(theta0)
+    for i in range(n):
+        y = x + steps[i]
+        lp_y = target.log_density(y)
+        if lp_y != -np.inf and log_u[i] <= min(0.0, lp_y - lp):
+            x, lp, accepted[i] = y, lp_y, True
+        states[i] = x
+    return states, accepted
+
+
+class UniformBox(MarkovProposal):
+    """Symmetric uniform step on ``[-1, 1]^d``, with no ``steps`` hook."""
+
+    symmetric = True
+
+    def propose(self, current, rng):
+        return current + rng.uniform(-1.0, 1.0, current.shape)
+
+
+class TestDrawOrder:
+    @pytest.mark.parametrize("target, scale", [
+        (IsotropicGaussianTarget(3, 1.0), 1.2),
+        (IsotropicGaussianTarget(20, 1.0), 2.5 / np.sqrt(20)),
+        (HalfPlane(-np.inf), 1.0),
+    ], ids=["isotropic-d3", "isotropic-d20", "half-plane"])
+    def test_random_walk_matches_block_oracle(self, target, scale):
+        d = target.dim
+        theta0 = np.full(d, 0.1)
+        chain = run_chain(target, GaussianRandomWalk(scale), theta0, 3000,
+                          np.random.default_rng(21))
+        states, accepted = block_oracle(target, scale, theta0, 3000, 21)
+        assert 0 < accepted.sum() < 3000
+        np.testing.assert_array_equal(chain.states, states)
+        np.testing.assert_array_equal(chain.accepted, accepted)
+
+    def test_general_proposal_steps_as_mh_step(self):
+        # a proposal without the hook keeps its per-step stream: candidate,
+        # then uniform, exactly as n threaded mh_step calls draw them
+        target = IsotropicGaussianTarget(2, 1.0)
+        rng_run, rng_step = np.random.default_rng(22), np.random.default_rng(22)
+        chain = run_chain(target, UniformBox(), np.zeros(2), 500, rng_run)
+        x, states, accepted = np.zeros(2), [], []
+        for _ in range(500):
+            x, acc = mh_step(target, UniformBox(), x, rng_step)
+            states.append(x)
+            accepted.append(acc)
+        assert 0 < sum(accepted) < 500
+        np.testing.assert_array_equal(chain.states, np.array(states))
+        np.testing.assert_array_equal(chain.accepted, np.array(accepted))
+        assert rng_run.bit_generator.state == rng_step.bit_generator.state
+
+    def test_mh_step_draws_step_then_uniform(self):
+        # one random-walk step: scale * standard_normal(d), then one uniform
+        target = IsotropicGaussianTarget(2, 1.0)
+        rng, oracle = np.random.default_rng(23), np.random.default_rng(23)
+        x = y = np.zeros(2)
+        for _ in range(200):
+            x, acc = mh_step(target, GaussianRandomWalk(1.5), x, rng)
+            candidate = y + 1.5 * oracle.standard_normal(2)
+            log_a = min(0.0, target.log_density(candidate) - target.log_density(y))
+            take = np.log(oracle.random()) <= log_a
+            y = candidate if take else y
+            assert acc == take
+            np.testing.assert_array_equal(x, y)
 
 
 class TestAcceptanceFraction:

@@ -7,6 +7,7 @@ from scipy.stats import norm
 
 from mcmclab.grid import GridSpec, build_grid, grid_evidence
 from mcmclab.harness import (
+    NOISY_MEAN_GRID,
     NOISY_MEAN_OBSERVATIONS,
     NOISY_MEAN_PRIOR,
     noisy_mean_alt_model,
@@ -260,6 +261,19 @@ class TestPosteriorPredictive:
             dens = posterior_predictive_noisy_mean(model, sigma_new, ts)
             integral = dens.sum() * (ts[1] - ts[0])
             assert integral == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("sigma_new", [0.5, 2.0])
+    def test_matches_conjugate_predictive_on_exercise_grid(self, sigma_new):
+        # normal prior and normal noise: the predictive is exactly
+        # N(mu_n, sd_n^2 + sigma_new^2); the internal 4096-point posterior
+        # grid reaches 10 of the widest scales past the data, so the two
+        # differ by rounding only
+        mean, sd = conjugate_posterior(NOISY_MEAN_OBSERVATIONS, *NOISY_MEAN_PRIOR)
+        lo, hi, _ = NOISY_MEAN_GRID
+        ts = np.linspace(lo, hi, 2001)
+        exact = norm.pdf(ts, mean, np.sqrt(sd**2 + sigma_new**2))
+        dens = posterior_predictive_noisy_mean(noisy_mean_model(), sigma_new, ts)
+        assert np.abs(dens - exact).max() <= 1e-12 * exact.max()
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
