@@ -10,11 +10,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import NumericalError, ZeroVarianceError
 from .grid import _cell_volumes
 from .mh import Chain
+from .targets import _checked_many, _log_sum_exp
 
 __all__ = [
     "AutocorrCurve",
@@ -295,17 +295,23 @@ def evidence_from_chain(target, chain_or_samples, density: HistogramDensity) -> 
 
     Averages ``target_density / sample_density`` over the samples.  Every
     sample must land in a bin with positive estimated density, which is
-    guaranteed when the histogram was built from the same samples.
+    guaranteed when the histogram was built from the same samples.  A NaN or
+    ``+inf`` target log density raises ``NumericalError``; samples all at
+    zero target density give 0.0 with a warning.
     """
     samples = _states_of(chain_or_samples)
-    lp = target.log_density_many(samples)
+    lp = _checked_many(target.log_density_many(samples), samples)
     rho = density.density_at(samples)
     if np.any(rho <= 0.0):
         raise NumericalError(
             "some samples fall in bins with zero estimated density"
         )
+    if np.all(np.isneginf(lp)):
+        warnings.warn("every sample has zero target density; evidence estimate is 0",
+                      RuntimeWarning, stacklevel=2)
+        return 0.0
     log_ratios = lp - np.log(rho)
-    return float(np.exp(logsumexp(log_ratios) - np.log(samples.shape[0])))
+    return float(np.exp(_log_sum_exp(log_ratios) - np.log(samples.shape[0])))
 
 
 def binomial_sample_bound(p_hat: float, eps: float, tau_hat: float = 0.0) -> int:

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mh import Chain, _accepts, _checked, _metropolis_update
+from .mh import Chain, _accepts, _metropolis_update
+from .targets import _checked
 
 __all__ = [
     "EnsembleState",
@@ -73,7 +74,6 @@ class EnsembleState:
     history: np.ndarray     # (iterations, m, d)
     accepted: np.ndarray    # (iterations, m) bool
     starts: np.ndarray      # (m, d) initial positions
-    seed: int | None = None
 
     @property
     def dim(self) -> int:
@@ -89,7 +89,6 @@ class EnsembleState:
             states=self.history[:, j, :],
             accepted=self.accepted[:, j],
             start=self.starts[j],
-            seed=self.seed,
         )
 
     def acceptance_fraction(self) -> float:
@@ -105,8 +104,8 @@ class StretchLaw:
     a: float = 2.0
 
     def __post_init__(self):
-        if not self.a > 1.0:
-            raise ValueError("stretch range parameter a must exceed 1")
+        if not 1.0 < self.a < math.inf:
+            raise ValueError("stretch range parameter a must exceed 1 and be finite")
 
     def density(self, gamma) -> np.ndarray:
         """Normalized density of the stretch factor."""
@@ -346,17 +345,16 @@ def run_ensemble(
     gamma: float | None = None,
     law: StretchLaw | None = None,
     jitter_sd=None,
-    seed: int | None = None,
 ) -> EnsembleState:
     """Run ``n_sweeps`` sequential sweeps of an ensemble sampler.
 
     Within a sweep, chains update in ascending order and each sees the
     others' latest positions.  Chains start at ``theta0`` (default origin)
     plus unit Gaussian jitter, since identical starts would give the
-    covariance moves zero steps.  ``gamma`` defaults to
-    ``DEFAULT_DELTA[method] / sqrt(d)`` for the Gaussian and difference moves.
-    ``jitter_sd`` is de's constant jitter, as in ``de_step``; the other
-    moves take none and raise ``ValueError`` if it is given.
+    covariance moves zero steps.  ``gamma`` (gaussian and de) defaults to
+    ``DEFAULT_DELTA[method] / sqrt(d)``, ``law`` (stretch) to ``StretchLaw()``,
+    and ``jitter_sd`` is de's constant jitter, as in ``de_step``.  An
+    argument the move does not read raises ``ValueError``.
     """
     if method not in ENSEMBLE_METHODS:
         raise ValueError(f"unknown ensemble method {method!r}")
@@ -371,9 +369,13 @@ def run_ensemble(
         if method != "de":
             raise ValueError(f"jitter_sd is de's constant jitter; the {method} move takes none")
         jitter_sd = _checked_jitter_sd(jitter_sd, d)
+    if gamma is not None and method == "stretch":
+        raise ValueError("gamma scales the gaussian and de moves; the stretch move takes none")
+    if law is not None and method != "stretch":
+        raise ValueError(f"law is the stretch move's; the {method} move takes none")
     if gamma is None and method in DEFAULT_DELTA:
         gamma = DEFAULT_DELTA[method] / np.sqrt(d)
-    if law is None:
+    if law is None and method == "stretch":
         law = StretchLaw()
     if method != "stretch" and gamma == 0.0:
         warnings.warn(
@@ -408,5 +410,4 @@ def run_ensemble(
         history=history,
         accepted=accepted,
         starts=starts,
-        seed=seed,
     )

@@ -9,9 +9,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import NumericalError, ResourceLimitError
+from .targets import _checked_many, _log_sum_exp
 
 __all__ = [
     "GridSpec",
@@ -133,9 +133,13 @@ def _check_dims(target, cells: GridCells):
 
 
 def grid_log_weights(target, cells: GridCells) -> np.ndarray:
-    """Per-cell ``log(density * volume)``; the building block of the sums."""
+    """Per-cell ``log(density * volume)``; the building block of the sums.
+
+    A NaN or ``+inf`` log density raises ``NumericalError``, naming its cell.
+    """
     _check_dims(target, cells)
-    return target.log_density_many(cells.midpoints) + np.log(cells.volumes)
+    lp = _checked_many(target.log_density_many(cells.midpoints), cells.midpoints)
+    return lp + np.log(cells.volumes)
 
 
 def grid_weights(target, cells: GridCells) -> np.ndarray:
@@ -157,7 +161,7 @@ def grid_evidence(target, cells: GridCells) -> float:
             stacklevel=2,
         )
         return 0.0
-    return float(np.exp(logsumexp(lw)))
+    return float(np.exp(_log_sum_exp(lw)))
 
 
 def grid_expectation(target, cells: GridCells, f):

@@ -202,18 +202,19 @@ class ExperimentConfig:
             raise ConfigError("seed must be >= 0")
         if not 0.0 <= self.burn_in < 1.0:
             raise ConfigError("burn_in must lie in [0, 1)")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ConfigError("gamma must be positive")
-        if self.delta is not None and self.delta <= 0:
-            raise ConfigError("delta must be positive")
-        if self.a <= 1.0:
-            raise ConfigError("a must exceed 1")
+        if self.gamma is not None and self.delta is not None:
+            raise ConfigError("set gamma or delta, not both")
+        if self.gamma is not None and not 0.0 < self.gamma < np.inf:
+            raise ConfigError("gamma must be positive and finite")
+        if self.delta is not None and not 0.0 < self.delta < np.inf:
+            raise ConfigError("delta must be positive and finite")
+        if not 1.0 < self.a < np.inf:
+            raise ConfigError("a must exceed 1 and be finite")
 
     def proposal_scale(self, dim: int) -> float | None:
         """Resolved gamma for one dimension (None for a sampler without a scale).
 
-        A set ``gamma`` beats a set ``delta``, and either beats the table's
-        default.
+        A set ``gamma`` or ``delta`` beats the table's default.
         """
         spec = SAMPLERS[self.sampler]
         if spec.gamma is None and spec.delta is None:
@@ -400,16 +401,16 @@ def _scaling_row(cfg: ExperimentConfig, dim: int, replicate: int) -> ResultRow:
         # its first move, so the run would measure the start, not the law
         theta0 = rng.standard_normal(dim)
         chain = run_chain(
-            target, GaussianRandomWalk(cfg.proposal_scale(dim)), theta0, cfg.n, rng,
-            seed=seed_id,
+            target, GaussianRandomWalk(cfg.proposal_scale(dim)), theta0, cfg.n, rng
         )
         # a single chain is an ensemble of one: (n,) flags, (n, 1, d) history
         accepted, history = chain.accepted, chain.states[:, None, :]
         m_col = None
     else:
+        law = StretchLaw(cfg.a) if move == "stretch" else None
         state = run_ensemble(
             move, target, m=cfg.m, n_sweeps=cfg.n, rng=rng,
-            gamma=cfg.proposal_scale(dim), law=StretchLaw(cfg.a), seed=seed_id,
+            gamma=cfg.proposal_scale(dim), law=law,
         )
         accepted, history = state.accepted, state.history
         m_col = cfg.m

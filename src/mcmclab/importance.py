@@ -9,10 +9,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import CoverageError, NumericalError
-from .targets import NoisyMeanModel
+from .targets import NoisyMeanModel, _checked_many, _log_sum_exp
 
 __all__ = [
     "Proposal",
@@ -163,12 +162,13 @@ def importance_weights(target, proposal: Proposal, points) -> WeightedSamples:
 
     A point where the proposal density is zero but the target is not makes
     the estimator inconsistent (no coverage), so that raises
-    ``CoverageError`` instead of yielding an infinite weight.
+    ``CoverageError`` instead of yielding an infinite weight.  A NaN or
+    ``+inf`` target log density raises ``NumericalError``, naming its point.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != target.dim or proposal.dim != target.dim:
         raise ValueError("target, proposal, and points must share one dim")
-    lp = target.log_density_many(pts)
+    lp = _checked_many(target.log_density_many(pts), pts)
     lq = proposal.log_pdf(pts)
     bad = np.isneginf(lq) & ~np.isneginf(lp)
     if np.any(bad):
@@ -184,8 +184,8 @@ def importance_weights(target, proposal: Proposal, points) -> WeightedSamples:
 def is_evidence(ws: WeightedSamples) -> float:
     """Mean importance weight: a direct estimate of the evidence.
 
-    Computed as ``exp(logsumexp(log_w) - log n)``.  All-zero weights yield
-    0.0 with a warning.
+    Computed as ``exp(_log_sum_exp(log_w) - log n)``, a stabilized sum.
+    All-zero weights yield 0.0 with a warning.
     """
     if ws.n < 1:
         raise ValueError("need at least one sample")
@@ -196,7 +196,7 @@ def is_evidence(ws: WeightedSamples) -> float:
             stacklevel=2,
         )
         return 0.0
-    return float(np.exp(logsumexp(ws.log_weights) - np.log(ws.n)))
+    return float(np.exp(_log_sum_exp(ws.log_weights) - np.log(ws.n)))
 
 
 def is_expectation(ws: WeightedSamples, f):

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
-from .targets import log_unnorm_density
+from .targets import _checked, log_unnorm_density
 
 __all__ = [
     "MarkovProposal",
@@ -86,13 +85,12 @@ class Chain:
     ``states[i]`` is the position after step ``i``; ``accepted[i]`` records
     whether that step's proposal was taken.  A rejected step repeats the
     previous state bit for bit.  ``start`` is the state the first step was
-    proposed from and ``seed`` an optional record of the stream used.
+    proposed from.
     """
 
     states: np.ndarray    # (n, d)
     accepted: np.ndarray  # (n,) bool
     start: np.ndarray     # (d,)
-    seed: int | None = None
 
     def __post_init__(self):
         states = np.atleast_2d(np.asarray(self.states, dtype=float))
@@ -117,16 +115,6 @@ def _hastings_log_ratio(proposal, current, candidate) -> float:
     if getattr(proposal, "symmetric", False):
         return 0.0
     return proposal.log_q(candidate, current) - proposal.log_q(current, candidate)
-
-
-def _checked(lp: float, point) -> float:
-    """``lp`` itself, unless it is NaN or ``+inf``: those raise, naming ``point``."""
-    if lp < math.inf:
-        return lp
-    shown = np.array2string(np.asarray(point, dtype=float), precision=6, separator=", ")
-    raise NumericalError(
-        f"target log density is {lp} at {shown}; only finite values or -inf are allowed"
-    )
 
 
 def _log_accept_prob(lp_current, lp_candidate, candidate, log_correction=0.0) -> float:
@@ -225,7 +213,7 @@ def mh_step(target, proposal, current, rng):
     return states[0], bool(accepted[0])
 
 
-def run_chain(target, proposal, theta0, n: int, rng, seed: int | None = None) -> Chain:
+def run_chain(target, proposal, theta0, n: int, rng) -> Chain:
     """Generate an ``n``-step chain from ``theta0``.
 
     Deterministic for a fixed generator state; acceptance is recorded per
@@ -240,7 +228,7 @@ def run_chain(target, proposal, theta0, n: int, rng, seed: int | None = None) ->
     if np.isneginf(lp):
         raise ValueError("theta0 has zero density; start chains inside the support")
     states, accepted = _run_steps(target, proposal, theta0, lp, n, rng)
-    return Chain(states=states, accepted=accepted, start=theta0, seed=seed)
+    return Chain(states=states, accepted=accepted, start=theta0)
 
 
 def acceptance_fraction(chain: Chain) -> float:
@@ -266,5 +254,4 @@ def drop_burn_in(chain: Chain, fraction: float) -> Chain:
         states=chain.states[k:].copy(),
         accepted=chain.accepted[k:].copy(),
         start=chain.states[k - 1].copy(),
-        seed=chain.seed,
     )

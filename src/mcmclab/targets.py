@@ -3,13 +3,16 @@
 A target is anything with a ``dim`` attribute and a ``log_density`` method
 returning the log of an unnormalized density (``-inf`` where the density is
 zero, never an exception).  All evaluation happens in log space; consumers
-exponentiate only differences or stabilized sums.
+exponentiate only differences or stabilized sums (``_log_sum_exp``).  A NaN
+or ``+inf`` log density breaks the contract, and ``_checked`` raises on it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+
+from .errors import NumericalError
 
 __all__ = [
     "TargetDensity",
@@ -52,6 +55,39 @@ class TargetDensity:
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.array([self.log_density(p) for p in pts])
+
+
+def _checked(lp: float, point) -> float:
+    """``lp`` itself, unless it is NaN or ``+inf``: those raise, naming ``point``."""
+    if lp < math.inf:
+        return lp
+    shown = np.array2string(np.asarray(point, dtype=float), precision=6, separator=", ")
+    raise NumericalError(
+        f"target log density is {lp} at {shown}; only finite values or -inf are allowed"
+    )
+
+
+def _checked_many(lp, points) -> np.ndarray:
+    """``_checked`` for each row: ``lp`` holds one log density per row of ``points``."""
+    lp = np.asarray(lp, dtype=float)
+    bad = np.flatnonzero(~(lp < math.inf))
+    if bad.size:
+        _checked(float(lp[bad[0]]), points[bad[0]])
+    return lp
+
+
+def _log_sum_exp(a) -> float:
+    """``log(sum(exp(a)))`` of a 1-D array whose largest entry is finite.
+
+    The ``count`` entries equal to the maximum ``top`` are split out of the
+    sum (Blanchard, Higham & Higham 2021), as ``scipy.special.logsumexp`` does.
+    """
+    a = np.asarray(a, dtype=float)
+    top = a.max()
+    is_top = a == top
+    count = float(np.count_nonzero(is_top))
+    rest = np.exp(np.where(is_top, -np.inf, a) - top).sum()
+    return float(np.log1p(rest / count) + np.log(count) + top)
 
 
 def log_unnorm_density(target, theta) -> float:
@@ -221,7 +257,7 @@ def shell_stats(d: int, sigma: float = 1.0) -> ShellStats:
         raise ValueError("d must be a positive integer")
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    log_ratio = gammaln((d + 1) / 2.0) - gammaln(d / 2.0)
+    log_ratio = math.lgamma((d + 1) / 2.0) - math.lgamma(d / 2.0)
     mean_r = np.sqrt(2.0) * np.exp(log_ratio)
     # d - 2*ratio^2 -> 1/2 as d grows; the cancellation is benign in float64
     var_r = d - 2.0 * np.exp(2.0 * log_ratio)

@@ -111,6 +111,11 @@ FAR_MOVES = {
 }
 
 
+def far_moves(method):
+    """The ``run_ensemble`` arguments of the same far moves."""
+    return {"law": StretchLaw(a=1000.0)} if method == "stretch" else {"gamma": 100.0}
+
+
 class TestLooCovariance:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -418,6 +423,11 @@ class TestStretchFactor:
         with pytest.raises(ValueError):
             StretchLaw(a=1.0)
 
+    @pytest.mark.parametrize("a", [np.nan, np.inf])
+    def test_range_parameter_must_be_finite(self, a):
+        with pytest.raises(ValueError, match="finite"):
+            StretchLaw(a=a)
+
     def test_density_outside_window_is_zero_without_warnings(self):
         law = StretchLaw(a=2.0)
         with warnings.catch_warnings():
@@ -578,7 +588,7 @@ def assert_run_matches_hand_loop(method, target, m, jitter_sd, seed, law=Stretch
         warnings.simplefilter("ignore", RuntimeWarning)
         state = run_ensemble(
             method, target, m=m, n_sweeps=40, rng=rng_run,
-            gamma=gamma, law=law, jitter_sd=jitter_sd,
+            gamma=gamma, law=law if method == "stretch" else None, jitter_sd=jitter_sd,
         )
     history, accepted = hand_loop(
         method, target, m, 40, rng_loop, gamma, law, jitter_sd
@@ -696,15 +706,13 @@ class TestTargetContract:
         target = Ball(2, bad)
         with pytest.raises(NumericalError):
             run_ensemble(method, target, m=6, n_sweeps=50,
-                         rng=np.random.default_rng(23), gamma=100.0,
-                         law=StretchLaw(a=1000.0))
+                         rng=np.random.default_rng(23), **far_moves(method))
 
     @pytest.mark.parametrize("method", ["gaussian", "de", "stretch"])
     def test_run_ensemble_rejects_neg_inf_candidate(self, method):
         target = Ball(2, -np.inf)
         state = run_ensemble(method, target, m=6, n_sweeps=50,
-                             rng=np.random.default_rng(24), gamma=100.0,
-                             law=StretchLaw(a=1000.0))
+                             rng=np.random.default_rng(24), **far_moves(method))
         assert not state.accepted.all()
         radii2 = np.einsum("...i,...i->...", state.history, state.history)
         assert np.all(radii2 < 100.0)
@@ -801,6 +809,20 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match=f"the {method} move takes none"):
             run_ensemble(method, target, m=6, n_sweeps=5, rng=np.random.default_rng(1),
                          jitter_sd=5.0)
+
+    def test_gamma_not_for_stretch(self):
+        # the stretch move has no scale; its law sets how far it moves
+        target = IsotropicGaussianTarget(3, 1.0)
+        with pytest.raises(ValueError, match="the stretch move takes none"):
+            run_ensemble("stretch", target, m=6, n_sweeps=5, rng=np.random.default_rng(1),
+                         gamma=5.0)
+
+    @pytest.mark.parametrize("method", ["gaussian", "de"])
+    def test_law_only_for_stretch(self, method):
+        target = IsotropicGaussianTarget(3, 1.0)
+        with pytest.raises(ValueError, match=f"the {method} move takes none"):
+            run_ensemble(method, target, m=6, n_sweeps=5, rng=np.random.default_rng(1),
+                         law=StretchLaw(7.0))
 
     def test_zero_sweeps_returns_initial_state(self):
         target = IsotropicGaussianTarget(2, 1.0)

@@ -424,6 +424,17 @@ class TestCli:
             capture_output=True, text=True, env=full_env,
         )
 
+    def test_import_loads_no_scipy(self):
+        # numpy is the only runtime dependency; a fresh interpreter is needed
+        # because the tests themselves import scipy as their oracle
+        code = ("import sys, mcmclab, mcmclab.cli, mcmclab.harness; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(harness.__file__))}
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
+
     def test_exercise_command(self, tmp_path):
         out = tmp_path / "nm.csv"
         res = self._run("exercise", "noisy-mean", "--seed", "3", "--out", str(out))
@@ -486,6 +497,27 @@ class TestCli:
         for key, val in (env or {}).items():
             monkeypatch.setenv(key, val)
         assert cli.main(argv) == 2
+        assert not (tmp_path / "never.csv").exists()
+
+    @pytest.mark.parametrize("args, config, named", [
+        (("mh-fixed", "--gamma", "nan"), None, "gamma must be positive and finite"),
+        (("mh-adaptive", "--delta", "nan"), None, "delta must be positive and finite"),
+        (("ens-stretch", "--a", "nan"), None, "a must exceed 1 and be finite"),
+        (("ens-stretch", "--a", "inf"), None, "a must exceed 1 and be finite"),
+        (("ens-gaussian", "--gamma", "inf", "--m", "10"), None,
+         "gamma must be positive and finite"),
+        (("mh-adaptive", "--gamma", "1", "--delta", "2"), None, "not both"),
+        (("mh-adaptive", "--delta", "2"), "[mh-adaptive]\ngamma = 1\n", "not both"),
+    ], ids=["gamma-nan", "delta-nan", "a-nan", "a-inf", "gamma-inf", "gamma-and-delta",
+            "gamma-file-and-delta-flag"])
+    def test_bad_scale_exit_code(self, args, config, named, tmp_path, capsys):
+        argv = ["scaling", *args, "--dims", "2", "--n", "200",
+                "--out", str(tmp_path / "never.csv")]
+        if config is not None:
+            (tmp_path / "lab.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "lab.cfg")]
+        assert cli.main(argv) == 2
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "never.csv").exists()
 
     @pytest.mark.parametrize("args, config, named", [

@@ -1,16 +1,26 @@
 """Target densities and shell geometry against closed-form oracles."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import logsumexp
 from scipy.stats import norm
 
+from mcmclab.diagnostics import evidence_from_chain, histogram_density
+from mcmclab.errors import NumericalError
+from mcmclab.grid import GridSpec, build_grid, grid_evidence, grid_expectation
+from mcmclab.importance import DiagonalGaussianProposal, importance_weights
+from mcmclab.summaries import DiscretizedPosterior
 from mcmclab.targets import (
     DiagonalGaussianTarget,
     IsotropicGaussianTarget,
     NoisyMeanModel,
+    _log_sum_exp,
     half_volume_length_fraction,
     log_unnorm_density,
     radial_log_mass,
@@ -131,6 +141,81 @@ class TestNoisyMeanShape:
         vals = model.log_density_many(ts.reshape(-1, 1))
         second = np.diff(vals, n=2)
         assert np.allclose(second, second[0], atol=1e-9)
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("case", ["ties", "neg-inf", "one", "ten-thousand"])
+    def test_matches_scipy(self, case):
+        rng = np.random.default_rng(41)
+        a = {
+            "ties": np.array([3.0, -1.0, 3.0, 2.5, 3.0, -7.0]),
+            "neg-inf": np.array([-np.inf, 0.3, -np.inf, -2.0, 0.3]),
+            "one": np.array([-812.5]),
+            "ten-thousand": 200.0 * rng.standard_normal(10_000),
+        }[case]
+        expected = float(logsumexp(a))
+        assert _log_sum_exp(a) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    def test_keeps_the_precision_of_a_small_rest(self):
+        # log(sum(exp(a))) loses the rest, 1000 e^-40, in the 1 it is added to
+        a = [0.0] + [-40.0] * 1000
+        expected = math.log1p(1000 * math.exp(-40))
+        assert _log_sum_exp(a) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+class SpikedGaussian(IsotropicGaussianTarget):
+    """Unit Gaussian in 2-D whose log density is ``bad`` where ``x_0 > 1``."""
+
+    def __init__(self, bad):
+        super().__init__(2, 1.0)
+        object.__setattr__(self, "bad", bad)
+
+    def log_density_many(self, points):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return np.where(pts[:, 0] > 1.0, self.bad, super().log_density_many(pts))
+
+
+def _point_pattern(point):
+    return re.escape(np.array2string(np.asarray(point, float), precision=6, separator=", "))
+
+
+class TestEstimatorTargetContract:
+    # a NaN or +inf log density from the target raises, naming the first
+    # offending point, instead of a silent nan or inf estimate
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_grid_log_weights(self, bad):
+        target = SpikedGaussian(bad)
+        cells = build_grid(GridSpec.regular([(-2.0, 2.0), (-2.0, 2.0)], 4))
+        first = cells.midpoints[cells.midpoints[:, 0] > 1.0][0]
+        for estimate in (
+            lambda: grid_evidence(target, cells),
+            lambda: grid_expectation(target, cells, lambda x: x[:, 0]),
+            lambda: DiscretizedPosterior.from_grid(target, cells),
+        ):
+            with pytest.raises(NumericalError, match=_point_pattern(first)):
+                estimate()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_importance_weights(self, bad):
+        points = np.array([[0.5, 0.0], [-1.0, 1.0], [1.25, -0.5], [2.0, 2.0]])
+        proposal = DiagonalGaussianProposal((0.0, 0.0), (2.0, 2.0))
+        with pytest.raises(NumericalError, match=_point_pattern(points[2])):
+            importance_weights(SpikedGaussian(bad), proposal, points)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_evidence_from_chain(self, bad):
+        samples = np.random.default_rng(43).standard_normal((500, 2))
+        first = samples[samples[:, 0] > 1.0][0]
+        density = histogram_density(samples, bins=5)
+        with pytest.raises(NumericalError, match=_point_pattern(first)):
+            evidence_from_chain(SpikedGaussian(bad), samples, density)
+
+    def test_evidence_from_chain_all_zero_density_warns_and_returns_zero(self):
+        samples = np.random.default_rng(44).random((50, 2)) + 2.0
+        density = histogram_density(samples, bins=3)
+        with pytest.warns(RuntimeWarning, match="zero target density"):
+            assert evidence_from_chain(SpikedGaussian(-np.inf), samples, density) == 0.0
 
 
 class TestShellStats:
