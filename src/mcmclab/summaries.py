@@ -15,6 +15,12 @@ from .diagnostics import HistogramDensity
 from .grid import GridCells, _cell_midpoints, grid_log_weights
 from .targets import NoisyMeanModel
 
+# Rows of ``t_new`` per block of the predictive's noise kernel: one block of
+# 256 rows by 4096 grid cells is an 8 MiB buffer.  A power of two keeps each
+# row at the same offset, modulo the BLAS kernel's row width, as in a
+# one-shot product, which the blocks then equal bit for bit (one BLAS thread).
+_KERNEL_ROWS = 256
+
 __all__ = [
     "DiscretizedPosterior",
     "LossSpec",
@@ -194,6 +200,16 @@ def _weighted_quantile(xs, masses, p):
     return float(np.interp(p, cum, x))
 
 
+def _distinct_sorted(values):
+    """The distinct values in ascending order: ``np.unique`` without its
+    lazy import of ``numpy.ma``."""
+    v = np.sort(values)
+    keep = np.empty(v.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(v[1:], v[:-1], out=keep[1:])
+    return v[keep]
+
+
 def _golden_section(fun, lo, hi, tol):
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -244,7 +260,7 @@ def point_estimate(post: DiscretizedPosterior, loss: LossSpec):
     order = np.argsort(pts, kind="stable")
     xs = pts[order]
     stride = max(1, xs.size // 512)
-    scan = np.unique(np.concatenate([xs[::stride], xs[-1:]]))
+    scan = _distinct_sorted(np.concatenate([xs[::stride], xs[-1:]]))
     losses = [expected_loss(post, loss, x) for x in scan]
     i = int(np.argmin(losses))
     lo = scan[max(i - 1, 0)]
@@ -287,7 +303,7 @@ def threshold_credible_region(post: DiscretizedPosterior, coverage: float):
     member = np.zeros(post.n, dtype=bool)
     cum = 0.0
     threshold = np.inf
-    for level in np.unique(dens)[::-1]:
+    for level in _distinct_sorted(dens)[::-1]:
         group = dens == level
         member |= group
         cum += post.masses[group].sum()
@@ -310,9 +326,14 @@ def posterior_predictive_noisy_mean(
     to cover data and prior by ``span`` standard deviations) and convolved
     with the new observation's Gaussian noise.  ``sigma_new = 0`` is the
     point-evaluation limit: the predictive equals the posterior density.
+    The convolution is evaluated in fixed blocks of ``t_new`` rows in one
+    reused buffer, so its memory is bounded whatever the length of
+    ``t_new``.
     """
-    if sigma_new < 0:
-        raise ValueError("sigma_new must be nonnegative")
+    if not 0.0 <= sigma_new < np.inf:
+        raise ValueError(f"sigma_new must be finite and nonnegative, got {sigma_new}")
+    if grid_cells < 2:
+        raise ValueError(f"grid_cells must be at least 2, got {grid_cells}")
     t_new = np.asarray(t_new, dtype=float)
     anchors = [model.prior_mean] + [v for v, _ in model.observations]
     scales = [model.prior_sd] + [s for _, s in model.observations]
@@ -327,9 +348,20 @@ def posterior_predictive_noisy_mean(
     if sigma_new == 0.0:
         out = np.interp(t_new, support, post.densities, left=0.0, right=0.0)
         return out if out.ndim else float(out)
-    z = (t_new.reshape(-1, 1) - support[None, :]) / sigma_new
-    kernel = np.exp(-0.5 * z ** 2) / (sigma_new * np.sqrt(2.0 * np.pi))
-    out = kernel @ post.masses
+    ts = t_new.reshape(-1)
+    out = np.empty(ts.size)
+    norm = sigma_new * np.sqrt(2.0 * np.pi)
+    buf = np.empty((min(_KERNEL_ROWS, ts.size), grid_cells))
+    for i in range(0, ts.size, _KERNEL_ROWS):
+        rows = ts[i : i + _KERNEL_ROWS]
+        kernel = buf[: rows.size]
+        np.subtract(rows[:, None], support, out=kernel)
+        kernel /= sigma_new
+        np.square(kernel, out=kernel)
+        kernel *= -0.5
+        np.exp(kernel, out=kernel)
+        kernel /= norm
+        np.matmul(kernel, post.masses, out=out[i : i + rows.size])
     return out.reshape(t_new.shape) if t_new.ndim else float(out[0])
 
 

@@ -435,6 +435,19 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"
 
+    def test_exercises_load_no_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma on first use, 0.02 s per interpreter
+        out = str(tmp_path / "ex.csv")
+        code = ("import sys\nfrom mcmclab.cli import main\n"
+                f"for name in {list(EXERCISES)!r}:\n"
+                f"    main(['exercise', name, '--out', {out!r}])\n"
+                "print('numpy.ma' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(harness.__file__))}
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "False"
+
     def test_exercise_command(self, tmp_path):
         out = tmp_path / "nm.csv"
         res = self._run("exercise", "noisy-mean", "--seed", "3", "--out", str(out))

@@ -1,10 +1,17 @@
 """Point estimates, credible summaries, prediction, model comparison."""
 
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+import mcmclab
 from mcmclab.grid import GridSpec, build_grid, grid_evidence
 from mcmclab.harness import (
     NOISY_MEAN_GRID,
@@ -278,6 +285,80 @@ class TestPosteriorPredictive:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             posterior_predictive_noisy_mean(noisy_mean_model(), -1.0, np.array([25.0]))
+
+    @pytest.mark.parametrize("sigma_new", [np.nan, np.inf])
+    def test_non_finite_noise_rejected(self, sigma_new):
+        with pytest.raises(ValueError, match="sigma_new"):
+            posterior_predictive_noisy_mean(noisy_mean_model(), sigma_new, np.array([25.0]))
+
+    @pytest.mark.parametrize("grid_cells", [0, 1])
+    def test_grid_of_fewer_than_two_cells_rejected(self, grid_cells):
+        with pytest.raises(ValueError, match="grid_cells"):
+            posterior_predictive_noisy_mean(
+                noisy_mean_model(), 0.5, np.array([25.0]), grid_cells=grid_cells
+            )
+
+    def test_exercise_grid_in_bounded_memory(self):
+        # a full 2001 x 4096 kernel alone is 62.5 MiB
+        lo, hi, _ = NOISY_MEAN_GRID
+        ts = np.linspace(lo, hi, 2001)
+        model = noisy_mean_model()
+        for sigma_new in (0.5, 2.0):
+            tracemalloc.start()
+            try:
+                posterior_predictive_noisy_mean(model, sigma_new, ts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * 2**20
+
+    def test_row_blocks_equal_one_shot_kernel_bit_for_bit(self):
+        # 2001 rows are not a multiple of the block height.  A multithreaded
+        # gemv splits its rows among threads by the matrix's height, which
+        # can move a deep-tail value by an ulp in a one-shot product as much
+        # as in a blocked one, so both run under one BLAS thread
+        code = textwrap.dedent("""
+            import numpy as np
+            from mcmclab.harness import NOISY_MEAN_GRID, noisy_mean_model
+            from mcmclab.summaries import (
+                DiscretizedPosterior, posterior_predictive_noisy_mean)
+            model = noisy_mean_model()
+            lo, hi, _ = NOISY_MEAN_GRID
+            t = np.linspace(lo, hi, 2001)
+            anchors = [model.prior_mean] + [v for v, _ in model.observations]
+            scales = [model.prior_sd] + [s for _, s in model.observations]
+            s = np.linspace(min(anchors) - 10.0 * max(scales),
+                            max(anchors) + 10.0 * max(scales), 4096)
+            post = DiscretizedPosterior.from_log_masses(s, model.log_density_many(s))
+            for sigma in (0.5, 2.0):
+                kernel = (np.exp(-0.5 * ((t[:, None] - s) / sigma) ** 2)
+                          / (sigma * np.sqrt(2.0 * np.pi)))
+                dens = posterior_predictive_noisy_mean(model, sigma, t)
+                print(np.array_equal(dens, kernel @ post.masses))
+        """)
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mcmclab.__file__)),
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["True", "True"]
+
+    @pytest.mark.parametrize("sigma_new", [0.0, 2.0])
+    def test_output_shapes(self, sigma_new):
+        model = noisy_mean_model()
+        scalar = posterior_predictive_noisy_mean(model, sigma_new, 29.0)
+        assert isinstance(scalar, float)
+        ts = np.linspace(25.0, 33.0, 12).reshape(3, 4)
+        dens = posterior_predictive_noisy_mean(model, sigma_new, ts)
+        assert dens.shape == (3, 4)
+        np.testing.assert_array_equal(
+            dens.ravel(), posterior_predictive_noisy_mean(model, sigma_new, ts.ravel())
+        )
+        # a one-row product may round differently from a 12-row one
+        assert dens[0, 0] == pytest.approx(
+            posterior_predictive_noisy_mean(model, sigma_new, 25.0), rel=1e-14
+        )
+        assert posterior_predictive_noisy_mean(model, sigma_new, []).shape == (0,)
 
 
 class TestBayesFactor:

@@ -2,6 +2,8 @@
 
 import math
 import re
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -218,7 +220,40 @@ class TestEstimatorTargetContract:
             assert evidence_from_chain(SpikedGaussian(-np.inf), samples, density) == 0.0
 
 
+# pi to 50 significant digits
+_PI_50 = Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+def exact_shell_moments(d):
+    """Mean radius ``sqrt(2) G`` and radial sd ``sqrt(d - 2 G^2)`` of N(0, I_d),
+    ``G = Gamma((d+1)/2) / Gamma(d/2)``, to about 50 digits, from the exact
+    factorial form of the Gamma ratio:
+    ``Gamma(k+1/2)/Gamma(k) = (2k)! sqrt(pi) / (4^k k! (k-1)!)`` for d = 2k
+    and ``Gamma(k+1)/Gamma(k+1/2) = 4^k k!^2 / ((2k)! sqrt(pi))`` for
+    d = 2k+1."""
+    k = d // 2
+    with localcontext() as ctx:
+        ctx.prec = 60
+        if d % 2 == 0:
+            q = Fraction(math.factorial(2 * k),
+                         4**k * math.factorial(k) * math.factorial(k - 1))
+            ratio_sq = _PI_50 * Decimal(q.numerator) ** 2 / Decimal(q.denominator) ** 2
+        else:
+            q = Fraction(4**k * math.factorial(k) ** 2, math.factorial(2 * k))
+            ratio_sq = Decimal(q.numerator) ** 2 / Decimal(q.denominator) ** 2 / _PI_50
+        return float((2 * ratio_sq).sqrt()), float((d - 2 * ratio_sq).sqrt())
+
+
 class TestShellStats:
+    @pytest.mark.parametrize(
+        "d", [1, 2, 3, 10, 22, 23, 24, 25, 99, 100, 999, 1000, 4001, 7777, 9999, 10_000]
+    )
+    def test_radial_moments_match_exact_gamma_ratio(self, d):
+        mean, sd = exact_shell_moments(d)
+        stats = shell_stats(d, 1.0)
+        assert abs(stats.dr_mean - sd) <= 1e-12 * sd
+        assert abs(stats.r_mean - mean) <= 1e-12 * mean
+
     def test_peak_radius_values(self):
         assert shell_stats(10, 1.0).r_peak == pytest.approx(3.0, abs=1e-12)
         assert shell_stats(1, 1.0).r_peak == 0.0
