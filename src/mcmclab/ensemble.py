@@ -10,27 +10,33 @@ Three proposal families are provided:
   stretch factor drawn from a power-law window and a ``gamma**(d-1)``
   volume factor in the acceptance ratio.
 
-The gaussian step and de's default jitter are drawn without forming any
-covariance: a weighted sum of the other chains' deviations from their mean,
-with standard normal weights, is exactly Normal(0, C) for C the other
-chains' covariance (the walk move of Goodman & Weare 2010, taken over all
-complementary walkers).  That is one (m,)-by-(m, d) product per update, with
-no factorization.  A constant de jitter is a standard deviation, a scalar or
-one per coordinate, as in ter Braak (2006).
+The gaussian step and de's default jitter are walk steps (Goodman & Weare
+2010): one (m,)-by-(m, d) product of centred standard normal weights with
+the positions, exactly Normal(0, C) for C the other chains' covariance, with
+no covariance formed or factored.  A constant de jitter is a standard
+deviation, a scalar or one per coordinate, as in ter Braak (2006).
 
 A sweep updates chains in fixed ascending order, each update seeing the
-others' latest positions, so runs are reproducible for a fixed seed.  The
-sweep driver keeps one log density per chain, so an update evaluates the
-target only at its candidate.
+others' latest positions, so runs are reproducible for a fixed seed.  It
+keeps one log density per chain, so an update evaluates the target only at
+its candidate.  No draw depends on the ensemble, so a sweep of ``r``
+chains makes all of its draws first, one block per kind, in this order:
 
-A stretch update's draws never depend on the ensemble, so a stretch sweep
-makes all of them first, in sequential order, and then evaluates the chains
-in dependency levels: chain ``j`` whose partner ``k`` comes later in the
-sweep reads ``k``'s old position and sits at level 0; otherwise it sits one
-level above ``k``.  Each level builds its candidates in one array operation
-and evaluates them with one ``log_density_many`` call, and the sweep equals
-the one-update-at-a-time sweep bit for bit.  The public step functions run
-the same sweep code over the one row they update.
+* gaussian: weights ``standard_normal((r, m))``, uniforms ``random(r)``;
+* de: partners ``integers(m - 2, size=r)``, ``integers(m - 1, size=r)``,
+  ``integers(2, size=r)`` (Floyd's sampling of a pair, then a swap), then
+  weights ``standard_normal((r, m))`` or, for a constant jitter,
+  ``standard_normal((r, d))``, then uniforms ``random(r)``;
+* stretch: partners ``integers(m - 1, size=r)``, factors
+  ``sample_stretch_factor(law, rng, r)``, uniforms ``random(r)``.
+
+``run_ensemble`` sweeps all ``m`` chains; the public step functions sweep
+the one chain they update, so they draw what one update always drew.  A
+stretch sweep then evaluates the chains in dependency levels: chain ``j``
+whose partner ``k`` comes later in the sweep reads ``k``'s old position and
+sits at level 0; otherwise it sits one level above ``k``.  Each level is
+one array operation and one ``log_density_many`` call, equal bit for bit to
+updating one chain at a time with the same draws.
 """
 
 import math
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mh import Chain, _accepts, _metropolis_update
+from .mh import Chain, _accepts
 from .targets import _checked
 
 __all__ = [
@@ -85,11 +91,7 @@ class EnsembleState:
 
     def chain(self, j: int) -> Chain:
         """Chain ``j``'s history as a standalone chain object."""
-        return Chain(
-            states=self.history[:, j, :],
-            accepted=self.accepted[:, j],
-            start=self.starts[j],
-        )
+        return Chain(self.history[:, j, :], self.accepted[:, j], self.starts[j])
 
     def acceptance_fraction(self) -> float:
         if self.accepted.size == 0:
@@ -146,8 +148,16 @@ def ensemble_covariance(state, exclude: int) -> np.ndarray:
     return c
 
 
-def _checked_jitter_sd(jitter_sd, d: int) -> np.ndarray:
-    """``jitter_sd`` as an array, if it is finite, ``>= 0`` and of shape () or (d,)."""
+def _checked_scales(gamma, jitter_sd, d: int):
+    """de's constant jitter as an array (or None), once both scales are valid.
+
+    ``gamma`` (None for stretch) must be finite; ``jitter_sd`` finite,
+    ``>= 0`` and of shape () or (d,).
+    """
+    if gamma is not None and not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
+    if jitter_sd is None:
+        return None
     sd = np.asarray(jitter_sd, dtype=float)
     if sd.shape not in ((), (d,)):
         raise ValueError(f"jitter_sd must be a scalar or have shape ({d},), got shape {sd.shape}")
@@ -156,68 +166,75 @@ def _checked_jitter_sd(jitter_sd, d: int) -> np.ndarray:
     return sd
 
 
-def _walk(positions: np.ndarray, j: int, rng) -> np.ndarray:
-    """Step ~ Normal(0, C), C the covariance of every chain but ``j``.
+def _walk_weights(w: np.ndarray, rows: np.ndarray, scale: float) -> np.ndarray:
+    """Centre the standard normal ``(r, m)`` block ``w`` into walk weights, in place.
 
-    ``sum_k w_k (x_k - mean)`` over the other chains, with iid standard
-    normal ``w`` scaled by ``1/sqrt(m - 2)``, has covariance exactly C: the
+    Row ``i`` is chain ``rows[i]``'s: own entry zeroed, the mean of the
+    others subtracted, own entry zeroed again, times ``scale / sqrt(m - 2)``.
+    ``w[i] @ positions`` is then ``scale * sum_k w_k (x_k - mean)`` over the
+    other chains, exactly Normal(0, scale**2 C) for C their covariance: the
     walk move of Goodman & Weare (2010) over all complementary walkers.  The
-    centred weights sum to zero, so the mean never needs forming; the step
-    is odd in ``w``, so proposals built from it are symmetric bit for bit.
+    weights sum to zero, so the mean is never formed; the step is odd in ``w``.
     """
-    m = positions.shape[0]
-    w = rng.standard_normal(m)
-    w[j] = 0.0
-    w -= w.sum() / (m - 1)
-    w[j] = 0.0
-    w *= 1.0 / math.sqrt(m - 2)
-    return w @ positions
+    m = w.shape[1]
+    own = (np.arange(len(rows)), rows)
+    w[own] = 0.0
+    w -= w.sum(axis=1, keepdims=True) / (m - 1)
+    w[own] = 0.0
+    w *= scale / math.sqrt(m - 2)
+    return w
 
 
-_SQRT_FIFTH = math.sqrt(0.2)
+def _partner_pairs(m: int, rows: np.ndarray, rng):
+    """Two distinct partners ``(k, l)`` per chain in ``rows``, neither the chain itself.
 
-
-def _de_partners(m: int, rng):
-    """Two distinct indices below ``m - 1``, as ``rng.choice(m - 1, 2, replace=False)``.
-
-    The same draws spelled out (Floyd's sampling, then a shuffle of the
-    pair) at a fraction of ``choice``'s call overhead.
+    Floyd's sampling of a pair below ``m - 1``, then a swap, in three
+    blocks; one row draws as ``rng.choice(m - 1, 2, replace=False)`` at a
+    fraction of its cost.  The pair is then shifted past the chain's index.
     """
-    a = int(rng.integers(m - 2))
-    b = int(rng.integers(m - 1))
-    if b == a:
-        b = m - 2
-    if rng.integers(2) == 0:
-        a, b = b, a
-    return a, b
+    r = len(rows)
+    a = rng.integers(m - 2, size=r)
+    b = rng.integers(m - 1, size=r)
+    b[b == a] = m - 2
+    swap = rng.integers(2, size=r) == 0
+    k = np.where(swap, b, a)
+    l = np.where(swap, a, b)
+    k += k >= rows
+    l += l >= rows
+    return k, l
 
 
 def _sweep(method, target, positions, rows, lp, gamma, law, jitter_sd, rng, accepted):
-    """Update chains ``rows`` in order; updates its arguments in place.
+    """Update chains ``rows`` (an index array) in order; updates its arguments in place.
 
     ``lp`` maps each chain in ``rows`` to its log density and ``accepted``
     takes one flag per chain.  ``jitter_sd`` is de's constant jitter, checked;
-    None makes it a fifth of the ensemble covariance.  Random draws happen
-    in a fixed order per method, which the streams depend on.
+    None makes it a fifth of the ensemble covariance.  All draws come first,
+    in the block order of the module docstring.
     """
     if method == "stretch":
         _stretch_sweep(target, positions, rows, lp, law, rng, accepted)
         return
     m, d = positions.shape
-    for j in rows:
-        if method == "gaussian":
-            step = _walk(positions, j, rng)
-        else:
-            k, l = _de_partners(m, rng)
-            k += k >= j
-            l += l >= j
-            if jitter_sd is None:
-                eps = _SQRT_FIFTH * _walk(positions, j, rng)
-            else:
-                eps = jitter_sd * rng.standard_normal(d)
-            step = positions[k] - positions[l] + eps
+    r = len(rows)
+    pairs = None
+    if method == "de":
+        k, l = _partner_pairs(m, rows, rng)
+        pairs = list(zip(k.tolist(), l.tolist()))
+    if jitter_sd is None:
+        scale = 1.0 if method == "gaussian" else math.sqrt(0.2)
+        walk = _walk_weights(rng.standard_normal((r, m)), rows, scale)
+    else:
+        walk, eps = None, jitter_sd * rng.standard_normal((r, d))
+    log_u = np.log(rng.random(r)).tolist()
+    for i, j in enumerate(rows.tolist()):
+        step = eps[i] if walk is None else walk[i] @ positions
+        if pairs is not None:
+            k, l = pairs[i]
+            step = positions[k] - positions[l] + step
         candidate = positions[j] + gamma * step
-        acc, lp_candidate = _metropolis_update(target, lp[j], candidate, 0.0, rng)
+        lp_candidate = float(target.log_density(candidate))
+        acc = _accepts(lp[j], lp_candidate, candidate, 0.0, log_u[i])
         if acc:
             positions[j] = candidate
             lp[j] = lp_candidate
@@ -232,26 +249,21 @@ def _stretch_sweep(target, positions, rows, lp, law, rng, accepted):
     partner outside ``rows`` is read where it stands.
     """
     m, d = positions.shape
-    partners, z, u = [], [], []
-    level = [-1] * m  # each chain's level; -1 until it is drawn
+    r = len(rows)
+    partners = rng.integers(m - 1, size=r)
+    partners += partners >= rows
+    z = sample_stretch_factor(law, rng, r)
+    log_u = np.log(rng.random(r)).tolist()
+    log_volume = ((d - 1) * np.log(z)).tolist()
+    level = [-1] * m  # each chain's level; -1 until it is reached
     levels = []  # indices into rows of each level, in sweep order
-    for i, j in enumerate(rows):
-        k = int(rng.integers(m - 1))
-        k += k >= j
-        partners.append(k)
-        z.append(float(sample_stretch_factor(law, rng)))
-        u.append(rng.random())
+    for i, (j, k) in enumerate(zip(rows.tolist(), partners.tolist())):
         # j sees k's new position if k updated earlier in the sweep, else its old one
         lv = level[k] + 1
         level[j] = lv
         if lv == len(levels):
             levels.append([])
         levels[lv].append(i)
-    rows = np.array(rows)
-    partners = np.array(partners)
-    z = np.array(z)
-    log_volume = ((d - 1) * np.log(z)).tolist()
-    log_u = np.log(u).tolist()
     for members in levels:
         idx = np.array(members)
         chains = rows[idx]
@@ -276,12 +288,13 @@ def _stretch_sweep(target, positions, rows, lp, law, rng, accepted):
 def _single_update(method, target, state, j, gamma, law, jitter_sd, rng):
     """One update of chain ``j`` from scratch; ``(new_position, accepted)``."""
     positions = _positions(state, j, method).copy()
+    if positions.ndim != 2 or positions.shape[1] != target.dim:
+        raise ValueError(f"positions must have shape (m, {target.dim}), got {positions.shape}")
     m, d = positions.shape
-    if jitter_sd is not None:
-        jitter_sd = _checked_jitter_sd(jitter_sd, d)
+    jitter_sd = _checked_scales(gamma, jitter_sd, d)
     lp = {j: _checked(float(target.log_density(positions[j])), positions[j])}
     accepted = np.zeros(m, dtype=bool)
-    _sweep(method, target, positions, [j], lp, gamma, law, jitter_sd, rng, accepted)
+    _sweep(method, target, positions, np.array([j]), lp, gamma, law, jitter_sd, rng, accepted)
     return positions[j], bool(accepted[j])
 
 
@@ -349,12 +362,13 @@ def run_ensemble(
     """Run ``n_sweeps`` sequential sweeps of an ensemble sampler.
 
     Within a sweep, chains update in ascending order and each sees the
-    others' latest positions.  Chains start at ``theta0`` (default origin)
-    plus unit Gaussian jitter, since identical starts would give the
-    covariance moves zero steps.  ``gamma`` (gaussian and de) defaults to
-    ``DEFAULT_DELTA[method] / sqrt(d)``, ``law`` (stretch) to ``StretchLaw()``,
-    and ``jitter_sd`` is de's constant jitter, as in ``de_step``.  An
-    argument the move does not read raises ``ValueError``.
+    others' latest positions.  Chains start at ``theta0``, of shape (d,)
+    (default the origin) or (m, d) for one point per chain, plus unit
+    Gaussian jitter, since identical starts would give the covariance moves
+    zero steps.  ``gamma`` (gaussian and de) must be finite and defaults to
+    ``DEFAULT_DELTA[method] / sqrt(d)``, ``law`` (stretch) to
+    ``StretchLaw()``, and ``jitter_sd`` is de's constant jitter, as in
+    ``de_step``.  An argument the move does not read raises ``ValueError``.
     """
     if method not in ENSEMBLE_METHODS:
         raise ValueError(f"unknown ensemble method {method!r}")
@@ -365,10 +379,8 @@ def run_ensemble(
     if n_sweeps < 0:
         raise ValueError("n_sweeps must be >= 0")
     d = target.dim
-    if jitter_sd is not None:
-        if method != "de":
-            raise ValueError(f"jitter_sd is de's constant jitter; the {method} move takes none")
-        jitter_sd = _checked_jitter_sd(jitter_sd, d)
+    if jitter_sd is not None and method != "de":
+        raise ValueError(f"jitter_sd is de's constant jitter; the {method} move takes none")
     if gamma is not None and method == "stretch":
         raise ValueError("gamma scales the gaussian and de moves; the stretch move takes none")
     if law is not None and method != "stretch":
@@ -377,6 +389,10 @@ def run_ensemble(
         gamma = DEFAULT_DELTA[method] / np.sqrt(d)
     if law is None and method == "stretch":
         law = StretchLaw()
+    jitter_sd = _checked_scales(gamma, jitter_sd, d)
+    theta0 = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=float)
+    if theta0.shape not in ((d,), (m, d)):
+        raise ValueError(f"theta0 must have shape ({d},) or ({m}, {d}), got shape {theta0.shape}")
     if method != "stretch" and gamma == 0.0:
         warnings.warn(
             "gamma=0 proposes the current point forever; the ensemble will stall",
@@ -393,7 +409,6 @@ def run_ensemble(
             RuntimeWarning,
             stacklevel=2,
         )
-    theta0 = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=float)
     positions = theta0 + rng.standard_normal((m, d))
     starts = positions.copy()
     # one cached log density per chain: each update evaluates the target
@@ -401,13 +416,9 @@ def run_ensemble(
     lp = [_checked(float(target.log_density(x)), x) for x in positions]
     history = np.empty((n_sweeps, m, d))
     accepted = np.empty((n_sweeps, m), dtype=bool)
+    rows = np.arange(m)
     for sweep in range(n_sweeps):
-        _sweep(method, target, positions, range(m), lp, gamma, law, jitter_sd, rng,
+        _sweep(method, target, positions, rows, lp, gamma, law, jitter_sd, rng,
                accepted[sweep])
         history[sweep] = positions
-    return EnsembleState(
-        positions=positions,
-        history=history,
-        accepted=accepted,
-        starts=starts,
-    )
+    return EnsembleState(positions, history, accepted, starts)

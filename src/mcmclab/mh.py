@@ -136,17 +136,6 @@ def _accepts(lp_current, lp_candidate, candidate, log_correction, log_u) -> bool
     return log_a > -math.inf and log_u <= log_a
 
 
-def _metropolis_update(target, lp_current, candidate, log_correction, rng):
-    """Evaluate ``candidate``, draw ``u`` and apply the accept rule.
-
-    ``u`` is drawn unconditionally so streams stay aligned.  Returns
-    ``(accepted, lp_candidate)``.
-    """
-    lp_candidate = float(target.log_density(candidate))
-    log_u = np.log(rng.random())
-    return _accepts(lp_current, lp_candidate, candidate, log_correction, log_u), lp_candidate
-
-
 def transition_probability(target, proposal, current, candidate) -> float:
     """Metropolis-Hastings acceptance probability for one proposed move.
 

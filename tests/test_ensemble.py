@@ -1,5 +1,6 @@
 """Ensemble proposals: covariance shaping, difference moves, stretch moves."""
 
+import math
 import warnings
 
 import numpy as np
@@ -13,7 +14,8 @@ from mcmclab.ensemble import (
     ENSEMBLE_METHODS,
     MIN_CHAINS,
     StretchLaw,
-    _walk,
+    _partner_pairs,
+    _walk_weights,
     de_step,
     de_trajectory_count,
     ensemble_covariance,
@@ -145,31 +147,24 @@ class TestLooCovariance:
         np.testing.assert_array_equal(got, expected)
 
 
-class UnitWeights:
-    """Duck-typed generator whose ``standard_normal(m)`` calls return e_0, e_1, ..."""
+def row_weights(z, j, scale):
+    """Chain ``j``'s walk weights from its standard normal row ``z``, spelled out.
 
-    def __init__(self):
-        self.i = 0
-
-    def standard_normal(self, size):
-        e = np.zeros(size)
-        e[self.i] = 1.0
-        self.i += 1
-        return e
-
-
-class FixedWeights:
-    """Duck-typed generator whose ``standard_normal`` returns a copy of ``w``."""
-
-    def __init__(self, w):
-        self.w = w
-
-    def standard_normal(self, size):
-        return self.w.copy()
+    Zero the own entry, subtract the mean of the others, zero the own entry
+    again and scale by ``scale / sqrt(m - 2)``: what ``_walk_weights`` does
+    to each row of a block.
+    """
+    m = z.size
+    w = z.copy()
+    w[j] = 0.0
+    w -= w.sum() / (m - 1)
+    w[j] = 0.0
+    w *= scale / math.sqrt(m - 2)
+    return w
 
 
 def walk_rounding(positions):
-    """Bound on the rounding of each entry of a ``_walk`` step.
+    """Bound on the rounding of each entry of a walk step ``w @ positions``.
 
     Each entry is a dot product of m weights, of 1-norm below
     ``2/sqrt(m-2)``, with the positions, so it rounds by at most
@@ -180,7 +175,23 @@ def walk_rounding(positions):
     return (m + 2) * np.finfo(float).eps * 2.0 / np.sqrt(m - 2) * np.max(np.abs(positions))
 
 
-class TestWalk:
+class TestWalkWeights:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(3, 130),
+        r=st.integers(1, 40),
+        log_scale=st.floats(-3.0, 3.0),
+    )
+    def test_block_equals_one_row_at_a_time(self, seed, m, r, log_scale):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((r, m))
+        rows = rng.integers(m, size=r)
+        scale = 10.0 ** log_scale
+        got = _walk_weights(z.copy(), rows, scale)
+        want = np.array([row_weights(z[i], j, scale) for i, j in enumerate(rows)])
+        np.testing.assert_array_equal(got, want)
+
     @settings(max_examples=300, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -196,8 +207,8 @@ class TestWalk:
         offset = 0.0 if log_offset is None else 10.0 ** log_offset
         positions = scale * (offset * rng.standard_normal(d) + rng.standard_normal((m, d)))
         j = int(rng.integers(m))
-        weights = UnitWeights()
-        steps = np.array([_walk(positions, j, weights) for _ in range(m)])
+        w = _walk_weights(np.eye(m), np.full(m, j), 1.0)
+        steps = np.array([wi @ positions for wi in w])
         np.testing.assert_array_equal(steps[j], 0.0)
         want = ensemble_covariance(positions, j)
         err = np.max(np.abs(steps.T @ steps - want))
@@ -217,10 +228,12 @@ class TestWalk:
     def test_step_is_odd_in_the_weights(self, seed, m, d, log_offset):
         rng = np.random.default_rng(seed)
         positions = 10.0 ** log_offset + rng.standard_normal((m, d))
-        j = int(rng.integers(m))
-        w = rng.standard_normal(m)
-        step = _walk(positions, j, FixedWeights(w))
-        np.testing.assert_array_equal(_walk(positions, j, FixedWeights(-w)), -step)
+        rows = rng.integers(m, size=5)
+        z = rng.standard_normal((5, m))
+        w = _walk_weights(z.copy(), rows, 1.0)
+        w_neg = _walk_weights(-z, rows, 1.0)
+        for i in range(5):
+            np.testing.assert_array_equal(w_neg[i] @ positions, -(w[i] @ positions))
 
     @pytest.mark.parametrize("point", [0.0, 1.0, -3e5])
     @pytest.mark.parametrize("m, d", [(3, 1), (5, 3), (4, 8), (100, 20)])
@@ -229,7 +242,8 @@ class TestWalk:
         rng = np.random.default_rng(m + d)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            steps = np.array([_walk(positions, j, rng) for j in range(m)])
+            w = _walk_weights(rng.standard_normal((m, m)), np.arange(m), 1.0)
+            steps = np.array([wi @ positions for wi in w])
         assert np.all(np.isfinite(steps))
         # zero up to the rounding of the positions themselves
         assert np.max(np.abs(steps)) <= walk_rounding(positions)
@@ -441,16 +455,19 @@ class TestStretchFactor:
             assert law.density(1.0) == pytest.approx(1.0 / (2.0 * (np.sqrt(2.0) - np.sqrt(0.5))))
 
 
-class TestDePartners:
+class TestPartnerPairs:
     @pytest.mark.parametrize("m", [3, 4, 5, 12, 99, 100])
-    def test_matches_rng_choice(self, m):
+    def test_one_row_matches_rng_choice(self, m):
         # the spelled-out draws must track numpy's own choice exactly; a
         # numpy that samples differently fails here, not in a stream drift
         spelled, reference = np.random.default_rng(m), np.random.default_rng(m)
         got, want = [], []
-        for _ in range(4000):
-            got.append(ens._de_partners(m, spelled))
-            want.append(tuple(int(i) for i in reference.choice(m - 1, size=2, replace=False)))
+        for t in range(4000):
+            j = t % m
+            k, l = _partner_pairs(m, np.array([j]), spelled)
+            got.append((int(k[0]), int(l[0])))
+            a, b = (int(i) for i in reference.choice(m - 1, size=2, replace=False))
+            want.append((a + (a >= j), b + (b >= j)))
             # other draws in between, as in a de update
             spelled.standard_normal(3)
             reference.standard_normal(3)
@@ -459,25 +476,39 @@ class TestDePartners:
         assert got == want
         assert spelled.bit_generator.state == reference.bit_generator.state
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(3, 30), r=st.integers(1, 200))
+    def test_partners_are_distinct_and_never_the_chain(self, seed, m, r):
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(m, size=r)
+        k, l = _partner_pairs(m, rows, rng)
+        assert np.all(k != l)
+        assert np.all((k != rows) & (l != rows))
+        assert np.all((0 <= k) & (k < m) & (0 <= l) & (l < m))
+
+
+class ScriptedStretch:
+    """Duck-typed generator for one stretch update: partner index 0, given uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+
+    def integers(self, high, size):
+        return np.zeros(size, dtype=int)
+
+    def random(self, size):
+        return np.array([self.uniforms.pop(0) for _ in range(size)])
+
 
 class TestStretchStep:
     def test_unit_gamma_leaves_state_unchanged(self, monkeypatch):
         # with gamma = 1 the candidate coincides with the current point and
         # the transition probability is min(1, 1) = 1
-        import mcmclab.ensemble as ens
-
-        monkeypatch.setattr(ens, "sample_stretch_factor", lambda law, rng: 1.0)
-
-        class Scripted:
-            def integers(self, high):
-                return 0
-
-            def random(self):
-                return 0.99  # would reject anything with log T < -0.01
-
+        monkeypatch.setattr(ens, "sample_stretch_factor", lambda law, rng, size: np.ones(size))
         target = IsotropicGaussianTarget(2, 1.0)
         positions = np.array([[1.0, 2.0], [3.0, 5.0], [-2.0, 1.0]])
-        new, accepted = stretch_step(target, positions, 1, StretchLaw(), Scripted())
+        # u = 0.99 would reject anything with log T < -0.01
+        new, accepted = stretch_step(target, positions, 1, StretchLaw(), ScriptedStretch([0.99]))
         assert accepted
         np.testing.assert_array_equal(new, positions[1])
 
@@ -493,21 +524,11 @@ class TestStretchStep:
         # always accepted no matter the gamma drawn
         target = IsotropicGaussianTarget(1, 1.0)
         positions = np.array([[2.0], [1.0]])
-
-        class Scripted:
-            def integers(self, high):
-                return 0
-
-            def random(self):
-                return 0.999999  # accept only if log T >= ~0
-
         # partner at 1.0, current 2.0, any gamma in [0.5, 2] moves closer
-        # to the origin half the time; force gamma = 0.5 -> candidate 1.5
+        # to the origin half the time; force gamma = 0.5 -> candidate 1.5,
+        # and u = 0.999999 accepts only if log T >= ~0
         law = StretchLaw(a=2.0)
-        rng = Scripted()
-        rng_draws = [0.0, 0.999999]
-        rng.random = lambda: rng_draws.pop(0)
-        new, accepted = stretch_step(target, positions, 0, law, rng)
+        new, accepted = stretch_step(target, positions, 0, law, ScriptedStretch([0.0, 0.999999]))
         assert accepted  # density ratio exp(-1.5^2/2 + 2^2/2) > 1
         assert new[0] == pytest.approx(1.5)
 
@@ -560,42 +581,119 @@ def test_chain_index_outside_the_ensemble_is_rejected(call, j):
     call(target, positions, 2, np.random.default_rng(39))
 
 
-def hand_loop(method, target, m, n_sweeps, rng, gamma, law, jitter_sd):
-    """``run_ensemble`` spelled out with the public step functions."""
-    positions = rng.standard_normal((m, target.dim))
-    history = np.empty((n_sweeps, m, target.dim))
+@pytest.mark.parametrize("call", [
+    lambda target, positions, rng: ensemble_gaussian_step(target, positions, 0, 1.0, rng),
+    lambda target, positions, rng: de_step(target, positions, 0, 1.0, rng),
+    lambda target, positions, rng: stretch_step(target, positions, 0, StretchLaw(), rng),
+], ids=["gaussian", "de", "stretch"])
+@pytest.mark.parametrize("shape", [(5, 2), (5, 4), (5, 3, 1)])
+def test_step_positions_must_match_the_target_dimension(call, shape):
+    # (5, 2) positions on a 3-D target once gave a 2-vector and a flag
+    target = IsotropicGaussianTarget(3, 1.0)
+    rng = np.random.default_rng(42)
+    with pytest.raises(ValueError, match=r"positions must have shape \(m, 3\)"):
+        call(target, rng.standard_normal(shape), rng)
+    call(target, rng.standard_normal((5, 3)), rng)
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", [
+    lambda target, gamma, rng: run_ensemble("gaussian", target, m=6, n_sweeps=5, rng=rng,
+                                            gamma=gamma),
+    lambda target, gamma, rng: run_ensemble("de", target, m=6, n_sweeps=5, rng=rng,
+                                            gamma=gamma),
+    lambda target, gamma, rng: ensemble_gaussian_step(
+        target, rng.standard_normal((6, 3)), 0, gamma, rng),
+    lambda target, gamma, rng: de_step(target, rng.standard_normal((6, 3)), 0, gamma, rng),
+], ids=["run-gaussian", "run-de", "gaussian-step", "de-step"])
+def test_gamma_must_be_finite(call, gamma):
+    # a NaN gamma once blamed the target for a NaN candidate, and an
+    # infinite one stalled the ensemble without a word
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        call(IsotropicGaussianTarget(3, 1.0), gamma, np.random.default_rng(43))
+
+
+def replay(method, target, m, n_sweeps, rng, gamma, law, jitter_sd):
+    """``run_ensemble`` in plain numpy, one chain at a time.
+
+    Each sweep makes its draws in the documented block order, then updates
+    chains 0, 1, ... in turn through ``target.log_density``.  Returns the
+    history and the accept flags.
+    """
+    d = target.dim
+    positions = rng.standard_normal((m, d))
+    lp = [target.log_density(x) for x in positions]
+    history = np.empty((n_sweeps, m, d))
     accepted = np.empty((n_sweeps, m), dtype=bool)
     for sweep in range(n_sweeps):
+        if method == "stretch":
+            partners = rng.integers(m - 1, size=m)
+            z = ((law.a - 1.0) * rng.random(m) + 1.0) ** 2 / law.a
+            log_z = np.log(z)
+        if method == "de":
+            a = rng.integers(m - 2, size=m)
+            b = rng.integers(m - 1, size=m)
+            swap = rng.integers(2, size=m)
+        if method == "de" and jitter_sd is not None:
+            eps = jitter_sd * rng.standard_normal((m, d))
+        elif method != "stretch":
+            weights = rng.standard_normal((m, m))
+        log_u = np.log(rng.random(m))
         for j in range(m):
-            if method == "gaussian":
-                new, acc = ensemble_gaussian_step(target, positions, j, gamma, rng)
-            elif method == "de":
-                new, acc = de_step(target, positions, j, gamma, rng, jitter_sd=jitter_sd)
+            log_volume = 0.0
+            if method == "stretch":
+                k = partners[j] + (partners[j] >= j)
+                candidate = positions[k] + z[j] * (positions[j] - positions[k])
+                log_volume = (d - 1) * log_z[j]
             else:
-                new, acc = stretch_step(target, positions, j, law, rng)
-            positions[j] = new
-            accepted[sweep, j] = acc
+                if method == "de" and jitter_sd is not None:
+                    step = eps[j]
+                else:
+                    scale = 1.0 if method == "gaussian" else math.sqrt(0.2)
+                    step = row_weights(weights[j], j, scale) @ positions
+                if method == "de":
+                    k = a[j]
+                    l = b[j] if b[j] != a[j] else m - 2
+                    if swap[j] == 0:
+                        k, l = l, k
+                    step = positions[k + (k >= j)] - positions[l + (l >= j)] + step
+                candidate = positions[j] + gamma * step
+            lp_candidate = target.log_density(candidate)
+            take = log_u[j] <= min(0.0, lp_candidate - lp[j] + log_volume)
+            if take:
+                positions[j] = candidate
+                lp[j] = lp_candidate
+            accepted[sweep, j] = take
         history[sweep] = positions
     return history, accepted
 
 
-def assert_run_matches_hand_loop(method, target, m, jitter_sd, seed, law=StretchLaw(2.0)):
-    """``run_ensemble`` against ``hand_loop``: same flags, stream and history."""
+def assert_run_matches_replay(method, target, m, jitter_sd, seed, law=StretchLaw(2.0)):
+    """``run_ensemble`` against ``replay``: same flags, stream and history."""
     d = target.dim
     gamma = None if method == "stretch" else 1.2 / np.sqrt(d)
-    rng_run, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    rng_run, rng_replay = np.random.default_rng(seed), np.random.default_rng(seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         state = run_ensemble(
             method, target, m=m, n_sweeps=40, rng=rng_run,
             gamma=gamma, law=law if method == "stretch" else None, jitter_sd=jitter_sd,
         )
-    history, accepted = hand_loop(
-        method, target, m, 40, rng_loop, gamma, law, jitter_sd
-    )
+    history, accepted = replay(method, target, m, 40, rng_replay, gamma, law, jitter_sd)
     np.testing.assert_array_equal(state.accepted, accepted)
-    assert rng_run.bit_generator.state == rng_loop.bit_generator.state
+    assert rng_run.bit_generator.state == rng_replay.bit_generator.state
     np.testing.assert_array_equal(state.history, history)
+
+
+# one update's draws before the per-sweep blocks, scalar call by scalar call
+ONE_UPDATE_DRAWS = {
+    "gaussian": lambda rng, m, d: (rng.standard_normal(m), rng.random()),
+    "de": lambda rng, m, d: (rng.integers(m - 2), rng.integers(m - 1), rng.integers(2),
+                             rng.standard_normal(m), rng.random()),
+    "de-constant": lambda rng, m, d: (rng.integers(m - 2), rng.integers(m - 1),
+                                      rng.integers(2), rng.standard_normal(d), rng.random()),
+    "stretch": lambda rng, m, d: (rng.integers(m - 1), rng.random(), rng.random()),
+}
 
 
 class TestSingleCodePath:
@@ -615,7 +713,9 @@ class TestSingleCodePath:
     )
     @pytest.mark.parametrize("seed", [0, 1])
     def test_run_ensemble_equals_step_functions(self, method, m, d, jitter_sd, seed):
-        assert_run_matches_hand_loop(
+        # run_ensemble and the step functions run one sweep code, which
+        # must equal the plain one-chain-at-a-time replay
+        assert_run_matches_replay(
             method, IsotropicGaussianTarget(d, 1.0), m, jitter_sd, seed
         )
 
@@ -627,9 +727,28 @@ class TestSingleCodePath:
     def test_stretch_levels_equal_step_functions(self, m, d, a, target_cls, seed):
         # the dependency-level sweep, through a vectorised log_density_many
         # and through the default per-row one, against one update at a time
-        assert_run_matches_hand_loop(
+        assert_run_matches_replay(
             "stretch", target_cls(d), m, None, seed, law=StretchLaw(a)
         )
+
+    @pytest.mark.parametrize("move", list(ONE_UPDATE_DRAWS))
+    def test_step_functions_keep_the_one_update_stream(self, move):
+        # a one-row sweep draws what one update drew before the sweep blocks
+        m, d = 7, 3
+        target = IsotropicGaussianTarget(d, 1.0)
+        positions = np.random.default_rng(40).standard_normal((m, d))
+        rng, reference = np.random.default_rng(41), np.random.default_rng(41)
+        for t in range(50):
+            j = t % m
+            if move == "gaussian":
+                ensemble_gaussian_step(target, positions, j, 0.5, rng)
+            elif move == "stretch":
+                stretch_step(target, positions, j, StretchLaw(), rng)
+            else:
+                de_step(target, positions, j, 0.5, rng,
+                        jitter_sd=0.1 if move == "de-constant" else None)
+            ONE_UPDATE_DRAWS[move](reference, m, d)
+            assert rng.bit_generator.state == reference.bit_generator.state
 
     @pytest.mark.parametrize(
         "method, m, jitter_sd",
@@ -753,12 +872,12 @@ class TestTargetContract:
         rng.standard_normal((m, d))
         expected = []
         for _ in range(n_sweeps):
+            partners = rng.integers(m - 1, size=m).tolist()
+            rng.random(m)
+            rng.random(m)
             level = []
-            for j in range(m):
-                k = int(rng.integers(m - 1))
+            for j, k in enumerate(partners):
                 k += k >= j
-                rng.random()
-                rng.random()
                 level.append(0 if k > j else level[k] + 1)
             expected += np.bincount(level).tolist()
         assert target.batches == expected
@@ -823,6 +942,21 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match=f"the {method} move takes none"):
             run_ensemble(method, target, m=6, n_sweeps=5, rng=np.random.default_rng(1),
                          law=StretchLaw(7.0))
+
+    @pytest.mark.parametrize("theta0", [[5.0], 5.0, np.zeros(4), np.zeros((5, 3)),
+                                        np.zeros((6, 3, 1))],
+                             ids=["short", "scalar", "long", "too-few-rows", "3-d"])
+    def test_theta0_is_one_point_or_one_per_chain(self, theta0):
+        # theta0=[5.0] on a 3-D target once broadcast to every coordinate
+        target = IsotropicGaussianTarget(3, 1.0)
+        with pytest.raises(ValueError, match=r"theta0 must have shape \(3,\) or \(6, 3\)"):
+            run_ensemble("stretch", target, m=6, n_sweeps=1, rng=np.random.default_rng(44),
+                         theta0=theta0)
+        for good in (np.ones(3), np.ones((6, 3))):
+            state = run_ensemble("stretch", target, m=6, n_sweeps=1,
+                                 rng=np.random.default_rng(44), theta0=good)
+            np.testing.assert_array_equal(
+                state.starts, good + np.random.default_rng(44).standard_normal((6, 3)))
 
     def test_zero_sweeps_returns_initial_state(self):
         target = IsotropicGaussianTarget(2, 1.0)
