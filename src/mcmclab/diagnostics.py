@@ -14,7 +14,7 @@ import numpy as np
 from .errors import NumericalError, ZeroVarianceError
 from .grid import _cell_volumes
 from .mh import Chain
-from .targets import _checked_many, _log_sum_exp
+from .targets import _checked_many, _log_density_rows, _log_sum_exp
 
 __all__ = [
     "AutocorrCurve",
@@ -300,7 +300,7 @@ def evidence_from_chain(target, chain_or_samples, density: HistogramDensity) -> 
     zero target density give 0.0 with a warning.
     """
     samples = _states_of(chain_or_samples)
-    lp = _checked_many(target.log_density_many(samples), samples)
+    lp = _checked_many(_log_density_rows(target)(samples), samples)
     rho = density.density_at(samples)
     if np.any(rho <= 0.0):
         raise NumericalError(

@@ -36,7 +36,9 @@ stretch sweep then evaluates the chains in dependency levels: chain ``j``
 whose partner ``k`` comes later in the sweep reads ``k``'s old position and
 sits at level 0; otherwise it sits one level above ``k``.  Each level is
 one array operation and one ``log_density_many`` call, equal bit for bit to
-updating one chain at a time with the same draws.
+updating one chain at a time with the same draws; for a target whose
+``log_density_many`` was not written with its ``log_density`` (a subclass
+that overrides ``log_density`` alone) the call is the base class's row loop.
 """
 
 import math
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mh import Chain, _accepts
-from .targets import _checked
+from .targets import _checked, _log_density_rows
 
 __all__ = [
     "EnsembleState",
@@ -119,10 +121,22 @@ class StretchLaw:
         return vals if vals.ndim else float(vals)
 
 
-def _positions(state, j: int, method: str) -> np.ndarray:
-    """``state``'s positions, once the chain count suits ``method`` and ``j`` is a chain."""
+def _positions(state, j: int, method: str, dim=None) -> np.ndarray:
+    """``state``'s positions, once the chain count suits ``method`` and ``j`` is a chain.
+
+    With ``dim``, the positions must have shape ``(m, dim)``; for ``dim``
+    1 a flat ``(m,)`` array is read as ``(m, 1)``.  Without it, a flat
+    array is one chain.  The shape is checked before the chain count.
+    """
     positions = state.positions if isinstance(state, EnsembleState) else state
-    positions = np.atleast_2d(np.asarray(positions, dtype=float))
+    positions = np.asarray(positions, dtype=float)
+    if dim is None:
+        positions = np.atleast_2d(positions)
+    else:
+        if positions.ndim == 1 and dim == 1:
+            positions = positions[:, None]
+        if positions.ndim != 2 or positions.shape[1] != dim:
+            raise ValueError(f"positions must have shape (m, {dim}), got {positions.shape}")
     m = positions.shape[0]
     if m < MIN_CHAINS[method]:
         raise ValueError(f"{method} moves need at least {MIN_CHAINS[method]} chains, got {m}")
@@ -255,6 +269,7 @@ def _stretch_sweep(target, positions, rows, lp, law, rng, accepted):
     z = sample_stretch_factor(law, rng, r)
     log_u = np.log(rng.random(r)).tolist()
     log_volume = ((d - 1) * np.log(z)).tolist()
+    log_density_rows = _log_density_rows(target)
     level = [-1] * m  # each chain's level; -1 until it is reached
     levels = []  # indices into rows of each level, in sweep order
     for i, (j, k) in enumerate(zip(rows.tolist(), partners.tolist())):
@@ -269,12 +284,7 @@ def _stretch_sweep(target, positions, rows, lp, law, rng, accepted):
         chains = rows[idx]
         ends = positions[partners[idx]]
         candidates = ends + z[idx, None] * (positions[chains] - ends)
-        lp_new = np.asarray(target.log_density_many(candidates), dtype=float)
-        if lp_new.shape != chains.shape:
-            raise ValueError(
-                f"log_density_many returned shape {lp_new.shape} for "
-                f"{chains.size} points; expected ({chains.size},)"
-            )
+        lp_new = log_density_rows(candidates)
         taken = []
         for i, j, lp_j, candidate in zip(members, chains.tolist(), lp_new.tolist(), candidates):
             acc = _accepts(lp[j], lp_j, candidate, log_volume[i], log_u[i])
@@ -287,9 +297,7 @@ def _stretch_sweep(target, positions, rows, lp, law, rng, accepted):
 
 def _single_update(method, target, state, j, gamma, law, jitter_sd, rng):
     """One update of chain ``j`` from scratch; ``(new_position, accepted)``."""
-    positions = _positions(state, j, method).copy()
-    if positions.ndim != 2 or positions.shape[1] != target.dim:
-        raise ValueError(f"positions must have shape (m, {target.dim}), got {positions.shape}")
+    positions = _positions(state, j, method, target.dim).copy()
     m, d = positions.shape
     jitter_sd = _checked_scales(gamma, jitter_sd, d)
     lp = {j: _checked(float(target.log_density(positions[j])), positions[j])}

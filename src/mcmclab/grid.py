@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ResourceLimitError
-from .targets import _checked_many, _log_sum_exp
+from .targets import _checked_many, _log_density_rows, _log_sum_exp
 
 __all__ = [
     "GridSpec",
@@ -138,7 +138,7 @@ def grid_log_weights(target, cells: GridCells) -> np.ndarray:
     A NaN or ``+inf`` log density raises ``NumericalError``, naming its cell.
     """
     _check_dims(target, cells)
-    lp = _checked_many(target.log_density_many(cells.midpoints), cells.midpoints)
+    lp = _checked_many(_log_density_rows(target)(cells.midpoints), cells.midpoints)
     return lp + np.log(cells.volumes)
 
 

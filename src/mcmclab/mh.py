@@ -5,7 +5,19 @@ The accept/reject decision is made in log space (accept iff
 every step, even when acceptance is certain, so that random streams stay
 aligned across proposal variants.  A random-walk chain draws in two
 blocks: all of its steps first, then all of its uniforms.  Any other
-proposal draws its candidate and then its uniform step by step.  The same
+proposal draws its candidate and then its uniform step by step.
+
+Step ``i`` of a random-walk chain proposes ``current + steps[i]`` whatever
+came before, so while the chain sits still its next candidates are known.
+The chain runs in segments of 256 steps.  After a segment that accepted
+under 38% of its steps, the next one pre-fetches: one ``log_density_many``
+call evaluates about ``2 / rate`` candidates (at most 256) from the current
+state, and they are decided in order until the first accept; the rows after
+it are discarded unchecked.  This is the rejection branch of pre-fetching
+(Brockwell 2006), and the chain, its flags and its stream equal the scalar
+loop's bit for bit.  The first segment, and any after a busier one, take
+one ``log_density`` call per step, as does a target whose
+``log_density_many`` was not written with its ``log_density``.  The same
 rule drives the ensemble samplers: a ``-inf`` candidate is rejected, and a
 NaN or ``+inf`` log density breaks the target contract and raises
 ``NumericalError``.
@@ -16,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .targets import _checked, log_unnorm_density
+from .targets import _checked, _log_density_rows, _rows_agree, log_unnorm_density
 
 __all__ = [
     "MarkovProposal",
@@ -155,24 +167,25 @@ def transition_probability(target, proposal, current, candidate) -> float:
     return float(np.exp(log_a))
 
 
-def _run_steps(target, proposal, start, lp, n, rng):
-    """``(states, accepted)`` of ``n`` MH steps from ``start``, whose log density is ``lp``.
+# A random-walk chain runs in segments of _SEGMENT steps.  A segment whose
+# predecessor accepted under _SCALAR_RATE of its steps is pre-fetched in
+# batches of about 2 / rate candidates, at most _SEGMENT; the first segment,
+# and any after a busier one, take one step at a time.
+_SEGMENT = 256
+_SCALAR_RATE = 0.38
 
-    With a ``steps`` hook, all steps are drawn first, into ``states`` (row
-    ``i`` holds step ``i`` until the state after step ``i`` overwrites it),
-    then all uniforms.  Otherwise each step draws its candidate, then its
-    uniform.
+
+def _batch_size(rate: float) -> int:
+    return _SEGMENT if rate * _SEGMENT <= 2.0 else max(2, int(2.0 / rate))
+
+
+def _scalar_steps(target, proposal, states, log_us, accepted, current, lp, lo, hi, rng):
+    """Steps ``lo`` to ``hi``, one target evaluation each; the new ``(current, lp)``.
+
+    ``log_us`` is None for a proposal without a ``steps`` hook: each step
+    then draws its candidate, then its uniform.
     """
-    steps = getattr(proposal, "steps", None)
-    if steps is None:
-        states, log_us = np.empty((n, start.size)), None
-    else:
-        states = steps(n, start.size, rng)
-        # a memoryview yields Python floats without holding n float objects
-        log_us = memoryview(np.log(rng.random(n)))
-    accepted = np.empty(n, dtype=bool)
-    current = start
-    for i in range(n):
+    for i in range(lo, hi):
         if log_us is None:
             candidate = proposal.propose(current, rng)
             log_correction = _hastings_log_ratio(proposal, current, candidate)
@@ -186,6 +199,69 @@ def _run_steps(target, proposal, start, lp, n, rng):
             current, lp = candidate, lp_candidate
         states[i] = current
         accepted[i] = acc
+    return current, lp
+
+
+def _prefetched_steps(rows, states, log_us, accepted, current, lp, lo, hi, k):
+    """Random-walk steps ``lo`` to ``hi`` in batches of ``k``; the new ``(current, lp)``.
+
+    A batch evaluates the candidates ``current + states[i:i + k]`` in one
+    ``rows`` call and decides them in order until the first accept.  The
+    rows before it repeat ``current``; the rows after it are discarded
+    unchecked, as the scalar loop never reaches them, and the next batch
+    starts at the step after the accept.  ``accepted`` must hold False.
+    """
+    i = lo
+    while i < hi:
+        stop = min(i + k, hi)
+        candidates = current + states[i:stop]
+        for j, lp_candidate in enumerate(rows(candidates).tolist()):
+            if _accepts(lp, lp_candidate, candidates[j], 0.0, log_us[i + j]):
+                states[i:i + j] = current
+                current, lp = candidates[j], lp_candidate
+                states[i + j] = current
+                accepted[i + j] = True
+                i += j + 1
+                break
+        else:
+            states[i:stop] = current
+            i = stop
+    return current, lp
+
+
+def _run_steps(target, proposal, start, lp, n, rng):
+    """``(states, accepted)`` of ``n`` MH steps from ``start``, whose log density is ``lp``.
+
+    With a ``steps`` hook, all steps are drawn first, into ``states`` (row
+    ``i`` holds step ``i`` until the state after step ``i`` overwrites it),
+    then all uniforms, and a segment of steps after a low acceptance is
+    pre-fetched (``_prefetched_steps``) when ``target.log_density_many``
+    agrees with its ``log_density``.  The chain equals the scalar loop's
+    bit for bit.  Otherwise each step draws its candidate, then its
+    uniform.
+    """
+    accepted = np.zeros(n, dtype=bool)
+    steps = getattr(proposal, "steps", None)
+    if steps is None:
+        states = np.empty((n, start.size))
+        _scalar_steps(target, proposal, states, None, accepted, start, lp, 0, n, rng)
+        return states, accepted
+    states = steps(n, start.size, rng)
+    # a memoryview yields Python floats without holding n float objects
+    log_us = memoryview(np.log(rng.random(n)))
+    rows = _log_density_rows(target) if _rows_agree(target) else None
+    current, rate = start, 1.0
+    for lo in range(0, n, _SEGMENT):
+        hi = min(lo + _SEGMENT, n)
+        if rows is not None and rate < _SCALAR_RATE:
+            current, lp = _prefetched_steps(
+                rows, states, log_us, accepted, current, lp, lo, hi, _batch_size(rate)
+            )
+        else:
+            current, lp = _scalar_steps(
+                target, proposal, states, log_us, accepted, current, lp, lo, hi, rng
+            )
+        rate = np.count_nonzero(accepted[lo:hi]) / (hi - lo)
     return states, accepted
 
 

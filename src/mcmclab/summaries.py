@@ -13,7 +13,7 @@ import numpy as np
 
 from .diagnostics import HistogramDensity
 from .grid import GridCells, _cell_midpoints, grid_log_weights
-from .targets import NoisyMeanModel
+from .targets import NoisyMeanModel, _log_density_rows
 
 # Rows of ``t_new`` per block of the predictive's noise kernel: one block of
 # 256 rows by 4096 grid cells is an 8 MiB buffer.  A power of two keeps each
@@ -341,7 +341,7 @@ def posterior_predictive_noisy_mean(
     hi = max(anchors) + span * max(scales)
     support = np.linspace(lo, hi, grid_cells)
     step = support[1] - support[0]
-    log_masses = model.log_density_many(support)
+    log_masses = _log_density_rows(model)(support[:, None])
     post = DiscretizedPosterior.from_log_masses(
         support, log_masses, volumes=np.full(grid_cells, step)
     )

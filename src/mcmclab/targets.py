@@ -9,6 +9,7 @@ or ``+inf`` log density breaks the contract, and ``_checked`` raises on it.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -49,12 +50,61 @@ class TargetDensity:
         same value contract: finite or ``-inf``, never NaN or ``+inf``.  The
         ensemble driver evaluates stretch candidates in batches through this
         method, and its streams match one-at-a-time evaluation only if the
-        rows agree exactly.  The default loops over rows; subclasses
-        override with vectorized evaluation that keeps the per-row
-        arithmetic (``np.vecdot`` for a dot product, not a sum of squares).
+        rows agree exactly.  Rows may be evaluated speculatively, beyond the
+        point a sequential sampler would reach: a random-walk chain
+        evaluates a batch of candidates from one state and discards the
+        rows after the first accepted one unchecked.  The default loops
+        over rows; subclasses override with vectorized evaluation that
+        keeps the per-row arithmetic (``np.vecdot`` for a dot product, not a
+        sum of squares).  A subclass that overrides ``log_density`` alone
+        would inherit a ``log_density_many`` of another density, so the
+        package's callers then use this default loop instead
+        (``_log_density_rows``).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.array([self.log_density(p) for p in pts])
+
+
+def _defining_class(cls, name):
+    return next((k for k in cls.__mro__ if name in vars(k)), None)
+
+
+def _rows_agree(target) -> bool:
+    """Whether ``target.log_density_many`` is written for its ``log_density``.
+
+    True when ``type(target)`` defines ``log_density_many`` in the class
+    that defines its ``log_density``, or in a subclass of that class.  A
+    subclass that overrides ``log_density`` alone inherits a vectorized
+    method of another density, which would silently disagree with it.
+    """
+    cls = type(target)
+    many = _defining_class(cls, "log_density_many")
+    one = _defining_class(cls, "log_density")
+    return many is not None and one is not None and issubclass(many, one)
+
+
+def _log_density_rows(target):
+    """``points -> (n,) log densities`` for ``target``, equal row by row to ``log_density``.
+
+    It calls ``target.log_density_many`` where ``_rows_agree`` says that may
+    stand in for ``log_density``, and ``TargetDensity.log_density_many``,
+    the row loop, otherwise.  A result that is not one value per row raises
+    ``ValueError``.  Look it up once per call of a consumer, not once per
+    batch of points.
+    """
+    many = (target.log_density_many if _rows_agree(target)
+            else partial(TargetDensity.log_density_many, target))
+
+    def rows(points) -> np.ndarray:
+        lp = np.asarray(many(points), dtype=float)
+        if lp.shape != (len(points),):
+            raise ValueError(
+                f"log_density_many returned shape {lp.shape} for "
+                f"{len(points)} points; expected ({len(points)},)"
+            )
+        return lp
+
+    return rows
 
 
 def _checked(lp: float, point) -> float:

@@ -596,6 +596,39 @@ def test_step_positions_must_match_the_target_dimension(call, shape):
     call(target, rng.standard_normal((5, 3)), rng)
 
 
+@pytest.mark.parametrize("call", [
+    lambda target, positions, rng: ensemble_gaussian_step(target, positions, 0, 1.0, rng),
+    lambda target, positions, rng: de_step(target, positions, 0, 1.0, rng),
+    lambda target, positions, rng: stretch_step(target, positions, 0, StretchLaw(), rng),
+], ids=["gaussian", "de", "stretch"])
+def test_flat_positions_are_one_dimensional_chains(call):
+    # a flat (m,) array once read as one m-dimensional chain: "de moves need
+    # at least 3 chains, got 1" for an ensemble of four
+    flat = np.array([0.1, 0.2, 0.3, 0.4])
+    got = call(IsotropicGaussianTarget(1), flat, np.random.default_rng(44))
+    want = call(IsotropicGaussianTarget(1), flat[:, None], np.random.default_rng(44))
+    np.testing.assert_array_equal(got[0], want[0])
+    assert got[0].shape == (1,) and got[1] == want[1]
+    # on a 3-D target the shape is named before the chain count
+    with pytest.raises(ValueError, match=r"positions must have shape \(m, 3\), got \(3,\)"):
+        call(IsotropicGaussianTarget(3), np.zeros(3), np.random.default_rng(44))
+
+
+def test_stretch_levels_use_the_row_loop_when_only_log_density_is_overridden():
+    # Shifted inherits log_density_many without its shift: a level call
+    # through it once compared unshifted candidates with shifted chains
+    class Shifted(IsotropicGaussianTarget):
+        def log_density(self, theta):
+            return super().log_density(theta) + 123.456
+
+    shifted = run_ensemble("stretch", Shifted(3), m=10, n_sweeps=50, rng=np.random.default_rng(3))
+    base = run_ensemble("stretch", IsotropicGaussianTarget(3), m=10, n_sweeps=50,
+                        rng=np.random.default_rng(3))
+    assert 0.5 < base.acceptance_fraction() < 0.8
+    np.testing.assert_array_equal(shifted.accepted, base.accepted)
+    np.testing.assert_array_equal(shifted.history, base.history)
+
+
 @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("call", [
     lambda target, gamma, rng: run_ensemble("gaussian", target, m=6, n_sweeps=5, rng=rng,

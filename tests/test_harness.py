@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -38,6 +39,21 @@ RUNS = [(name, None) for name in EXERCISES] + [("scaling", name) for name in SAM
 
 def strip_wall_time(csv_text: str) -> str:
     return "\n".join(line.rsplit(",", 1)[0] for line in csv_text.splitlines())
+
+
+def blank_wall_time(csv_text: str) -> str:
+    """``csv_text`` with every ``wall_time_s`` field emptied, if it has that column."""
+    lines = csv_text.splitlines()
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    names = lines[header].split(",")
+    if "wall_time_s" not in names:
+        return csv_text
+    col = names.index("wall_time_s")
+    for i in range(header + 1, len(lines)):
+        fields = lines[i].split(",")
+        fields[col] = ""
+        lines[i] = ",".join(fields)
+    return "\n".join(lines) + "\n"
 
 
 def quantities(rows):
@@ -662,3 +678,25 @@ class TestCli:
         self._run(*base, "--out", str(out_c), env={"MCMCLAB_SEED": "1"})
         assert strip_wall_time(out_a.read_text()) != strip_wall_time(out_b.read_text())
         assert strip_wall_time(out_a.read_text()) == strip_wall_time(out_c.read_text())
+
+
+# sha256 of each fixed-seed CSV with its wall_time_s fields blanked.  The
+# single-chain samplers' output is pinned bit for bit: a change to any digest
+# is a change to the chains' streams or arithmetic, made on purpose and
+# recorded with its size.
+PINNED_CSV_DIGESTS = {
+    "scaling mh-fixed": "ad62e1e502ec0e43b2d1c837144d24947c5a37f665cae335993b11298360713e",
+    "scaling mh-adaptive": "58da67776bfa7d2b14e4afcd44d1417ee1ab79a7e2b8bc1aca91bed1ff25ac88",
+    "exercise mh-2d": "9dd930990a042f4ea06c70652e5c32eeda72f560a6f1c4d0ac55996f4d59a840",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_CSV_DIGESTS))
+def test_fixed_seed_csv_is_pinned(command, tmp_path):
+    out = tmp_path / "out.csv"
+    argv = command.split()
+    if argv[0] == "scaling":
+        argv += ["--dims", "2,20", "--n", "2000"]
+    assert cli.main([*argv, "--seed", "1905", "--out", str(out)]) == 0
+    text = blank_wall_time(out.read_text(encoding="utf-8"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CSV_DIGESTS[command]

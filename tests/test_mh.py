@@ -449,6 +449,135 @@ class TestDrawOrder:
             np.testing.assert_array_equal(x, y)
 
 
+class CountingGaussian(TargetDensity):
+    """N(0, I) whose log density is ``bad`` at each point of ``bad_points``.
+
+    Both methods go through one vectorized evaluation, so the rows agree
+    with ``log_density`` bit for bit; ``batches`` counts the calls of
+    ``log_density_many`` with more than one row.
+    """
+
+    def __init__(self, dim, bad=np.nan, bad_points=(), beyond=None):
+        self.dim = dim
+        self.bad = bad
+        self.bad_points = {tuple(p) for p in np.asarray(bad_points, float).reshape(-1, dim)}
+        self.beyond = beyond  # log density where x_0 > 1, if given
+        self.batches = 0
+
+    def log_density_many(self, points):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        self.batches += len(pts) > 1
+        lp = np.vecdot(-0.5 * pts, pts)
+        if self.beyond is not None:
+            lp = np.where(pts[:, 0] > 1.0, self.beyond, lp)
+        hit = [tuple(p) in self.bad_points for p in pts.tolist()]
+        return np.where(hit, self.bad, lp)
+
+    def log_density(self, theta):
+        return float(self.log_density_many(np.asarray(theta, float)[None, :])[0])
+
+
+class TestPrefetchedRuns:
+    """Pre-fetched batches leave the chain, its flags and its stream as the scalar loop's."""
+
+    @staticmethod
+    def assert_matches_oracle(target, scale, theta0, n, seed):
+        rng = np.random.default_rng(seed)
+        chain = run_chain(target, GaussianRandomWalk(scale), theta0, n, rng)
+        states, accepted = block_oracle(target, scale, theta0, n, seed)
+        np.testing.assert_array_equal(chain.states, states)
+        np.testing.assert_array_equal(chain.accepted, accepted)
+        oracle = np.random.default_rng(seed)
+        oracle.standard_normal((n, theta0.size))
+        oracle.random(n)
+        assert rng.bit_generator.state == oracle.bit_generator.state
+        return chain
+
+    @pytest.mark.parametrize("d, scale, band", [
+        (10, np.sqrt(2.0), (0.02, 0.1)),
+        (20, np.sqrt(2.0), (0.0, 0.02)),
+        (5, 2.5 / np.sqrt(5), (0.2, 0.35)),
+    ], ids=["fixed-d10", "fixed-d20", "adaptive-d5"])
+    def test_low_acceptance_chain_equals_scalar_loop(self, d, scale, band):
+        target = CountingGaussian(d)
+        theta0 = np.random.default_rng(d).standard_normal(d)
+        chain = self.assert_matches_oracle(target, scale, theta0, 6000, 31)
+        assert band[0] < chain.accepted.mean() < band[1]
+        assert target.batches > 0
+
+    def test_neg_inf_region_equals_scalar_loop(self):
+        target = CountingGaussian(2, beyond=-np.inf)
+        chain = self.assert_matches_oracle(target, 3.0, np.zeros(2), 4000, 32)
+        assert 0.0 < chain.accepted.mean() < 0.3
+        assert np.all(chain.states[:, 0] <= 1.0)
+        assert target.batches > 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_inf_at_a_reached_row_raises_naming_it(self, bad):
+        d, n, scale = 10, 3000, np.sqrt(2.0)
+        theta0 = np.zeros(d)
+        states, _ = block_oracle(CountingGaussian(d), scale, theta0, n, 33)
+        steps = scale * np.random.default_rng(33).standard_normal((n, d))
+        reached = states[1999] + steps[2000]  # step 2000's candidate
+        target = CountingGaussian(d, bad, [reached])
+        shown = np.array2string(reached, precision=6, separator=", ")
+        with pytest.raises(NumericalError, match=re.escape(shown)):
+            run_chain(target, GaussianRandomWalk(scale), theta0, n, np.random.default_rng(33))
+        assert target.batches > 0
+
+    def test_nan_after_the_first_accept_stays_silent(self):
+        # every row a batch may hold past an accept is a point the scalar
+        # loop never evaluates: the chain runs on as if they were finite
+        d, n, scale = 10, 3000, np.sqrt(2.0)
+        theta0 = np.zeros(d)
+        states, accepted = block_oracle(CountingGaussian(d), scale, theta0, n, 34)
+        steps = scale * np.random.default_rng(34).standard_normal((n, d))
+        before = np.vstack([theta0, states[:-1]])
+        unreached = [before[a] + steps[a + 1:a + 257] for a in np.flatnonzero(accepted)[:20]]
+        target = CountingGaussian(d, np.nan, np.vstack(unreached))
+        self.assert_matches_oracle(target, scale, theta0, n, 34)
+        assert target.batches > 0
+
+    def test_log_density_alone_overridden_runs_the_scalar_loop(self):
+        # Scaled inherits a log_density_many that lacks its shift; batching
+        # it would compare shifted and unshifted values and reject every step
+        class Scaled(IsotropicGaussianTarget):
+            def log_density(self, theta):
+                return super().log_density(theta) + 123.456
+
+        d = 10
+        theta0 = np.random.default_rng(35).standard_normal(d)
+        base = run_chain(IsotropicGaussianTarget(d), GaussianRandomWalk(1.5), theta0, 3000,
+                         np.random.default_rng(36))
+        scaled = run_chain(Scaled(d), GaussianRandomWalk(1.5), theta0, 3000,
+                           np.random.default_rng(36))
+        assert 0.0 < base.accepted.mean() < 0.05
+        np.testing.assert_array_equal(base.accepted, scaled.accepted)
+        np.testing.assert_array_equal(base.states, scaled.states)
+
+    def test_proposals_without_steps_and_mh_step_never_batch(self):
+        # a wide uniform box in d=10 rarely accepts, yet its chain keeps the
+        # per-step stream of threaded mh_step calls
+        class WideBox(MarkovProposal):
+            symmetric = True
+
+            def propose(self, current, rng):
+                return current + rng.uniform(-3.0, 3.0, current.shape)
+
+        target = CountingGaussian(10)
+        rng_run, rng_step = np.random.default_rng(37), np.random.default_rng(37)
+        chain = run_chain(target, WideBox(), np.zeros(10), 1000, rng_run)
+        x, states = np.zeros(10), []
+        for _ in range(1000):
+            x, _ = mh_step(target, WideBox(), x, rng_step)
+            states.append(x)
+        for _ in range(300):
+            x, _ = mh_step(target, GaussianRandomWalk(np.sqrt(2.0)), x, rng_step)
+        assert chain.accepted.mean() < 0.1
+        np.testing.assert_array_equal(chain.states, np.array(states))
+        assert target.batches == 0
+
+
 class TestAcceptanceFraction:
     def test_trivial_values(self):
         states = np.zeros((4, 1))

@@ -22,7 +22,10 @@ from mcmclab.targets import (
     DiagonalGaussianTarget,
     IsotropicGaussianTarget,
     NoisyMeanModel,
+    TargetDensity,
+    _log_density_rows,
     _log_sum_exp,
+    _rows_agree,
     half_volume_length_fraction,
     log_unnorm_density,
     radial_log_mass,
@@ -218,6 +221,74 @@ class TestEstimatorTargetContract:
         density = histogram_density(samples, bins=3)
         with pytest.warns(RuntimeWarning, match="zero target density"):
             assert evidence_from_chain(SpikedGaussian(-np.inf), samples, density) == 0.0
+
+
+class ShiftedGaussian(IsotropicGaussianTarget):
+    """Overrides ``log_density`` alone: ``shift`` plus the unit Gaussian kernel.
+
+    The ``log_density_many`` it inherits lacks the shift.
+    """
+
+    def __init__(self, dim, shift):
+        super().__init__(dim, 1.0)
+        object.__setattr__(self, "shift", shift)
+
+    def log_density(self, theta):
+        return super().log_density(theta) + self.shift
+
+
+class TestRowsAgree:
+    def test_which_targets_may_be_evaluated_in_batches(self):
+        class OnlyScalar(TargetDensity):
+            dim = 1
+
+            def log_density(self, theta):
+                return 0.0
+
+        class DuckTyped:
+            dim = 1
+
+            def log_density(self, theta):
+                return 0.0
+
+        assert _rows_agree(IsotropicGaussianTarget(2))
+        assert _rows_agree(NoisyMeanModel(((1.0, 1.0),), 0.0, 1.0))
+        # a vectorized method defined below log_density is written for it
+        assert _rows_agree(SpikedGaussian(np.nan))
+        assert not _rows_agree(ShiftedGaussian(2, 1.0))
+        assert not _rows_agree(OnlyScalar())
+        assert not _rows_agree(DuckTyped())
+        points = np.array([[0.0], [2.0]])
+        np.testing.assert_array_equal(_log_density_rows(DuckTyped())(points), [0.0, 0.0])
+
+    def test_rows_of_a_shifted_target_keep_the_shift(self):
+        points = np.random.default_rng(45).standard_normal((7, 3))
+        rows = _log_density_rows(ShiftedGaussian(3, 1.0))(points)
+        np.testing.assert_array_equal(rows, [ShiftedGaussian(3, 1.0).log_density(p) for p in points])
+
+    def test_a_result_of_the_wrong_shape_raises(self):
+        class Flat(IsotropicGaussianTarget):
+            def log_density_many(self, points):
+                return np.zeros(1)
+
+        with pytest.raises(ValueError, match=r"returned shape \(1,\) for 3 points"):
+            _log_density_rows(Flat(2))(np.zeros((3, 2)))
+
+    def test_estimators_see_a_shift_of_log_density_alone(self):
+        # each once read the inherited, unshifted log_density_many: a +1
+        # shift gave a grid evidence of sqrt(2 pi) = 2.507, not e sqrt(2 pi)
+        shifted, base = ShiftedGaussian(1, 1.0), IsotropicGaussianTarget(1)
+        cells = build_grid(GridSpec.regular([(-10.0, 10.0)], 400))
+        assert grid_evidence(shifted, cells) == pytest.approx(
+            math.e * math.sqrt(2 * math.pi), rel=1e-12)
+        points = np.random.default_rng(46).standard_normal((200, 1))
+        proposal = DiagonalGaussianProposal((0.0,), (2.0,))
+        np.testing.assert_allclose(importance_weights(shifted, proposal, points).log_weights,
+                                   importance_weights(base, proposal, points).log_weights + 1.0,
+                                   rtol=1e-14)
+        density = histogram_density(points, bins=5)
+        assert evidence_from_chain(shifted, points, density) == pytest.approx(
+            math.e * evidence_from_chain(base, points, density), rel=1e-12)
 
 
 # pi to 50 significant digits
