@@ -681,13 +681,16 @@ class TestCli:
 
 
 # sha256 of each fixed-seed CSV with its wall_time_s fields blanked.  The
-# single-chain samplers' output is pinned bit for bit: a change to any digest
-# is a change to the chains' streams or arithmetic, made on purpose and
-# recorded with its size.
+# single-chain and ensemble samplers' output is pinned bit for bit: a change
+# to any digest is a change to the chains' streams or arithmetic, made on
+# purpose and recorded with its size.
 PINNED_CSV_DIGESTS = {
     "scaling mh-fixed": "ad62e1e502ec0e43b2d1c837144d24947c5a37f665cae335993b11298360713e",
     "scaling mh-adaptive": "58da67776bfa7d2b14e4afcd44d1417ee1ab79a7e2b8bc1aca91bed1ff25ac88",
     "exercise mh-2d": "9dd930990a042f4ea06c70652e5c32eeda72f560a6f1c4d0ac55996f4d59a840",
+    "scaling ens-gaussian": "8b65726f6def236391011e3790ed113010eb5ff34361f517b801db9df6156ca2",
+    "scaling ens-de": "ae0bb74dd38d2e53e07f74c28b16ed54f0b8d9e703b2164021a8e11e10e6b76d",
+    "scaling ens-stretch": "559f4e36675291a9d1f35446218ab6ee45e50394847276c2cbfb1ef3193f1785",
 }
 
 
@@ -695,7 +698,9 @@ PINNED_CSV_DIGESTS = {
 def test_fixed_seed_csv_is_pinned(command, tmp_path):
     out = tmp_path / "out.csv"
     argv = command.split()
-    if argv[0] == "scaling":
+    if argv[1].startswith("ens-"):
+        argv += ["--dims", "2,20", "--n", "200", "--m", "20"]
+    elif argv[0] == "scaling":
         argv += ["--dims", "2,20", "--n", "2000"]
     assert cli.main([*argv, "--seed", "1905", "--out", str(out)]) == 0
     text = blank_wall_time(out.read_text(encoding="utf-8"))
