@@ -192,12 +192,15 @@ def expected_loss(post: DiscretizedPosterior, loss: LossSpec, candidate) -> floa
     return float(_pointwise_loss(loss, candidate, post.points) @ post.masses)
 
 
-def _weighted_quantile(xs, masses, p):
-    """Quantile by linear interpolation of the cumulative mass."""
+def _weighted_quantiles(xs, masses, ps):
+    """Quantiles at the probabilities ``ps``, by linear interpolation of the cumulative mass.
+
+    The support is sorted and summed once for all of ``ps``; each quantile
+    equals a call with its probability alone.
+    """
     order = np.argsort(xs, kind="stable")
-    x = xs[order]
     cum = np.cumsum(masses[order])
-    return float(np.interp(p, cum, x))
+    return np.interp(ps, cum, xs[order]).tolist()
 
 
 def _distinct_sorted(values):
@@ -247,7 +250,7 @@ def point_estimate(post: DiscretizedPosterior, loss: LossSpec):
     if loss.kind == "absolute":
         if pts.ndim != 1:
             raise ValueError("median point estimate is defined for 1-D posteriors")
-        return _weighted_quantile(pts, post.masses, 0.5)
+        return _weighted_quantiles(pts, post.masses, 0.5)
     if loss.kind == "catastrophic":
         dens = post.densities
         best = np.flatnonzero(dens == dens.max())
@@ -284,8 +287,9 @@ def percentile_interval(post: DiscretizedPosterior, coverage: float):
         raise ValueError("percentile intervals are defined for 1-D posteriors")
     if not 0.0 < coverage < 1.0:
         raise ValueError("coverage must lie strictly between 0 and 1")
-    lo = _weighted_quantile(post.points, post.masses, (1.0 - coverage) / 2.0)
-    hi = _weighted_quantile(post.points, post.masses, (1.0 + coverage) / 2.0)
+    lo, hi = _weighted_quantiles(
+        post.points, post.masses, [(1.0 - coverage) / 2.0, (1.0 + coverage) / 2.0]
+    )
     return lo, hi
 
 

@@ -175,6 +175,32 @@ class TestPercentileInterval:
         with pytest.raises(ValueError):
             percentile_interval(post, 0.5)
 
+    @pytest.mark.parametrize("support", ["ties", "unequal", "one-point"])
+    @pytest.mark.parametrize("coverage", [0.1, 0.68, 0.95])
+    def test_one_sort_equals_two_quantile_calls(self, support, coverage):
+        # both tails and the median come from one sort of the support; each
+        # must equal a plain stable-sort quantile of its probability alone
+        rng = np.random.default_rng(61)
+        if support == "ties":
+            pts = rng.integers(0, 12, size=300).astype(float)
+            masses = rng.random(300)
+        elif support == "unequal":
+            pts = rng.standard_normal(500)
+            masses = rng.random(500) ** 6
+        else:
+            pts, masses = np.array([2.5]), np.array([1.0])
+        post = DiscretizedPosterior(points=pts, masses=masses)
+
+        def quantile(p):
+            order = np.argsort(post.points, kind="stable")
+            return float(np.interp(p, np.cumsum(post.masses[order]), post.points[order]))
+
+        lo, hi = percentile_interval(post, coverage)
+        assert (lo, hi) == (quantile((1.0 - coverage) / 2.0), quantile((1.0 + coverage) / 2.0))
+        assert type(lo) is float and type(hi) is float
+        median = point_estimate(post, LossSpec.absolute())
+        assert median == quantile(0.5) and type(median) is float
+
 
 class TestThresholdCredibleRegion:
     def test_heavy_cell_takes_the_mass(self):
