@@ -18,8 +18,8 @@ deviation, a scalar or one per coordinate, as in ter Braak (2006).
 
 A sweep updates chains in fixed ascending order, each update seeing the
 others' latest positions, so runs are reproducible for a fixed seed.  It
-keeps one log density per chain, so an update evaluates the target only at
-its candidate.  No draw depends on the ensemble, so a sweep of ``r``
+keeps one log density per chain, so the target is evaluated at candidates
+only.  No draw depends on the ensemble, so a sweep of ``r``
 chains makes all of its draws first, one block per kind, in this order:
 
 * gaussian: weights ``standard_normal((r, m))``, uniforms ``random(r)``;
@@ -31,8 +31,22 @@ chains makes all of its draws first, one block per kind, in this order:
   ``sample_stretch_factor(law, rng, r)``, uniforms ``random(r)``.
 
 ``run_ensemble`` sweeps all ``m`` chains; the public step functions sweep
-the one chain they update, so they draw what one update always drew.  A
-stretch sweep then evaluates the chains in dependency levels: chain ``j``
+the one chain they update, so they draw what one update always drew.
+
+A gaussian or de sweep then updates its chains in rejection runs (the
+rejection branch of pre-fetching, Brockwell 2006).  A rejected update
+leaves every position unchanged, so the next rows' steps are known: a run
+takes ``mh._batch_size(rate)`` rows, ``rate`` being the previous sweep's
+acceptance (1.0 for the first sweep and the step functions), capped by the
+rows left.  It forms their steps in one stacked product, one gemv per row
+and so equal bit for bit to the row's own ``w @ positions``, evaluates the
+candidates in one ``log_density_many`` call and decides them in order with
+``mh._first_accept``.  The accepted chain moves, the rows after it are
+discarded unchecked, and the next run starts at the row after the accept.
+A target whose ``log_density_many`` was not written with its
+``log_density`` runs one row at a time, one ``log_density`` call per update.
+
+A stretch sweep evaluates the chains in dependency levels: chain ``j``
 whose partner ``k`` comes later in the sweep reads ``k``'s old position and
 sits at level 0; otherwise it sits one level above ``k``.  Each level is
 one array operation and one ``log_density_many`` call, equal bit for bit to
@@ -47,8 +61,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mh import Chain, _accepts
-from .targets import _checked, _log_density_rows
+from .mh import Chain, _accepts, _batch_size, _first_accept
+from .targets import _checked, _log_density_rows, _rows_agree
 
 __all__ = [
     "EnsembleState",
@@ -124,19 +138,18 @@ class StretchLaw:
 def _positions(state, j: int, method: str, dim=None) -> np.ndarray:
     """``state``'s positions, once the chain count suits ``method`` and ``j`` is a chain.
 
-    With ``dim``, the positions must have shape ``(m, dim)``; for ``dim``
-    1 a flat ``(m,)`` array is read as ``(m, 1)``.  Without it, a flat
-    array is one chain.  The shape is checked before the chain count.
+    The positions must have shape ``(m, dim)``, or ``(m, d)`` for any ``d``
+    without ``dim``; a flat ``(m,)`` array is m one-dimensional chains, read
+    as ``(m, 1)``, unless ``dim`` says otherwise.  The shape is checked
+    before the chain count.
     """
     positions = state.positions if isinstance(state, EnsembleState) else state
     positions = np.asarray(positions, dtype=float)
-    if dim is None:
-        positions = np.atleast_2d(positions)
-    else:
-        if positions.ndim == 1 and dim == 1:
-            positions = positions[:, None]
-        if positions.ndim != 2 or positions.shape[1] != dim:
-            raise ValueError(f"positions must have shape (m, {dim}), got {positions.shape}")
+    if positions.ndim == 1 and dim in (None, 1):
+        positions = positions[:, None]
+    if positions.ndim != 2 or dim not in (None, positions.shape[1]):
+        want = "d" if dim is None else dim
+        raise ValueError(f"positions must have shape (m, {want}), got {positions.shape}")
     m = positions.shape[0]
     if m < MIN_CHAINS[method]:
         raise ValueError(f"{method} moves need at least {MIN_CHAINS[method]} chains, got {m}")
@@ -218,13 +231,15 @@ def _partner_pairs(m: int, rows: np.ndarray, rng):
     return k, l
 
 
-def _sweep(method, target, positions, rows, lp, gamma, law, jitter_sd, rng, accepted):
+def _sweep(method, target, positions, rows, lp, gamma, law, jitter_sd, rng, accepted, rate):
     """Update chains ``rows`` (an index array) in order; updates its arguments in place.
 
     ``lp`` maps each chain in ``rows`` to its log density and ``accepted``
     takes one flag per chain.  ``jitter_sd`` is de's constant jitter, checked;
     None makes it a fifth of the ensemble covariance.  All draws come first,
-    in the block order of the module docstring.
+    in the block order of the module docstring.  ``rate``, the acceptance
+    of the previous sweep (1.0 for none), sets the length of the gaussian
+    and de rejection runs (module docstring).
     """
     if method == "stretch":
         _stretch_sweep(target, positions, rows, lp, law, rng, accepted)
@@ -233,26 +248,36 @@ def _sweep(method, target, positions, rows, lp, gamma, law, jitter_sd, rng, acce
     r = len(rows)
     pairs = None
     if method == "de":
-        k, l = _partner_pairs(m, rows, rng)
-        pairs = list(zip(k.tolist(), l.tolist()))
+        pairs = _partner_pairs(m, rows, rng)
     if jitter_sd is None:
         scale = 1.0 if method == "gaussian" else math.sqrt(0.2)
         walk = _walk_weights(rng.standard_normal((r, m)), rows, scale)
     else:
         walk, eps = None, jitter_sd * rng.standard_normal((r, d))
     log_u = np.log(rng.random(r)).tolist()
-    for i, j in enumerate(rows.tolist()):
-        step = eps[i] if walk is None else walk[i] @ positions
+    log_density_rows = _log_density_rows(target)
+    k = _batch_size(rate) if _rows_agree(target) else 1
+    i = 0
+    while i < r:
+        stop = min(i + k, r)
+        chains = rows[i:stop]
+        # stacked, the product is one gemv per row, equal to walk[i] @ positions
+        step = eps[i:stop] if walk is None else (walk[i:stop, None, :] @ positions)[:, 0, :]
         if pairs is not None:
-            k, l = pairs[i]
-            step = positions[k] - positions[l] + step
-        candidate = positions[j] + gamma * step
-        lp_candidate = float(target.log_density(candidate))
-        acc = _accepts(lp[j], lp_candidate, candidate, 0.0, log_u[i])
-        if acc:
-            positions[j] = candidate
-            lp[j] = lp_candidate
-        accepted[j] = acc
+            step = positions[pairs[0][i:stop]] - positions[pairs[1][i:stop]] + step
+        candidates = positions[chains] + gamma * step
+        lp_new = log_density_rows(candidates).tolist()
+        chain_list = chains.tolist()
+        a = _first_accept(map(lp.__getitem__, chain_list), lp_new, candidates, log_u[i:stop])
+        accepted[chains] = False
+        if a is None:
+            i = stop
+        else:
+            j = chain_list[a]
+            positions[j] = candidates[a]
+            lp[j] = lp_new[a]
+            accepted[j] = True
+            i += a + 1
 
 
 def _stretch_sweep(target, positions, rows, lp, law, rng, accepted):
@@ -302,7 +327,8 @@ def _single_update(method, target, state, j, gamma, law, jitter_sd, rng):
     jitter_sd = _checked_scales(gamma, jitter_sd, d)
     lp = {j: _checked(float(target.log_density(positions[j])), positions[j])}
     accepted = np.zeros(m, dtype=bool)
-    _sweep(method, target, positions, np.array([j]), lp, gamma, law, jitter_sd, rng, accepted)
+    _sweep(method, target, positions, np.array([j]), lp, gamma, law, jitter_sd, rng, accepted,
+           1.0)
     return positions[j], bool(accepted[j])
 
 
@@ -425,8 +451,10 @@ def run_ensemble(
     history = np.empty((n_sweeps, m, d))
     accepted = np.empty((n_sweeps, m), dtype=bool)
     rows = np.arange(m)
+    rate = 1.0
     for sweep in range(n_sweeps):
         _sweep(method, target, positions, rows, lp, gamma, law, jitter_sd, rng,
-               accepted[sweep])
+               accepted[sweep], rate)
         history[sweep] = positions
+        rate = np.count_nonzero(accepted[sweep]) / m
     return EnsembleState(positions, history, accepted, starts)

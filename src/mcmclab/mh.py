@@ -17,14 +17,17 @@ it are discarded unchecked.  This is the rejection branch of pre-fetching
 (Brockwell 2006), and the chain, its flags and its stream equal the scalar
 loop's bit for bit.  The first segment, and any after a busier one, take
 one ``log_density`` call per step, as does a target whose
-``log_density_many`` was not written with its ``log_density``.  The same
-rule drives the ensemble samplers: a ``-inf`` candidate is rejected, and a
-NaN or ``+inf`` log density breaks the target contract and raises
-``NumericalError``.
+``log_density_many`` was not written with its ``log_density``.  The loop
+that walks a batch to its first accept (``_first_accept``) is shared with
+the ensemble's walk-move sweeps, which run the same way, and so is the
+batch size rule.  The same accept rule drives the ensemble samplers: a
+``-inf`` candidate is rejected, and a NaN or ``+inf`` log density breaks
+the target contract and raises ``NumericalError``.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -179,6 +182,22 @@ def _batch_size(rate: float) -> int:
     return _SEGMENT if rate * _SEGMENT <= 2.0 else max(2, int(2.0 / rate))
 
 
+def _first_accept(lps, lp_candidates, candidates, log_us):
+    """Offset of the first accepted row of a batch of candidates, or None.
+
+    Row ``j`` moves from log density ``lps[j]`` to ``candidates[j]``, of log
+    density ``lp_candidates[j]``, with uniform ``log_us[j]``.  The rows are
+    decided in order with ``_accepts``, so a NaN or ``+inf`` at a reached row
+    raises for its point; the rows after the first accept are never checked.
+    This is the run loop of every rejection run: a rejected row changes no
+    state, so a batch is exact up to its first accept.
+    """
+    for j, (lp, lp_candidate, log_u) in enumerate(zip(lps, lp_candidates, log_us)):
+        if _accepts(lp, lp_candidate, candidates[j], 0.0, log_u):
+            return j
+    return None
+
+
 def _scalar_steps(target, proposal, states, log_us, accepted, current, lp, lo, hi, rng):
     """Steps ``lo`` to ``hi``, one target evaluation each; the new ``(current, lp)``.
 
@@ -206,8 +225,8 @@ def _prefetched_steps(rows, states, log_us, accepted, current, lp, lo, hi, k):
     """Random-walk steps ``lo`` to ``hi`` in batches of ``k``; the new ``(current, lp)``.
 
     A batch evaluates the candidates ``current + states[i:i + k]`` in one
-    ``rows`` call and decides them in order until the first accept.  The
-    rows before it repeat ``current``; the rows after it are discarded
+    ``rows`` call and decides them with ``_first_accept``.  The rows before
+    the first accept repeat ``current``; the rows after it are discarded
     unchecked, as the scalar loop never reaches them, and the next batch
     starts at the step after the accept.  ``accepted`` must hold False.
     """
@@ -215,17 +234,17 @@ def _prefetched_steps(rows, states, log_us, accepted, current, lp, lo, hi, k):
     while i < hi:
         stop = min(i + k, hi)
         candidates = current + states[i:stop]
-        for j, lp_candidate in enumerate(rows(candidates).tolist()):
-            if _accepts(lp, lp_candidate, candidates[j], 0.0, log_us[i + j]):
-                states[i:i + j] = current
-                current, lp = candidates[j], lp_candidate
-                states[i + j] = current
-                accepted[i + j] = True
-                i += j + 1
-                break
-        else:
+        lp_candidates = rows(candidates).tolist()
+        j = _first_accept(repeat(lp), lp_candidates, candidates, log_us[i:stop])
+        if j is None:
             states[i:stop] = current
             i = stop
+        else:
+            states[i:i + j] = current
+            current, lp = candidates[j], lp_candidates[j]
+            states[i + j] = current
+            accepted[i + j] = True
+            i += j + 1
     return current, lp
 
 

@@ -48,12 +48,13 @@ class TargetDensity:
 
         Row ``i`` must equal ``log_density(points[i])`` bit for bit, with the
         same value contract: finite or ``-inf``, never NaN or ``+inf``.  The
-        ensemble driver evaluates stretch candidates in batches through this
-        method, and its streams match one-at-a-time evaluation only if the
-        rows agree exactly.  Rows may be evaluated speculatively, beyond the
-        point a sequential sampler would reach: a random-walk chain
-        evaluates a batch of candidates from one state and discards the
-        rows after the first accepted one unchecked.  The default loops
+        samplers evaluate batches of candidates through this method, and
+        their streams match one-at-a-time evaluation only if the rows agree
+        exactly.  Rows may be evaluated speculatively, beyond the point a
+        sequential sampler would reach: a random-walk chain evaluates a
+        batch of candidates from one state, a gaussian or de sweep the
+        candidates of a run of chains from one ensemble, and both discard
+        the rows after the first accepted one unchecked.  The default loops
         over rows; subclasses override with vectorized evaluation that
         keeps the per-row arithmetic (``np.vecdot`` for a dot product, not a
         sum of squares).  A subclass that overrides ``log_density`` alone

@@ -1,6 +1,7 @@
 """Ensemble proposals: covariance shaping, difference moves, stretch moves."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import mcmclab.ensemble as ens
 from mcmclab.diagnostics import per_coordinate_tau
 from mcmclab.ensemble import (
+    DEFAULT_DELTA,
     ENSEMBLE_METHODS,
     MIN_CHAINS,
     StretchLaw,
@@ -25,7 +27,7 @@ from mcmclab.ensemble import (
     stretch_step,
 )
 from mcmclab.errors import NumericalError
-from mcmclab.mh import GaussianRandomWalk, run_chain
+from mcmclab.mh import GaussianRandomWalk, _batch_size, run_chain
 from mcmclab.targets import IsotropicGaussianTarget, TargetDensity
 
 
@@ -276,6 +278,17 @@ class TestEnsembleCovariance:
     def test_needs_three_chains(self):
         with pytest.raises(ValueError):
             ensemble_covariance(np.zeros((2, 2)), exclude=0)
+
+    @pytest.mark.parametrize("j", [0, 2, 4])
+    def test_flat_positions_are_one_dimensional_chains(self, j):
+        # a flat (m,) array was read as one m-dimensional chain: "gaussian
+        # moves need at least 3 chains, got 1" for an ensemble of five
+        x = np.array([0.1, 0.2, 0.3, 0.4, 1.7])
+        want = np.array([[np.cov(np.delete(x, j), ddof=1)]])
+        np.testing.assert_array_equal(ensemble_covariance(x, j), want)
+        # the shape is named before the chain count
+        with pytest.raises(ValueError, match=r"positions must have shape \(m, d\), got \(2, 2, 1\)"):
+            ensemble_covariance(np.zeros((2, 2, 1)), 0)
 
 
 class TestEnsembleGaussianStep:
@@ -701,10 +714,11 @@ def replay(method, target, m, n_sweeps, rng, gamma, law, jitter_sd):
     return history, accepted
 
 
-def assert_run_matches_replay(method, target, m, jitter_sd, seed, law=StretchLaw(2.0)):
-    """``run_ensemble`` against ``replay``: same flags, stream and history."""
+def assert_run_matches_replay(method, target, m, jitter_sd, seed, law=StretchLaw(2.0),
+                              delta=1.2):
+    """``run_ensemble`` against ``replay``: same flags, stream and history; the run's state."""
     d = target.dim
-    gamma = None if method == "stretch" else 1.2 / np.sqrt(d)
+    gamma = None if method == "stretch" else delta / np.sqrt(d)
     rng_run, rng_replay = np.random.default_rng(seed), np.random.default_rng(seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -716,6 +730,7 @@ def assert_run_matches_replay(method, target, m, jitter_sd, seed, law=StretchLaw
     np.testing.assert_array_equal(state.accepted, accepted)
     assert rng_run.bit_generator.state == rng_replay.bit_generator.state
     np.testing.assert_array_equal(state.history, history)
+    return state
 
 
 # one update's draws before the per-sweep blocks, scalar call by scalar call
@@ -824,6 +839,143 @@ class TestSingleCodePath:
         run_ensemble(method, target, m=m, n_sweeps=n_sweeps,
                      rng=np.random.default_rng(20))
         assert target.calls == m + n_sweeps * m
+
+
+class Poisoned(VectorBall):
+    """``VectorBall`` that keeps each batch and gives ``bad`` at the points ``poison``."""
+
+    def __init__(self, dim, bad=np.nan, poison=()):
+        super().__init__(dim, -np.inf)
+        self.bad = bad
+        self.poison = list(poison)
+        self.points = []
+
+    def log_density_many(self, points):
+        lp = super().log_density_many(points)
+        self.points.append(points.copy())
+        for p in self.poison:
+            lp[np.all(points == p, axis=1)] = self.bad
+        return lp
+
+
+class CountingMany(CountingTarget):
+    """``CountingTarget`` with a ``log_density_many`` of its own that counts its calls."""
+
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.many_calls = 0
+
+    def log_density_many(self, points):
+        self.many_calls += 1
+        return np.array([-0.5 * float(p @ p) for p in points])
+
+
+class Recounted(CountingMany):
+    """Overrides ``log_density`` alone, so the inherited ``log_density_many`` is not its own."""
+
+    def log_density(self, theta):
+        return super().log_density(theta)
+
+
+def walk_runs(accepted):
+    """Each rejection run of the walk sweeps that made ``accepted``: ``(length, reached)``.
+
+    A sweep's runs take ``_batch_size`` of the previous sweep's acceptance
+    (1.0 before the first) rows, capped by the rows left, and end at their
+    first accept; the next run starts at the row after it.
+    """
+    runs, rate = [], 1.0
+    for flags in accepted.tolist():
+        k, i = _batch_size(rate), 0
+        while i < len(flags):
+            run = flags[i:i + k]
+            reached = run.index(True) + 1 if True in run else len(run)
+            runs.append((len(run), reached))
+            i += reached
+        rate = sum(flags) / len(flags)
+    return runs
+
+
+WALK_MOVES = [("gaussian", None), ("de", None), ("de", 0.1)]
+
+
+class TestWalkRuns:
+    @pytest.mark.parametrize("method, jitter_sd", WALK_MOVES)
+    @pytest.mark.parametrize("m, d", [(40, 20), (12, 2)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_runs_equal_one_update_at_a_time(self, method, jitter_sd, m, d, seed):
+        # at the default scales, acceptance is about 0.2 at d=20 and 0.35 at
+        # d=2: runs of several rows, many of them ended by an accept mid-run
+        state = assert_run_matches_replay(
+            method, IsotropicGaussianTarget(d, 1.0), m, jitter_sd, seed,
+            delta=DEFAULT_DELTA[method],
+        )
+        runs = walk_runs(state.accepted)
+        assert max(length for length, _ in runs) > 2
+        assert sum(reached < length for length, reached in runs) > len(runs) // 4
+
+    @pytest.mark.parametrize("method, jitter_sd", WALK_MOVES)
+    def test_one_batch_per_run(self, method, jitter_sd):
+        m, d = 40, 20
+        target = VectorBall(d, -np.inf)
+        state = run_ensemble(method, target, m=m, n_sweeps=30,
+                             rng=np.random.default_rng(50), jitter_sd=jitter_sd)
+        runs = walk_runs(state.accepted)
+        assert target.batches == [length for length, _ in runs]
+        assert max(target.batches) > 2 and len(target.batches) < m * 30
+        # the rows after each run's accept were evaluated, and discarded
+        assert sum(target.batches) > sum(reached for _, reached in runs) == m * 30
+
+    @pytest.mark.parametrize("method, jitter_sd", WALK_MOVES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_bad_value_at_a_reached_row_raises_for_its_point(self, method, jitter_sd, bad):
+        # the draws never depend on the target: a clean run shows every
+        # row, and a reached one past the start of its run is poisoned
+        kwargs = dict(m=12, n_sweeps=20, jitter_sd=jitter_sd)
+        clean = Poisoned(2)
+        run_ensemble(method, clean, rng=np.random.default_rng(51), **kwargs)
+        runs = walk_runs(run_ensemble(method, Poisoned(2), rng=np.random.default_rng(51),
+                                      **kwargs).accepted)
+        b = next(b for b, (_, reached) in enumerate(runs) if reached > 1)
+        point = clean.points[b][runs[b][1] - 1]
+        shown = np.array2string(point, precision=6, separator=", ")
+        with pytest.raises(NumericalError, match=f"{bad} at {re.escape(shown)}"):
+            run_ensemble(method, Poisoned(2, bad, [point]), rng=np.random.default_rng(51),
+                         **kwargs)
+
+    @pytest.mark.parametrize("method, jitter_sd", WALK_MOVES)
+    def test_bad_values_after_an_accept_are_never_checked(self, method, jitter_sd):
+        kwargs = dict(m=12, n_sweeps=20, jitter_sd=jitter_sd)
+        clean = Poisoned(2)
+        want = run_ensemble(method, clean, rng=np.random.default_rng(52), **kwargs)
+        runs = zip(clean.points, walk_runs(want.accepted))
+        reached, unreached = set(), []
+        for points, (_, n) in runs:
+            reached.update(p.tobytes() for p in points[:n])
+            unreached.extend(points[n:])
+        # a de step that skips the moved chain is proposed again in the next run
+        poison = [p for p in unreached if p.tobytes() not in reached]
+        assert len(poison) > 10
+        target = Poisoned(2, np.nan, poison)
+        got = run_ensemble(method, target, rng=np.random.default_rng(52), **kwargs)
+        np.testing.assert_array_equal(got.accepted, want.accepted)
+        np.testing.assert_array_equal(got.history, want.history)
+        history, _ = replay(method, Ball(2, np.nan), 12, 20, np.random.default_rng(52),
+                            DEFAULT_DELTA[method] / np.sqrt(2), None, jitter_sd)
+        np.testing.assert_array_equal(got.history, history)
+
+    @pytest.mark.parametrize("method, jitter_sd", WALK_MOVES)
+    def test_targets_without_their_own_rows_take_one_update_at_a_time(self, method, jitter_sd):
+        m, n_sweeps = 9, 15
+        batched, single = CountingMany(3), Recounted(3)
+        want = run_ensemble(method, batched, m=m, n_sweeps=n_sweeps,
+                            rng=np.random.default_rng(53), jitter_sd=jitter_sd)
+        got = run_ensemble(method, single, m=m, n_sweeps=n_sweeps,
+                           rng=np.random.default_rng(53), jitter_sd=jitter_sd)
+        assert batched.calls == m and batched.many_calls > n_sweeps
+        assert single.calls == m + n_sweeps * m and single.many_calls == 0
+        np.testing.assert_array_equal(got.accepted, want.accepted)
+        np.testing.assert_array_equal(got.history, want.history)
 
 
 class TestTargetContract:
