@@ -19,8 +19,8 @@ deviation, a scalar or one per coordinate, as in ter Braak (2006).
 A sweep updates chains in fixed ascending order, each update seeing the
 others' latest positions, so runs are reproducible for a fixed seed.  It
 keeps one log density per chain, so the target is evaluated at candidates
-only.  No draw depends on the ensemble, so a sweep of ``r``
-chains makes all of its draws first, one block per kind, in this order:
+only.  No draw depends on the ensemble, so a sweep of ``r`` chains makes
+all of its draws first, one block per kind, in this order:
 
 * gaussian: weights ``standard_normal((r, m))``, uniforms ``random(r)``;
 * de: partners ``integers(m - 2, size=r)``, ``integers(m - 1, size=r)``,
@@ -261,14 +261,15 @@ def _sweep(method, target, positions, rows, lp, gamma, law, jitter_sd, rng, acce
     while i < r:
         stop = min(i + k, r)
         chains = rows[i:stop]
-        # stacked, the product is one gemv per row, equal to walk[i] @ positions
+        # stacked: one gemv per row, equal bit for bit to walk[i] @ positions,
+        # which a (k, m) @ (m, d) gemm is not
         step = eps[i:stop] if walk is None else (walk[i:stop, None, :] @ positions)[:, 0, :]
         if pairs is not None:
             step = positions[pairs[0][i:stop]] - positions[pairs[1][i:stop]] + step
         candidates = positions[chains] + gamma * step
         lp_new = log_density_rows(candidates).tolist()
         chain_list = chains.tolist()
-        a = _first_accept(map(lp.__getitem__, chain_list), lp_new, candidates, log_u[i:stop])
+        a = _first_accept([lp[c] for c in chain_list], lp_new, candidates, log_u[i:stop])
         accepted[chains] = False
         if a is None:
             i = stop
@@ -327,8 +328,8 @@ def _single_update(method, target, state, j, gamma, law, jitter_sd, rng):
     jitter_sd = _checked_scales(gamma, jitter_sd, d)
     lp = {j: _checked(float(target.log_density(positions[j])), positions[j])}
     accepted = np.zeros(m, dtype=bool)
-    _sweep(method, target, positions, np.array([j]), lp, gamma, law, jitter_sd, rng, accepted,
-           1.0)
+    rows = np.array([j])
+    _sweep(method, target, positions, rows, lp, gamma, law, jitter_sd, rng, accepted, 1.0)
     return positions[j], bool(accepted[j])
 
 

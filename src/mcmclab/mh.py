@@ -27,7 +27,6 @@ the target contract and raises ``NumericalError``.
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -192,8 +191,8 @@ def _first_accept(lps, lp_candidates, candidates, log_us):
     This is the run loop of every rejection run: a rejected row changes no
     state, so a batch is exact up to its first accept.
     """
-    for j, (lp, lp_candidate, log_u) in enumerate(zip(lps, lp_candidates, log_us)):
-        if _accepts(lp, lp_candidate, candidates[j], 0.0, log_u):
+    for j, lp_candidate in enumerate(lp_candidates):
+        if _accepts(lps[j], lp_candidate, candidates[j], 0.0, log_us[j]):
             return j
     return None
 
@@ -235,7 +234,7 @@ def _prefetched_steps(rows, states, log_us, accepted, current, lp, lo, hi, k):
         stop = min(i + k, hi)
         candidates = current + states[i:stop]
         lp_candidates = rows(candidates).tolist()
-        j = _first_accept(repeat(lp), lp_candidates, candidates, log_us[i:stop])
+        j = _first_accept([lp] * (stop - i), lp_candidates, candidates, log_us[i:stop])
         if j is None:
             states[i:stop] = current
             i = stop

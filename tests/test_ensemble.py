@@ -287,7 +287,8 @@ class TestEnsembleCovariance:
         want = np.array([[np.cov(np.delete(x, j), ddof=1)]])
         np.testing.assert_array_equal(ensemble_covariance(x, j), want)
         # the shape is named before the chain count
-        with pytest.raises(ValueError, match=r"positions must have shape \(m, d\), got \(2, 2, 1\)"):
+        shape = r"positions must have shape \(m, d\), got \(2, 2, 1\)"
+        with pytest.raises(ValueError, match=shape):
             ensemble_covariance(np.zeros((2, 2, 1)), 0)
 
 
