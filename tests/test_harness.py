@@ -688,6 +688,9 @@ PINNED_CSV_DIGESTS = {
     "scaling mh-fixed": "ad62e1e502ec0e43b2d1c837144d24947c5a37f665cae335993b11298360713e",
     "scaling mh-adaptive": "58da67776bfa7d2b14e4afcd44d1417ee1ab79a7e2b8bc1aca91bed1ff25ac88",
     "exercise mh-2d": "9dd930990a042f4ea06c70652e5c32eeda72f560a6f1c4d0ac55996f4d59a840",
+    "exercise noisy-mean": "4240d8f249ebeb1c31b3a19daac1ecedff9d02f4f8c49baaf9427c7905385abb",
+    "exercise grid-2d": "bf9ad1dc1ecff4d923dce3315f53fcba30f5d6d1ebf4a88304ca2ac134736ad8",
+    "exercise importance-2d": "5158135e5a89d6544ec413b8863fe4264d263f3b349b5810d3453eba24e44489",
     "scaling ens-gaussian": "8b65726f6def236391011e3790ed113010eb5ff34361f517b801db9df6156ca2",
     "scaling ens-de": "ae0bb74dd38d2e53e07f74c28b16ed54f0b8d9e703b2164021a8e11e10e6b76d",
     "scaling ens-stretch": "559f4e36675291a9d1f35446218ab6ee45e50394847276c2cbfb1ef3193f1785",
