@@ -4,6 +4,9 @@ Autocovariance uses the biased 1/n normalization, which keeps the estimated
 sequence positive semidefinite and bounds every autocorrelation by one; one
 zero-padded FFT gives all lags.  The integrated autocorrelation time is summed
 up to Sokal's self-consistent window ``W = min{t : t >= c * tau_hat(t)}``.
+
+The chain evidence is ``is_evidence`` with the chain's own histogram as the
+importance proposal, so it keeps the checks of ``importance_weights``.
 """
 
 import warnings
@@ -13,8 +16,8 @@ import numpy as np
 
 from .errors import NumericalError, ZeroVarianceError
 from .grid import _cell_volumes
+from .importance import importance_weights, is_evidence
 from .mh import Chain
-from .targets import _checked_many, _log_density_rows, _log_sum_exp
 
 __all__ = [
     "AutocorrCurve",
@@ -271,6 +274,12 @@ class HistogramDensity:
             out[inside] = self.masses[sel] / self.volumes[sel]
         return out
 
+    def log_pdf(self, points) -> np.ndarray:
+        """Log of ``density_at`` (``-inf`` outside the box and in empty bins):
+        with ``dim``, what ``importance_weights`` reads of a proposal."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.density_at(points))
+
 
 def histogram_density(samples, bins, bounds=None) -> HistogramDensity:
     """Bin samples into a d-dimensional histogram density.
@@ -293,25 +302,15 @@ def histogram_density(samples, bins, bounds=None) -> HistogramDensity:
 def evidence_from_chain(target, chain_or_samples, density: HistogramDensity) -> float:
     """Evidence estimate from posterior samples and their own density map.
 
-    Averages ``target_density / sample_density`` over the samples.  Every
-    sample must land in a bin with positive estimated density, which is
-    guaranteed when the histogram was built from the same samples.  A NaN or
-    ``+inf`` target log density raises ``NumericalError``; samples all at
-    zero target density give 0.0 with a warning.
+    ``is_evidence`` with the histogram as proposal: the mean of
+    ``target_density / sample_density``.  Dimensions that differ raise
+    ``ValueError``.  A sample in an empty bin raises ``CoverageError`` (a
+    ``NumericalError``) where the target's density is positive, and weighs 0
+    where it is 0; a histogram of the same samples has no such sample.  A
+    NaN or ``+inf`` target log density raises ``NumericalError``; samples
+    all at zero target density give 0.0 with a warning.
     """
-    samples = _states_of(chain_or_samples)
-    lp = _checked_many(_log_density_rows(target)(samples), samples)
-    rho = density.density_at(samples)
-    if np.any(rho <= 0.0):
-        raise NumericalError(
-            "some samples fall in bins with zero estimated density"
-        )
-    if np.all(np.isneginf(lp)):
-        warnings.warn("every sample has zero target density; evidence estimate is 0",
-                      RuntimeWarning, stacklevel=2)
-        return 0.0
-    log_ratios = lp - np.log(rho)
-    return float(np.exp(_log_sum_exp(log_ratios) - np.log(samples.shape[0])))
+    return is_evidence(importance_weights(target, density, _states_of(chain_or_samples)))
 
 
 def binomial_sample_bound(p_hat: float, eps: float, tau_hat: float = 0.0) -> int:

@@ -2,7 +2,9 @@
 
 Cells are cuboids built from per-axis edge lists; each cell contributes its
 midpoint density times its volume.  Accumulation happens in log space so
-that high-dimensional or sharply peaked targets do not underflow.
+that high-dimensional or sharply peaked targets do not underflow.  The
+expectation is ``is_expectation`` with the cell weights as importance
+weights.  A NaN or ``+inf`` log density raises ``NumericalError``.
 """
 
 import warnings
@@ -10,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ResourceLimitError
-from .targets import _checked_many, _log_density_rows, _log_sum_exp
+from .errors import ResourceLimitError
+from .importance import WeightedSamples, is_expectation
+from .targets import _log_densities, _log_sum_exp
 
 __all__ = [
     "GridSpec",
@@ -138,8 +141,7 @@ def grid_log_weights(target, cells: GridCells) -> np.ndarray:
     A NaN or ``+inf`` log density raises ``NumericalError``, naming its cell.
     """
     _check_dims(target, cells)
-    lp = _checked_many(_log_density_rows(target)(cells.midpoints), cells.midpoints)
-    return lp + np.log(cells.volumes)
+    return _log_densities(target, cells.midpoints) + np.log(cells.volumes)
 
 
 def grid_weights(target, cells: GridCells) -> np.ndarray:
@@ -171,13 +173,4 @@ def grid_expectation(target, cells: GridCells, f):
     an ``(n,)`` array (scalar integrand) or an ``(n, m)`` array.  The cell
     weights cancel in normalization, so the unnormalized density suffices.
     """
-    lw = grid_log_weights(target, cells)
-    if np.all(np.isneginf(lw)):
-        raise NumericalError("zero total mass on grid; expectation undefined")
-    w = np.exp(lw - lw.max())
-    fx = np.asarray(f(cells.midpoints), dtype=float)
-    if fx.shape[0] != cells.n_cells:
-        raise ValueError("f must return one row per midpoint")
-    if fx.ndim == 1:
-        return float((w * fx).sum() / w.sum())
-    return (w[:, None] * fx).sum(axis=0) / w.sum()
+    return is_expectation(WeightedSamples(cells.midpoints, grid_log_weights(target, cells)), f)

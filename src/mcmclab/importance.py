@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError, NumericalError
-from .targets import NoisyMeanModel, _checked_many, _log_density_rows, _log_sum_exp
+from .targets import NoisyMeanModel, _log_densities, _log_sum_exp
 
 __all__ = [
     "Proposal",
@@ -168,7 +168,7 @@ def importance_weights(target, proposal: Proposal, points) -> WeightedSamples:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != target.dim or proposal.dim != target.dim:
         raise ValueError("target, proposal, and points must share one dim")
-    lp = _checked_many(_log_density_rows(target)(pts), pts)
+    lp = _log_densities(target, pts)
     lq = proposal.log_pdf(pts)
     bad = np.isneginf(lq) & ~np.isneginf(lp)
     if np.any(bad):
@@ -191,7 +191,7 @@ def is_evidence(ws: WeightedSamples) -> float:
         raise ValueError("need at least one sample")
     if np.all(np.isneginf(ws.log_weights)):
         warnings.warn(
-            "all importance weights are zero; evidence estimate is 0",
+            "every sample has zero target density; evidence estimate is 0",
             RuntimeWarning,
             stacklevel=2,
         )

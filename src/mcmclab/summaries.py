@@ -13,7 +13,7 @@ import numpy as np
 
 from .diagnostics import HistogramDensity
 from .grid import GridCells, _cell_midpoints, grid_log_weights
-from .targets import NoisyMeanModel, _log_density_rows
+from .targets import NoisyMeanModel, _log_densities
 
 # Rows of ``t_new`` per block of the predictive's noise kernel: one block of
 # 256 rows by 4096 grid cells is an 8 MiB buffer.  A power of two keeps each
@@ -296,25 +296,19 @@ def percentile_interval(post: DiscretizedPosterior, coverage: float):
 def threshold_credible_region(post: DiscretizedPosterior, coverage: float):
     """Highest-density region holding at least ``coverage`` of the mass.
 
-    Support points are ranked by density; whole groups of equal density are
-    taken or left together (all-or-none at the boundary), stopping at the
-    smallest region that reaches the requested mass.  Returns the density
-    threshold and a boolean membership flag per support point.
+    Support points are ranked by density in one sort; the point where the
+    running mass reaches ``coverage`` sets the threshold, and its whole group
+    of equal density is taken (all-or-none at the boundary).  Returns the
+    density threshold and a boolean membership flag per support point.
     """
     if not 0.0 < coverage < 1.0:
         raise ValueError("coverage must lie strictly between 0 and 1")
     dens = post.densities
-    member = np.zeros(post.n, dtype=bool)
-    cum = 0.0
-    threshold = np.inf
-    for level in _distinct_sorted(dens)[::-1]:
-        group = dens == level
-        member |= group
-        cum += post.masses[group].sum()
-        threshold = float(level)
-        if cum >= coverage:
-            break
-    return threshold, member
+    order = np.argsort(-dens, kind="stable")
+    cum = np.cumsum(post.masses[order])
+    cut = min(int(np.searchsorted(cum, coverage)), post.n - 1)
+    threshold = float(dens[order[cut]])
+    return threshold, dens >= threshold
 
 
 def posterior_predictive_noisy_mean(
@@ -330,6 +324,7 @@ def posterior_predictive_noisy_mean(
     to cover data and prior by ``span`` standard deviations) and convolved
     with the new observation's Gaussian noise.  ``sigma_new = 0`` is the
     point-evaluation limit: the predictive equals the posterior density.
+    A NaN or ``+inf`` log density on the grid raises ``NumericalError``.
     The convolution is evaluated in fixed blocks of ``t_new`` rows in one
     reused buffer, so its memory is bounded whatever the length of
     ``t_new``.
@@ -345,7 +340,7 @@ def posterior_predictive_noisy_mean(
     hi = max(anchors) + span * max(scales)
     support = np.linspace(lo, hi, grid_cells)
     step = support[1] - support[0]
-    log_masses = _log_density_rows(model)(support[:, None])
+    log_masses = _log_densities(model, support[:, None])
     post = DiscretizedPosterior.from_log_masses(
         support, log_masses, volumes=np.full(grid_cells, step)
     )

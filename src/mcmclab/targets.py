@@ -118,9 +118,12 @@ def _checked(lp: float, point) -> float:
     )
 
 
-def _checked_many(lp, points) -> np.ndarray:
-    """``_checked`` for each row: ``lp`` holds one log density per row of ``points``."""
-    lp = np.asarray(lp, dtype=float)
+def _log_densities(target, points) -> np.ndarray:
+    """Checked log densities of the rows of ``points`` through ``_log_density_rows``.
+
+    The first NaN or ``+inf`` row raises ``_checked``'s error, naming its point.
+    """
+    lp = _log_density_rows(target)(points)
     bad = np.flatnonzero(~(lp < math.inf))
     if bad.size:
         _checked(float(lp[bad[0]]), points[bad[0]])

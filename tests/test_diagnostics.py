@@ -19,7 +19,7 @@ from mcmclab.diagnostics import (
     kish_ess,
     per_coordinate_tau,
 )
-from mcmclab.errors import NumericalError, ZeroVarianceError
+from mcmclab.errors import CoverageError, NumericalError, ZeroVarianceError
 from mcmclab.harness import exercise_2d_target
 from mcmclab.mh import GaussianRandomWalk, drop_burn_in, run_chain
 from mcmclab.targets import IsotropicGaussianTarget, TargetDensity
@@ -367,6 +367,16 @@ class TestHistogramDensity:
         np.testing.assert_array_equal(idx, [[-1, 0], [0, -1], [-1, 0], [0, -1]])
         np.testing.assert_array_equal(hd.density_at(points), 0.0)
 
+    def test_log_pdf_is_log_density_at(self):
+        samples = np.array([[0.5], [0.5], [1.5], [2.5]])
+        hd = histogram_density(samples, bins=4, bounds=[(0.0, 4.0)])
+        inside = np.array([[0.1], [1.1], [2.9], [0.0]])
+        np.testing.assert_array_equal(hd.log_pdf(inside), np.log(hd.density_at(inside)))
+        np.testing.assert_array_equal(hd.log_pdf(inside), np.log([0.5, 0.25, 0.25, 0.5]))
+        # an empty bin, outside the box on either side, NaN
+        elsewhere = np.array([[3.5], [5.0], [-0.1], [np.nan]])
+        np.testing.assert_array_equal(hd.log_pdf(elsewhere), -np.inf)
+
 
 class TestEvidenceFromChain:
     def test_single_bin_constant_target(self):
@@ -415,6 +425,61 @@ class TestEvidenceFromChain:
         hd = histogram_density(samples, bins=2, bounds=[(0.0, 1.0)])
         with pytest.raises(NumericalError):
             evidence_from_chain(Flat(), np.array([[2.0]]), hd)
+
+    def test_empty_bin_weighs_zero_where_the_target_is_zero(self):
+        class HalfLine(TargetDensity):
+            dim = 1
+
+            def log_density(self, theta):
+                return 0.0 if theta[0] <= 1.0 else -np.inf
+
+        samples = np.linspace(0.0, 0.9, 50).reshape(-1, 1)
+        hd = histogram_density(samples, bins=2, bounds=[(0.0, 2.0)])
+        z = evidence_from_chain(HalfLine(), samples, hd)
+        # a sample in the empty bin [1, 2] and one outside the box, both at
+        # zero target density, count in n but add nothing
+        extra = np.vstack([samples, [[1.5]], [[2.5]]])
+        assert evidence_from_chain(HalfLine(), extra, hd) == pytest.approx(z * 50 / 52, rel=1e-12)
+        # in the empty bin but at positive target density: no coverage
+        with pytest.raises(CoverageError, match="1 point"):
+            evidence_from_chain(HalfLine(), np.vstack([samples, [[1.0]]]), hd)
+
+    @pytest.mark.parametrize("case", ["3-D samples, 2-D target", "2-D samples, 3-D target",
+                                      "2-D histogram, 3-D samples and target"])
+    def test_dimension_mismatch_raises(self, case):
+        rng = np.random.default_rng(23)
+        target_dim, sample_dim, hist_dim = {
+            "3-D samples, 2-D target": (2, 3, 3),
+            "2-D samples, 3-D target": (3, 2, 2),
+            "2-D histogram, 3-D samples and target": (3, 3, 2),
+        }[case]
+        samples = rng.standard_normal((400, sample_dim))
+        hd = histogram_density(rng.standard_normal((400, hist_dim)), bins=4)
+        with pytest.raises(ValueError, match="share one dim"):
+            evidence_from_chain(IsotropicGaussianTarget(target_dim), samples, hd)
+
+    @pytest.mark.parametrize("kind", ["1-D array", "2-D array", "chain"])
+    def test_equals_the_mean_density_ratio(self, kind):
+        # exp(LSE(lp - log rho) - log n) in plain numpy, with the maximum
+        # terms split out of the sum as in scipy's logsumexp
+        rng = np.random.default_rng(24)
+        if kind == "chain":
+            target = exercise_2d_target()
+            data = run_chain(target, GaussianRandomWalk(1.0), np.zeros(2), 2000, rng)
+            samples = data.states
+        else:
+            target = IsotropicGaussianTarget(1 if kind == "1-D array" else 2, 1.3)
+            samples = rng.standard_normal((3000, target.dim)) * 1.3
+            data = samples[:, 0] if kind == "1-D array" else samples
+        hd = histogram_density(samples, bins=7)
+        lp = np.array([target.log_density(x) for x in samples])
+        a = lp - np.log(hd.density_at(samples))
+        top = a.max()
+        count = float(np.count_nonzero(a == top))
+        rest = np.exp(np.where(a == top, -np.inf, a) - top).sum()
+        lse = np.log1p(rest / count) + np.log(count) + top
+        expected = float(np.exp(lse - np.log(samples.shape[0])))
+        assert evidence_from_chain(target, data, hd) == expected
 
     def test_estimate_spread_grows_with_dimension(self):
         # the replicate scatter of the histogram-evidence estimate degrades

@@ -202,6 +202,22 @@ class TestGridExpectation:
         with pytest.raises(NumericalError):
             grid_expectation(Nowhere(1), cells, lambda p: np.ones(len(p)))
 
+    @pytest.mark.parametrize("shape", ["scalar", "vector"])
+    def test_equals_the_normalized_cell_weight_mean(self, shape):
+        # the self-normalized mean written out: weights exp(lw - max lw),
+        # lw = log density at the midpoint + log cell volume
+        target = exercise_2d_target()
+        cells = build_grid(GridSpec(([-6.0, -1.0, 0.5, 4.0], np.linspace(-5.0, 6.0, 13))))
+        f = (lambda p: p[:, 0] * p[:, 1]) if shape == "scalar" else (lambda p: p ** 2)
+        lw = np.array([target.log_density(p) for p in cells.midpoints]) + np.log(cells.volumes)
+        w = np.exp(lw - lw.max())
+        fx = f(cells.midpoints)
+        got = grid_expectation(target, cells, f)
+        if shape == "scalar":
+            assert got == float((w * fx).sum() / w.sum()) and type(got) is float
+        else:
+            np.testing.assert_array_equal(got, (w[:, None] * fx).sum(axis=0) / w.sum())
+
 
 class TestGridWeights:
     def test_uniform_everything_gives_equal_weights(self):

@@ -251,6 +251,33 @@ class TestThresholdCredibleRegion:
         _, member = threshold_credible_region(post, 0.5)
         np.testing.assert_array_equal(member, [True, True, False])
 
+    @pytest.mark.parametrize("support", ["ties", "unequal", "one-point"])
+    @pytest.mark.parametrize("coverage", [0.1, 0.68, 0.95])
+    def test_one_sort_equals_adding_density_groups(self, support, coverage):
+        # the region from one sort must be the one built by adding whole
+        # groups of equal density, densest first, until the mass is reached
+        rng = np.random.default_rng(62)
+        if support == "ties":
+            pts = np.arange(300.0)
+            masses = rng.integers(1, 8, size=300).astype(float)
+        elif support == "unequal":
+            pts = rng.standard_normal(500)
+            masses = rng.random(500) ** 6
+        else:
+            pts, masses = np.array([2.5]), np.array([1.0])
+        post = DiscretizedPosterior(points=pts, masses=masses)
+        member = np.zeros(post.n, dtype=bool)
+        cum = 0.0
+        for level in np.unique(post.densities)[::-1]:
+            group = post.densities == level
+            member |= group
+            cum += post.masses[group].sum()
+            if cum >= coverage:
+                break
+        threshold, got = threshold_credible_region(post, coverage)
+        np.testing.assert_array_equal(got, member)
+        assert threshold == float(level) and type(threshold) is float
+
     def test_2d_region_from_histogram_masses(self):
         from mcmclab.diagnostics import histogram_density
 

@@ -17,7 +17,7 @@ from mcmclab.diagnostics import evidence_from_chain, histogram_density
 from mcmclab.errors import NumericalError
 from mcmclab.grid import GridSpec, build_grid, grid_evidence, grid_expectation
 from mcmclab.importance import DiagonalGaussianProposal, importance_weights
-from mcmclab.summaries import DiscretizedPosterior
+from mcmclab.summaries import DiscretizedPosterior, posterior_predictive_noisy_mean
 from mcmclab.targets import (
     DiagonalGaussianTarget,
     IsotropicGaussianTarget,
@@ -215,6 +215,26 @@ class TestEstimatorTargetContract:
         density = histogram_density(samples, bins=5)
         with pytest.raises(NumericalError, match=_point_pattern(first)):
             evidence_from_chain(SpikedGaussian(bad), samples, density)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_posterior_predictive_noisy_mean(self, bad):
+        class SpikedNoisyMean(NoisyMeanModel):
+            """``bad`` at the point of each batch nearest 30; records the batches."""
+
+            def log_density_many(self, points):
+                self.batches.append(np.array(points, dtype=float))
+                lp = super().log_density_many(points)
+                lp[np.argmin(np.abs(points[:, 0] - 30.0))] = bad
+                return lp
+
+        base = noisy_mean_model()
+        model = SpikedNoisyMean(base.observations, base.prior_mean, base.prior_sd)
+        object.__setattr__(model, "batches", [])
+        with pytest.raises(NumericalError) as raised:
+            posterior_predictive_noisy_mean(model, 0.5, np.array([29.0, 30.0]))
+        (support,) = model.batches
+        spike = support[np.argmin(np.abs(support[:, 0] - 30.0))]
+        assert re.search(_point_pattern(spike), str(raised.value))
 
     def test_evidence_from_chain_all_zero_density_warns_and_returns_zero(self):
         samples = np.random.default_rng(44).random((50, 2)) + 2.0
