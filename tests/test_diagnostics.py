@@ -454,7 +454,7 @@ class TestEvidenceFromChain:
             "2-D histogram, 3-D samples and target": (3, 3, 2),
         }[case]
         samples = rng.standard_normal((400, sample_dim))
-        hd = histogram_density(rng.standard_normal((400, hist_dim)), bins=4)
+        hd = histogram_density(samples[:, :hist_dim], bins=4)
         with pytest.raises(ValueError, match="share one dim"):
             evidence_from_chain(IsotropicGaussianTarget(target_dim), samples, hd)
 
