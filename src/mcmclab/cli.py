@@ -2,9 +2,11 @@
 
 Subcommands::
 
-    mcmclab exercise <name> [--config PATH] [--seed N] [--out PATH]
-    mcmclab scaling <sampler> --dims 2,5,10,20 [--n N] [--m M]
-                    [--replicates R] [--jobs J] [--seed N] [--out PATH]
+    mcmclab exercise <name> [--config PATH] [--n N] [--replicates R]
+                     [--burn-in F] [--seed N] [--out PATH]
+    mcmclab scaling <sampler> [--config PATH] [--dims 2,5,10,20] [--n N] [--m M]
+                    [--replicates R] [--burn-in F] [--gamma G | --delta D]
+                    [--a A] [--seed N] [--out PATH] [--jobs J] [--budget B]
     mcmclab report <csv...>
 
 Exit codes: 0 success, 2 configuration error, 3 resource guard,
@@ -13,6 +15,7 @@ Exit codes: 0 success, 2 configuration error, 3 resource guard,
 
 import argparse
 import sys
+from dataclasses import fields
 
 from . import harness
 from .errors import ConfigError, NumericalError, ResourceLimitError
@@ -32,59 +35,51 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ex = sub.add_parser("exercise", help="run a named worked exercise")
     ex.add_argument("name", choices=harness.EXERCISES)
-    ex.add_argument("--config", help="config file (key=value with [sections])")
-    ex.add_argument("--seed", type=int, help="master seed")
-    ex.add_argument("--out", help="output CSV path")
+    ex.set_defaults(sampler=None)
+    _add_run_flags(ex, [(name, None) for name in harness.EXERCISES])
 
     sc = sub.add_parser("scaling", help="run a sampler across dimensions")
     sc.add_argument("sampler", choices=harness.SCALING_SAMPLERS)
-    sc.add_argument("--dims", type=harness.parse_dims,
-                    help="comma-separated dimensions, e.g. 2,5,10,20")
-    sc.add_argument("--n", type=int, help="iterations (single chain) or sweeps (ensemble)")
-    sc.add_argument("--m", type=int, help="ensemble size")
-    sc.add_argument("--replicates", type=int, help="independent replicates per dimension")
-    sc.add_argument("--jobs", type=int, help="worker processes")
-    sc.add_argument("--burn-in", type=float, dest="burn_in", help="burn-in fraction")
-    sc.add_argument("--gamma", type=float, help="fixed proposal scale")
-    sc.add_argument("--delta", type=float, help="proposal scale as delta/sqrt(d)")
-    sc.add_argument("--a", type=float, help="stretch range parameter")
-    sc.add_argument("--budget", type=int, help="total chain-update budget")
-    sc.add_argument("--config", help="config file (key=value with [sections])")
-    sc.add_argument("--seed", type=int, help="master seed")
-    sc.add_argument("--out", help="output CSV path")
+    sc.set_defaults(name="scaling")
+    _add_run_flags(sc, [("scaling", name) for name in harness.SCALING_SAMPLERS])
 
     rp = sub.add_parser("report", help="aggregate scaling CSVs into a table")
     rp.add_argument("csvs", nargs="*", help="row CSVs to aggregate")
     return parser
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _add_run_flags(parser, runs) -> None:
+    """``--config`` and, in field order, a flag for each key one of ``runs`` reads."""
+    parser.add_argument("--config", help="config file (key=value with [sections])")
+    used = set().union(*(harness._keys_used(*run) for run in runs))
+    for f in fields(harness.ExperimentConfig):
+        if f.name in used:
+            parser.add_argument(_flag(f.name), dest=f.name, help=f.metadata["help"])
+
+
 def _overrides(args) -> dict:
-    """Config values from the flags: every parsed option but ``--config``."""
-    return {key: val for key, val in vars(args).items()
-            if key not in ("command", "name", "sampler", "config")}
+    """Config values from the flags given, each through ``_parse_value``."""
+    return {key: harness._parse_value(key, text, _flag(key))
+            for key, text in vars(args).items()
+            if key not in ("command", "name", "sampler", "config") and text is not None}
 
 
-def _cmd_exercise(args) -> int:
-    cfg = harness.config_from_sources(
-        args.name, config_path=args.config, overrides=_overrides(args)
-    )
-    rows, text = harness.run_exercise(cfg)
-    out = cfg.out or f"mcmclab_{args.name}.csv"
-    harness.write_exercise_csv(out, rows)
-    print(text)
-    print(f"wrote {len(rows)} rows to {out}")
-    return EXIT_OK
-
-
-def _cmd_scaling(args) -> int:
-    cfg = harness.config_from_sources(
-        "scaling", sampler=args.sampler, config_path=args.config,
-        overrides=_overrides(args),
-    )
-    rows = harness.run_scaling(cfg)
-    out = cfg.out or f"mcmclab_scaling_{args.sampler}.csv"
-    harness.write_scaling_csv(out, rows)
-    print(harness.report_table(rows))
+def _cmd_run(args) -> int:
+    cfg = harness.config_from_sources(args.name, args.sampler, args.config, _overrides(args))
+    if args.command == "scaling":
+        rows = harness.run_scaling(cfg)
+        out = cfg.out or f"mcmclab_scaling_{args.sampler}.csv"
+        harness.write_scaling_csv(out, rows)
+        print(harness.report_table(rows))
+    else:
+        rows, text = harness.run_exercise(cfg)
+        out = cfg.out or f"mcmclab_{args.name}.csv"
+        harness.write_exercise_csv(out, rows)
+        print(text)
     print(f"wrote {len(rows)} rows to {out}")
     return EXIT_OK
 
@@ -99,11 +94,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "exercise":
-            return _cmd_exercise(args)
-        if args.command == "scaling":
-            return _cmd_scaling(args)
-        return _cmd_report(args)
+        if args.command == "report":
+            return _cmd_report(args)
+        return _cmd_run(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -270,8 +270,11 @@ class HistogramDensity:
         inside = np.all(idx >= 0, axis=1)
         out = np.zeros(idx.shape[0])
         if np.any(inside):
-            sel = tuple(idx[inside].T)
-            out[inside] = self.masses[sel] / self.volumes[sel]
+            sel = idx[inside]
+            vol = 1.0  # each point's bin volume, multiplied in _cell_volumes' axis order
+            for k, e in enumerate(self.edges):
+                vol = vol * np.diff(e)[sel[:, k]]
+            out[inside] = self.counts[tuple(sel.T)] / self.n_samples / vol
         return out
 
     def log_pdf(self, points) -> np.ndarray:

@@ -14,7 +14,7 @@ import os
 import time
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import product, repeat
 from types import MappingProxyType
 
@@ -159,27 +159,34 @@ def _keys_used(experiment: str, sampler: str | None = None) -> set:
     return keys
 
 
+def _key(default, help_text: str):
+    """A config key: its default and the one-line help of its ``--`` flag."""
+    return field(default=default, metadata={"help": help_text})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs; CLI flags override file values override defaults.
 
-    An unset ``n`` or ``replicates`` takes the run's default.
+    Each key's name, type, default and flag help are defined here once.  An
+    unset ``n`` or ``replicates`` takes the run's default.
     """
 
     experiment: str
     sampler: str | None = None
-    dims: tuple = (2, 5, 10, 20)
-    n: int | None = None
-    m: int = 100
-    replicates: int | None = None
-    burn_in: float = 0.2
-    gamma: float | None = None   # fixed proposal scale
-    delta: float | None = None   # scale as delta / sqrt(d)
-    a: float = 2.0               # stretch range parameter
-    seed: int = DEFAULT_SEED
-    out: str | None = None
-    jobs: int = 1
-    budget: int = DEFAULT_BUDGET
+    dims: tuple = _key((2, 5, 10, 20), "comma-separated dimensions, e.g. 2,5,10,20")
+    n: int | None = _key(None, "iterations (chain), sweeps (ensemble) or draws (importance-2d)")
+    m: int = _key(100, "ensemble size")
+    replicates: int | None = _key(None, "independent replicates per dimension, or of "
+                                        "the estimate (importance-2d)")
+    burn_in: float = _key(0.2, "burn-in fraction")
+    gamma: float | None = _key(None, "fixed proposal scale")
+    delta: float | None = _key(None, "proposal scale as delta/sqrt(d)")
+    a: float = _key(2.0, "stretch range parameter")
+    seed: int = _key(DEFAULT_SEED, "master seed")
+    out: str | None = _key(None, "output CSV path")
+    jobs: int = _key(1, "worker processes")
+    budget: int = _key(DEFAULT_BUDGET, "total chain-update budget")
 
     def __post_init__(self):
         _keys_used(self.experiment, self.sampler)  # rejects unknown names
@@ -278,6 +285,7 @@ def parse_config_file(path: str, section: str) -> dict:
 
 
 def _parse_value(key: str, val: str, where: str):
+    """The one parse rule of flag, file and ``MCMCLAB_SEED`` text; ``where`` is the source."""
     value_type = _CONFIG_TYPES[key]
     try:
         return parse_dims(val) if value_type is tuple else value_type(val)
@@ -299,13 +307,9 @@ def config_from_sources(experiment, sampler=None, config_path=None, overrides=No
     unused = values.keys() - _keys_used(experiment, sampler)
     if unused:
         raise ConfigError(f"{name} does not use {', '.join(sorted(unused))}")
-    if "seed" not in values:
-        env = os.environ.get("MCMCLAB_SEED")
-        if env is not None:
-            try:
-                values["seed"] = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"MCMCLAB_SEED must be an integer: {env!r}") from exc
+    env = os.environ.get("MCMCLAB_SEED")
+    if "seed" not in values and env is not None:
+        values["seed"] = _parse_value("seed", env, "MCMCLAB_SEED")
     try:
         return ExperimentConfig(experiment=experiment, sampler=sampler, **values)
     except TypeError as exc:

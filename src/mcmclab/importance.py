@@ -11,7 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError, NumericalError
-from .targets import NoisyMeanModel, _log_densities, _log_sum_exp
+from .targets import (
+    _LOG_2PI, NoisyMeanModel, _log_densities, _log_sum_exp, _set_diagonal_gaussian,
+)
 
 __all__ = [
     "Proposal",
@@ -24,8 +26,6 @@ __all__ = [
     "is_evidence",
     "is_expectation",
 ]
-
-_LOG_2PI = np.log(2.0 * np.pi)
 
 
 class Proposal:
@@ -86,18 +86,10 @@ class DiagonalGaussianProposal(Proposal):
     sigmas: tuple
 
     def __post_init__(self):
-        mu = np.asarray(self.mean, dtype=float)
-        sig = np.asarray(self.sigmas, dtype=float)
-        if mu.shape != sig.shape or mu.ndim != 1:
-            raise ValueError("mean and sigmas must be 1-D and the same length")
-        if not np.all(sig > 0):
-            raise ValueError("all sigmas must be positive")
-        object.__setattr__(self, "mean", tuple(mu))
-        object.__setattr__(self, "sigmas", tuple(sig))
-        object.__setattr__(self, "_mu", mu)
-        object.__setattr__(self, "_sig", sig)
+        _set_diagonal_gaussian(self)
         object.__setattr__(
-            self, "_log_norm", float(np.log(sig).sum() + 0.5 * len(mu) * _LOG_2PI)
+            self, "_log_norm",
+            float(np.log(self._sig).sum() + 0.5 * len(self._mu) * _LOG_2PI),
         )
 
     @property

@@ -150,6 +150,14 @@ def _accepts(lp_current, lp_candidate, candidate, log_correction, log_u) -> bool
     return log_a > -math.inf and log_u <= log_a
 
 
+def _start_log_density(target, point) -> float:
+    """Checked log density of the point a chain moves from, inside the support."""
+    lp = _checked(log_unnorm_density(target, point), point)
+    if np.isneginf(lp):
+        raise ValueError("chain point has zero density; chains must stay in support")
+    return lp
+
+
 def transition_probability(target, proposal, current, candidate) -> float:
     """Metropolis-Hastings acceptance probability for one proposed move.
 
@@ -158,9 +166,7 @@ def transition_probability(target, proposal, current, candidate) -> float:
     """
     current = np.asarray(current, dtype=float)
     candidate = np.asarray(candidate, dtype=float)
-    lp_current = _checked(log_unnorm_density(target, current), current)
-    if np.isneginf(lp_current):
-        raise ValueError("current state has zero density; chains must stay in support")
+    lp_current = _start_log_density(target, current)
     lp_candidate = log_unnorm_density(target, candidate)
     log_a = _log_accept_prob(
         lp_current, lp_candidate, candidate,
@@ -289,9 +295,7 @@ def mh_step(target, proposal, current, rng):
     On rejection the returned point is the current one, unchanged.
     """
     current = np.asarray(current, dtype=float)
-    lp_current = _checked(log_unnorm_density(target, current), current)
-    if np.isneginf(lp_current):
-        raise ValueError("current state has zero density; chains must stay in support")
+    lp_current = _start_log_density(target, current)
     states, accepted = _run_steps(target, proposal, current, lp_current, 1, rng)
     return states[0], bool(accepted[0])
 
@@ -307,9 +311,7 @@ def run_chain(target, proposal, theta0, n: int, rng) -> Chain:
     if n < 1:
         raise ValueError("n must be >= 1")
     theta0 = np.asarray(theta0, dtype=float).ravel()
-    lp = _checked(log_unnorm_density(target, theta0), theta0)
-    if np.isneginf(lp):
-        raise ValueError("theta0 has zero density; start chains inside the support")
+    lp = _start_log_density(target, theta0)
     states, accepted = _run_steps(target, proposal, theta0, lp, n, rng)
     return Chain(states=states, accepted=accepted, start=theta0)
 

@@ -189,6 +189,20 @@ class IsotropicGaussianTarget(TargetDensity):
         return float((2.0 * np.pi * self.sigma ** 2) ** (self.dim / 2.0))
 
 
+def _set_diagonal_gaussian(obj) -> None:
+    """Check ``mean`` and ``sigmas``, store them as tuples and as ``_mu``, ``_sig``."""
+    mean = np.asarray(obj.mean, dtype=float)
+    sig = np.asarray(obj.sigmas, dtype=float)
+    if mean.shape != sig.shape or mean.ndim != 1:
+        raise ValueError("mean and sigmas must be 1-D and the same length")
+    if not np.all(sig > 0):
+        raise ValueError("all sigmas must be positive")
+    object.__setattr__(obj, "mean", tuple(mean))
+    object.__setattr__(obj, "sigmas", tuple(sig))
+    object.__setattr__(obj, "_mu", mean)
+    object.__setattr__(obj, "_sig", sig)
+
+
 @dataclass(frozen=True)
 class DiagonalGaussianTarget(TargetDensity):
     """Gaussian kernel with per-coordinate means and standard deviations.
@@ -201,16 +215,7 @@ class DiagonalGaussianTarget(TargetDensity):
     sigmas: tuple
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        sig = np.asarray(self.sigmas, dtype=float)
-        if mean.shape != sig.shape or mean.ndim != 1:
-            raise ValueError("mean and sigmas must be 1-D and the same length")
-        if not np.all(sig > 0):
-            raise ValueError("all sigmas must be positive")
-        object.__setattr__(self, "mean", tuple(mean))
-        object.__setattr__(self, "sigmas", tuple(sig))
-        object.__setattr__(self, "_mu", mean)
-        object.__setattr__(self, "_sig", sig)
+        _set_diagonal_gaussian(self)
 
     @property
     def dim(self) -> int:

@@ -20,6 +20,7 @@ from mcmclab.diagnostics import (
     per_coordinate_tau,
 )
 from mcmclab.errors import CoverageError, NumericalError, ZeroVarianceError
+from mcmclab.grid import _cell_volumes
 from mcmclab.harness import exercise_2d_target
 from mcmclab.mh import GaussianRandomWalk, drop_burn_in, run_chain
 from mcmclab.targets import IsotropicGaussianTarget, TargetDensity
@@ -366,6 +367,24 @@ class TestHistogramDensity:
         idx = hd.bin_indices(points)
         np.testing.assert_array_equal(idx, [[-1, 0], [0, -1], [-1, 0], [0, -1]])
         np.testing.assert_array_equal(hd.density_at(points), 0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_density_at_equals_the_lattice_lookup(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        samples = rng.standard_normal((4000, dim)) * rng.uniform(0.5, 2.0, dim)
+        bins = [int(b) for b in rng.integers(3, 8, dim)]
+        hd = histogram_density(samples, bins=bins)
+        points = rng.standard_normal((500, dim)) * 2.0
+        points[:3] = samples[:3]
+        points[3, 0] = np.nan
+        points[4, -1] = 1e3
+        idx = hd.bin_indices(points)
+        inside = np.all(idx >= 0, axis=1)
+        assert 0 < inside.sum() < len(points)
+        sel = tuple(idx[inside].T)
+        expected = np.zeros(len(points))
+        expected[inside] = (hd.counts / hd.n_samples)[sel] / _cell_volumes(hd.edges)[sel]
+        np.testing.assert_array_equal(hd.density_at(points), expected)
 
     def test_log_pdf_is_log_density_at(self):
         samples = np.array([[0.5], [0.5], [1.5], [2.5]])

@@ -153,15 +153,57 @@ class TestConfig:
         assert ExperimentConfig("mh-2d").n == 1000
 
     def test_sampler_table_matches_cli_and_ensemble(self):
-        scaling = next(
+        subcommands = next(
             action for action in cli._build_parser()._actions
             if isinstance(action, argparse._SubParsersAction)
-        ).choices["scaling"]
+        ).choices
+        scaling = subcommands["scaling"]
         sampler = next(a for a in scaling._actions if a.dest == "sampler")
         assert tuple(sampler.choices) == SCALING_SAMPLERS == tuple(SAMPLERS)
         for spec in SAMPLERS.values():
             assert spec.move is None or spec.move in ENSEMBLE_METHODS
             assert spec.gamma is None or spec.delta is None
+        # each subcommand has a flag for exactly the keys its runs read,
+        # generated in field order, and no argparse type of its own
+        order = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        for command, runs in [("exercise", [(n, None) for n in EXERCISES]),
+                              ("scaling", [("scaling", s) for s in SAMPLERS])]:
+            flags = [a for a in subcommands[command]._actions
+                     if a.option_strings and a.dest not in ("help", "config")]
+            used = set().union(*(_keys_used(*run) for run in runs))
+            assert [a.dest for a in flags] == [key for key in order if key in used]
+            for action in flags:
+                assert action.option_strings == ["--" + action.dest.replace("_", "-")]
+                assert action.type is None
+        # the samplers between them read every key
+        assert used == set(order) - {"experiment", "sampler"}
+        for f in dataclasses.fields(ExperimentConfig):
+            if f.name not in ("experiment", "sampler"):
+                assert f.metadata["help"].strip(), f.name
+
+    # text a flag or a file line may hold for each key, and the value it means
+    KEY_TEXT = {"dims": ("3,7", (3, 7)), "n": ("321", 321), "m": ("12", 12),
+                "replicates": ("3", 3), "burn_in": ("0.25", 0.25),
+                "gamma": ("0.75", 0.75), "delta": ("1.5", 1.5), "a": ("2.5", 2.5),
+                "seed": ("42", 42), "out": ("rows.csv", "rows.csv"),
+                "jobs": ("2", 2), "budget": ("123456789", 123456789)}
+
+    @pytest.mark.parametrize("experiment, sampler", RUNS)
+    def test_flag_and_file_text_give_equal_configs(self, experiment, sampler, tmp_path):
+        name = sampler or experiment
+        for key in sorted(_keys_used(experiment, sampler)):
+            # gamma and delta exclude each other, so each is set alone
+            text, value = self.KEY_TEXT[key]
+            path = tmp_path / "lab.cfg"
+            path.write_text(f"[{name}]\n{key} = {text}\n")
+            from_file = config_from_sources(experiment, sampler, config_path=str(path))
+            command = ["scaling", sampler] if sampler else ["exercise", experiment]
+            args = cli._build_parser().parse_args(
+                [*command, "--" + key.replace("_", "-"), text])
+            from_flag = config_from_sources(experiment, sampler,
+                                            overrides=cli._overrides(args))
+            assert from_flag == from_file
+            assert getattr(from_flag, key) == value
 
     @pytest.mark.parametrize("name", [n for n, s in SAMPLERS.items() if s.move])
     def test_too_few_chains_rejected(self, name):
@@ -591,11 +633,44 @@ class TestCli:
         else:
             (tmp_path / "lab.cfg").write_text(f"[mh-fixed]\ndims = {dims}\n")
             argv += ["--config", str(tmp_path / "lab.cfg")]
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse rejects a bad --dims value this way
-            code = exc.code
-        assert code == 2
+        assert cli.main(argv) == 2
+        assert not (tmp_path / "never.csv").exists()
+
+    @pytest.mark.parametrize("argv, config", [
+        (["exercise", "importance-2d", "--n", "2000", "--replicates", "3"],
+         "n = 2000\nreplicates = 3"),
+        (["exercise", "mh-2d", "--n", "500", "--burn-in", "0.3"], "n = 500\nburn_in = 0.3"),
+    ], ids=["importance-2d", "mh-2d"])
+    def test_exercise_flags_match_the_file(self, argv, config, tmp_path):
+        (tmp_path / "lab.cfg").write_text(f"[{argv[1]}]\n{config}\n")
+        by_flag, by_file = tmp_path / "flag.csv", tmp_path / "file.csv"
+        assert cli.main([*argv, "--out", str(by_flag)]) == 0
+        assert cli.main([*argv[:2], "--config", str(tmp_path / "lab.cfg"),
+                         "--out", str(by_file)]) == 0
+        assert by_flag.read_bytes() == by_file.read_bytes()
+
+    def test_exercise_flag_the_run_ignores_exit_code(self, tmp_path, capsys):
+        argv = ["exercise", "noisy-mean", "--n", "5", "--out", str(tmp_path / "never.csv")]
+        assert cli.main(argv) == 2
+        assert "noisy-mean does not use n" in capsys.readouterr().err
+        assert not (tmp_path / "never.csv").exists()
+
+    @pytest.mark.parametrize("args, config, env, source", [
+        (("--n", "abc"), None, None, "--n: bad value for n: 'abc'"),
+        (("--dims", "2,,5"), None, None, "--dims: bad value for dims: '2,,5'"),
+        ((), "n = abc", None, "lab.cfg:2: bad value for n: 'abc'"),
+        ((), None, "pi", "MCMCLAB_SEED: bad value for seed: 'pi'"),
+    ], ids=["n-flag", "dims-flag", "n-file", "seed-env"])
+    def test_bad_value_names_its_source(self, args, config, env, source, tmp_path,
+                                        monkeypatch, capsys):
+        argv = ["scaling", "mh-fixed", *args, "--out", str(tmp_path / "never.csv")]
+        if config is not None:
+            (tmp_path / "lab.cfg").write_text(f"[mh-fixed]\n{config}\n")
+            argv += ["--config", str(tmp_path / "lab.cfg")]
+        if env is not None:
+            monkeypatch.setenv("MCMCLAB_SEED", env)
+        assert cli.main(argv) == 2
+        assert source in capsys.readouterr().err
         assert not (tmp_path / "never.csv").exists()
 
     @pytest.mark.parametrize("config, where", [
