@@ -33,18 +33,11 @@ all of its draws first, one block per kind, in this order:
 ``run_ensemble`` sweeps all ``m`` chains; the public step functions sweep
 the one chain they update, so they draw what one update always drew.
 
-A gaussian or de sweep then updates its chains in rejection runs (the
-rejection branch of pre-fetching, Brockwell 2006).  A rejected update
-leaves every position unchanged, so the next rows' steps are known: a run
-takes ``mh._batch_size(rate)`` rows, ``rate`` being the previous sweep's
-acceptance (1.0 for the first sweep and the step functions), capped by the
-rows left.  It forms their steps in one stacked product, one gemv per row
-and so equal bit for bit to the row's own ``w @ positions``, evaluates the
-candidates in one ``log_density_many`` call and decides them in order with
-``mh._first_accept``.  The accepted chain moves, the rows after it are
-discarded unchecked, and the next run starts at the row after the accept.
-A target whose ``log_density_many`` was not written with its
-``log_density`` runs one row at a time, one ``log_density`` call per update.
+A gaussian or de sweep then updates its chains in rejection runs, as a
+random-walk chain does (``mh`` module docstring): the first segment's
+``rate`` is the previous sweep's acceptance (1.0 for the first sweep and
+the step functions), and a run forms its steps in one stacked product, one
+gemv per row and so equal bit for bit to the row's own ``w @ positions``.
 
 A stretch sweep evaluates the chains in dependency levels: chain ``j``
 whose partner ``k`` comes later in the sweep reads ``k``'s old position and
@@ -61,8 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mh import Chain, _accepts, _batch_size, _first_accept
-from .targets import _checked, _log_density_rows, _rows_agree
+from .mh import Chain, _accepts, _rejection_runs
+from .targets import _checked, _log_density_rows
 
 __all__ = [
     "EnsembleState",
@@ -255,30 +248,25 @@ def _sweep(method, target, positions, rows, lp, gamma, law, jitter_sd, rng, acce
     else:
         walk, eps = None, jitter_sd * rng.standard_normal((r, d))
     log_u = np.log(rng.random(r)).tolist()
-    log_density_rows = _log_density_rows(target)
-    k = _batch_size(rate) if _rows_agree(target) else 1
-    i = 0
-    while i < r:
-        stop = min(i + k, r)
-        chains = rows[i:stop]
-        # stacked: one gemv per row, equal bit for bit to walk[i] @ positions,
+    chain_list = rows.tolist()
+    accepted[rows] = False
+
+    def form(a, b):
+        # stacked: one gemv per row, equal bit for bit to walk[a] @ positions,
         # which a (k, m) @ (m, d) gemm is not
-        step = eps[i:stop] if walk is None else (walk[i:stop, None, :] @ positions)[:, 0, :]
+        step = eps[a:b] if walk is None else (walk[a:b, None, :] @ positions)[:, 0, :]
         if pairs is not None:
-            step = positions[pairs[0][i:stop]] - positions[pairs[1][i:stop]] + step
-        candidates = positions[chains] + gamma * step
-        lp_new = log_density_rows(candidates).tolist()
-        chain_list = chains.tolist()
-        a = _first_accept([lp[c] for c in chain_list], lp_new, candidates, log_u[i:stop])
-        accepted[chains] = False
-        if a is None:
-            i = stop
-        else:
-            j = chain_list[a]
-            positions[j] = candidates[a]
-            lp[j] = lp_new[a]
-            accepted[j] = True
-            i += a + 1
+            step = positions[pairs[0][a:b]] - positions[pairs[1][a:b]] + step
+        return positions[rows[a:b]] + gamma * step
+
+    runs = _rejection_runs(
+        target, form, lambda a, b: [lp[c] for c in chain_list[a:b]], log_u, rate
+    )
+    for i, candidate, lp_candidate in runs:
+        j = chain_list[i]
+        positions[j] = candidate
+        lp[j] = lp_candidate
+        accepted[j] = True
 
 
 def _stretch_sweep(target, positions, rows, lp, law, rng, accepted):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import diagnostics, summaries
 from .ensemble import DEFAULT_DELTA, MIN_CHAINS, StretchLaw, run_ensemble
-from .errors import ConfigError, ResourceLimitError
+from .errors import ConfigError, ResourceLimitError, ZeroVarianceError
 from .grid import GridSpec, build_grid, grid_evidence, grid_log_weights
 from .importance import (
     DiagonalGaussianProposal,
@@ -421,7 +421,11 @@ def _scaling_row(cfg: ExperimentConfig, dim: int, replicate: int) -> ResultRow:
 
     accept = float(accepted.mean())
     hist = history[int(np.floor(cfg.burn_in * cfg.n)):]
-    chain_taus = [_mean_tau(hist[:, j, :]) for j in range(hist.shape[1])]
+    try:
+        chain_taus = [_mean_tau(hist[:, j, :]) for j in range(hist.shape[1])]
+    except ZeroVarianceError as exc:
+        # a chain that never moved: name the cell, not just the column
+        raise ZeroVarianceError(f"{cfg.sampler} d={dim} replicate {replicate}: {exc}") from exc
     tau = float(np.mean(chain_taus))
     ess = float(np.mean([diagnostics.ess_from_tau(hist.shape[0], t) for t in chain_taus]))
     samples = hist.reshape(-1, dim)

@@ -202,7 +202,7 @@ def is_expectation(ws: WeightedSamples, f):
         raise NumericalError("total importance weight is zero")
     w = np.exp(lw - lw.max())
     fx = np.asarray(f(ws.points), dtype=float)
-    if fx.shape[0] != ws.n:
+    if fx.ndim == 0 or fx.shape[0] != ws.n:
         raise ValueError("f must return one row per sample")
     if fx.ndim == 1:
         return float((w * fx).sum() / w.sum())

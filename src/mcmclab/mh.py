@@ -7,22 +7,26 @@ aligned across proposal variants.  A random-walk chain draws in two
 blocks: all of its steps first, then all of its uniforms.  Any other
 proposal draws its candidate and then its uniform step by step.
 
-Step ``i`` of a random-walk chain proposes ``current + steps[i]`` whatever
-came before, so while the chain sits still its next candidates are known.
-The chain runs in segments of 256 steps.  After a segment that accepted
-under 38% of its steps, the next one pre-fetches: one ``log_density_many``
-call evaluates about ``2 / rate`` candidates (at most 256) from the current
-state, and they are decided in order until the first accept; the rows after
-it are discarded unchecked.  This is the rejection branch of pre-fetching
-(Brockwell 2006), and the chain, its flags and its stream equal the scalar
-loop's bit for bit.  The first segment, and any after a busier one, take
-one ``log_density`` call per step, as does a target whose
-``log_density_many`` was not written with its ``log_density``.  The loop
-that walks a batch to its first accept (``_first_accept``) is shared with
-the ensemble's walk-move sweeps, which run the same way, and so is the
-batch size rule.  The same accept rule drives the ensemble samplers: a
-``-inf`` candidate is rejected, and a NaN or ``+inf`` log density breaks
-the target contract and raises ``NumericalError``.
+A rejected proposal moves nothing, so the next candidates of a symmetric
+random walk are known while it sits still: step ``i`` of a random-walk
+chain proposes ``current + steps[i]``, and a gaussian or de sweep of the
+ensemble samplers forms a chain's walk step from positions no rejection
+changes.  Both update in rejection runs (``_rejection_runs``), the
+rejection branch of pre-fetching (Brockwell 2006).  The updates go in
+segments of 256.  A run takes ``K = _batch_size(rate)`` updates, about
+``2 / rate`` and at most 256, and stops at the end of its segment.
+``rate`` is the acceptance of the segment before; a chain's first segment
+takes 1.0, and a sweep's first the previous sweep's acceptance (1.0 for
+the first sweep).  A run evaluates its candidates in one
+``log_density_many`` call and decides them in order until the first
+accept; the rows after it are discarded unchecked, and the next run starts
+at the update after the accept.  The chain, its flags and its stream
+equal one-at-a-time evaluation bit for bit.  A target whose
+``log_density_many`` was not written with its ``log_density`` runs with
+``K = 1``, one ``log_density`` call per update.  The same accept rule
+drives every ensemble move: a ``-inf`` candidate is rejected, and a NaN or
+``+inf`` log density breaks the target contract and raises
+``NumericalError``.
 """
 
 import math
@@ -175,82 +179,70 @@ def transition_probability(target, proposal, current, candidate) -> float:
     return float(np.exp(log_a))
 
 
-# A random-walk chain runs in segments of _SEGMENT steps.  A segment whose
-# predecessor accepted under _SCALAR_RATE of its steps is pre-fetched in
-# batches of about 2 / rate candidates, at most _SEGMENT; the first segment,
-# and any after a busier one, take one step at a time.
+# Rejection runs go in segments of _SEGMENT updates; each segment takes its
+# run length from the acceptance of the one before.
 _SEGMENT = 256
-_SCALAR_RATE = 0.38
 
 
 def _batch_size(rate: float) -> int:
     return _SEGMENT if rate * _SEGMENT <= 2.0 else max(2, int(2.0 / rate))
 
 
-def _first_accept(lps, lp_candidates, candidates, log_us):
-    """Offset of the first accepted row of a batch of candidates, or None.
+def _rejection_runs(target, form, lps, log_us, rate):
+    """Decide ``len(log_us)`` symmetric updates in rejection runs; yield each accept.
 
-    Row ``j`` moves from log density ``lps[j]`` to ``candidates[j]``, of log
-    density ``lp_candidates[j]``, with uniform ``log_us[j]``.  The rows are
-    decided in order with ``_accepts``, so a NaN or ``+inf`` at a reached row
-    raises for its point; the rows after the first accept are never checked.
-    This is the run loop of every rejection run: a rejected row changes no
-    state, so a batch is exact up to its first accept.
+    A run of up to ``K`` updates from ``i`` forms its candidates with
+    ``form(i, stop)``, evaluates them in one ``_log_density_rows`` call and
+    decides them in order with ``_accepts``, update ``j`` moving from log
+    density ``lps(i, stop)[j - i]`` with uniform ``log_us[j]``.  The first
+    accept is yielded as ``(j, candidate, lp)``; the caller moves its state
+    before the generator resumes, and the next run starts at ``j + 1``.
+    The rows after an accept are discarded unchecked.  ``K`` is
+    ``_batch_size(rate)`` in the first segment of ``_SEGMENT`` updates and
+    ``_batch_size`` of the previous segment's acceptance in each later one
+    (1 if ``_rows_agree(target)`` fails); a run stops at its segment's end.
     """
-    for j, lp_candidate in enumerate(lp_candidates):
-        if _accepts(lps[j], lp_candidate, candidates[j], 0.0, log_us[j]):
-            return j
-    return None
-
-
-def _scalar_steps(target, proposal, states, log_us, accepted, current, lp, lo, hi, rng):
-    """Steps ``lo`` to ``hi``, one target evaluation each; the new ``(current, lp)``.
-
-    ``log_us`` is None for a proposal without a ``steps`` hook: each step
-    then draws its candidate, then its uniform.
-    """
-    for i in range(lo, hi):
-        if log_us is None:
-            candidate = proposal.propose(current, rng)
-            log_correction = _hastings_log_ratio(proposal, current, candidate)
-            log_u = np.log(rng.random())
-        else:
-            candidate = current + states[i]
-            log_correction, log_u = 0.0, log_us[i]
-        lp_candidate = float(target.log_density(candidate))
-        acc = _accepts(lp, lp_candidate, candidate, log_correction, log_u)
-        if acc:
-            current, lp = candidate, lp_candidate
-        states[i] = current
-        accepted[i] = acc
-    return current, lp
-
-
-def _prefetched_steps(rows, states, log_us, accepted, current, lp, lo, hi, k):
-    """Random-walk steps ``lo`` to ``hi`` in batches of ``k``; the new ``(current, lp)``.
-
-    A batch evaluates the candidates ``current + states[i:i + k]`` in one
-    ``rows`` call and decides them with ``_first_accept``.  The rows before
-    the first accept repeat ``current``; the rows after it are discarded
-    unchecked, as the scalar loop never reaches them, and the next batch
-    starts at the step after the accept.  ``accepted`` must hold False.
-    """
-    i = lo
-    while i < hi:
-        stop = min(i + k, hi)
-        candidates = current + states[i:stop]
-        lp_candidates = rows(candidates).tolist()
-        j = _first_accept([lp] * (stop - i), lp_candidates, candidates, log_us[i:stop])
-        if j is None:
-            states[i:stop] = current
+    rows = _log_density_rows(target)
+    agree = _rows_agree(target)
+    n = len(log_us)
+    for lo in range(0, n, _SEGMENT):
+        hi = min(lo + _SEGMENT, n)
+        k = _batch_size(rate) if agree else 1
+        i, taken = lo, 0
+        while i < hi:
+            stop = min(i + k, hi)
+            candidates = form(i, stop)
+            lp_candidates = rows(candidates).tolist()
+            lp_run = lps(i, stop)
+            # indexing, not a zip of the three: this loop runs once per update
+            for j, lp_candidate in enumerate(lp_candidates):
+                if _accepts(lp_run[j], lp_candidate, candidates[j], 0.0, log_us[i + j]):
+                    yield i + j, candidates[j], lp_candidate
+                    taken += 1
+                    stop = i + j + 1
+                    break
             i = stop
-        else:
-            states[i:i + j] = current
-            current, lp = candidates[j], lp_candidates[j]
-            states[i + j] = current
-            accepted[i + j] = True
-            i += j + 1
-    return current, lp
+        rate = taken / (hi - lo)
+
+
+def _scalar_steps(target, proposal, start, lp, n, rng):
+    """``(states, accepted)`` of a proposal without a ``steps`` hook, one step at a time.
+
+    Each step draws its candidate, then its uniform.
+    """
+    states = np.empty((n, start.size))
+    accepted = np.zeros(n, dtype=bool)
+    current = start
+    for i in range(n):
+        candidate = proposal.propose(current, rng)
+        log_correction = _hastings_log_ratio(proposal, current, candidate)
+        log_u = np.log(rng.random())
+        lp_candidate = float(target.log_density(candidate))
+        if _accepts(lp, lp_candidate, candidate, log_correction, log_u):
+            current, lp = candidate, lp_candidate
+            accepted[i] = True
+        states[i] = current
+    return states, accepted
 
 
 def _run_steps(target, proposal, start, lp, n, rng):
@@ -258,34 +250,27 @@ def _run_steps(target, proposal, start, lp, n, rng):
 
     With a ``steps`` hook, all steps are drawn first, into ``states`` (row
     ``i`` holds step ``i`` until the state after step ``i`` overwrites it),
-    then all uniforms, and a segment of steps after a low acceptance is
-    pre-fetched (``_prefetched_steps``) when ``target.log_density_many``
-    agrees with its ``log_density``.  The chain equals the scalar loop's
-    bit for bit.  Otherwise each step draws its candidate, then its
-    uniform.
+    then all uniforms, and the steps run in rejection runs (module
+    docstring).  Otherwise they go one at a time (``_scalar_steps``).
     """
-    accepted = np.zeros(n, dtype=bool)
     steps = getattr(proposal, "steps", None)
     if steps is None:
-        states = np.empty((n, start.size))
-        _scalar_steps(target, proposal, states, None, accepted, start, lp, 0, n, rng)
-        return states, accepted
+        return _scalar_steps(target, proposal, start, lp, n, rng)
     states = steps(n, start.size, rng)
     # a memoryview yields Python floats without holding n float objects
     log_us = memoryview(np.log(rng.random(n)))
-    rows = _log_density_rows(target) if _rows_agree(target) else None
-    current, rate = start, 1.0
-    for lo in range(0, n, _SEGMENT):
-        hi = min(lo + _SEGMENT, n)
-        if rows is not None and rate < _SCALAR_RATE:
-            current, lp = _prefetched_steps(
-                rows, states, log_us, accepted, current, lp, lo, hi, _batch_size(rate)
-            )
-        else:
-            current, lp = _scalar_steps(
-                target, proposal, states, log_us, accepted, current, lp, lo, hi, rng
-            )
-        rate = np.count_nonzero(accepted[lo:hi]) / (hi - lo)
+    accepted = np.zeros(n, dtype=bool)
+    current, last = start, 0
+    runs = _rejection_runs(
+        target, lambda a, b: current + states[a:b], lambda a, b: [lp] * (b - a), log_us, 1.0
+    )
+    for i, candidate, lp_candidate in runs:
+        states[last:i] = current
+        current, lp = candidate, lp_candidate
+        states[i] = current
+        accepted[i] = True
+        last = i + 1
+    states[last:] = current
     return states, accepted
 
 

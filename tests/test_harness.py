@@ -735,6 +735,19 @@ class TestCli:
         assert cli.main(["report", str(path)]) == 2
         assert f"cannot read {path}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_frozen_scaling_chain_names_its_cell(self, jobs, tmp_path, capsys):
+        # at d=60 this fixed-scale chain accepts no step in 300, so its
+        # tau series has zero variance
+        out = tmp_path / "never.csv"
+        argv = ["scaling", "mh-fixed", "--dims", "60", "--n", "300", "--seed", "1905",
+                "--replicates", "2", "--jobs", jobs, "--out", str(out)]
+        assert cli.main(argv) == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: mh-fixed d=60 replicate 0: series column 2 has zero variance\n"
+        )
+        assert not out.exists()
+
     def test_resource_guard_exit_code(self, tmp_path):
         res = self._run(
             "scaling", "ens-gaussian", "--dims", "10", "--n", "100000",

@@ -153,6 +153,13 @@ class TestExpectation:
         f = lambda p: p[:, 0] ** 2
         assert is_expectation(ws, f) == is_expectation(ws_scaled, f)
 
+    @pytest.mark.parametrize("f", [lambda p: 1.0, lambda p: p[:-1, 0]],
+                             ids=["scalar", "short"])
+    def test_f_without_one_row_per_sample_raises(self, f):
+        ws = WeightedSamples(np.zeros((5, 2)), np.zeros(5))
+        with pytest.raises(ValueError, match="f must return one row per sample"):
+            is_expectation(ws, f)
+
     def test_zero_total_weight_raises(self):
         ws = WeightedSamples(np.zeros((3, 1)), np.full(3, -np.inf))
         from mcmclab.errors import NumericalError

@@ -505,6 +505,15 @@ class TestPrefetchedRuns:
         assert band[0] < chain.accepted.mean() < band[1]
         assert target.batches > 0
 
+    def test_high_acceptance_chain_equals_scalar_loop(self):
+        # a busy chain (acceptance near 0.55) runs in rejection runs too,
+        # here of K = 2 or 3 rows
+        target = CountingGaussian(2)
+        theta0 = np.random.default_rng(2).standard_normal(2)
+        chain = self.assert_matches_oracle(target, 1.0, theta0, 4000, 38)
+        assert 0.45 < chain.accepted.mean() < 0.65
+        assert target.batches > 0
+
     def test_neg_inf_region_equals_scalar_loop(self):
         target = CountingGaussian(2, beyond=-np.inf)
         chain = self.assert_matches_oracle(target, 3.0, np.zeros(2), 4000, 32)
