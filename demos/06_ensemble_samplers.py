@@ -41,7 +41,8 @@ for method in ("gaussian", "de", "stretch"):
         taus.append(np.mean([e.tau for e in ests]))
     print(f"  {method:>8}: tau ~ {np.mean(taus):5.1f} sweeps")
 
-print(f"\ndistinct difference trajectories with m=60 chains: "
-      f"{de_trajectory_count(60)} (vs only {60 - 1} stretch directions)")
+print(f"\ndistinct difference trajectories of a single-chain step with m=60 chains: "
+      f"{de_trajectory_count(60)} (vs only {60 - 1} stretch directions);")
+print(f"a run_ensemble chain draws from the other half of {60 // 2} chains instead.")
 print("the stretch move trades tuning knobs for a fixed [1/a, a] step range,")
 print("which is exactly what stops shrinking when the shell does.")

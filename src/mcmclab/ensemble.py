@@ -10,42 +10,31 @@ Three proposal families are provided:
   stretch factor drawn from a power-law window and a ``gamma**(d-1)``
   volume factor in the acceptance ratio.
 
-The gaussian step and de's default jitter are walk steps (Goodman & Weare
-2010): one (m,)-by-(m, d) product of centred standard normal weights with
-the positions, exactly Normal(0, C) for C the other chains' covariance, with
-no covariance formed or factored.  A constant de jitter is a standard
-deviation, a scalar or one per coordinate, as in ter Braak (2006).
+Every update is a half-update (``_update``): the chains ``rows`` move at
+once, each with a proposal built only from the chains ``others``, which
+stay fixed, and one ``log_density_many`` call evaluates the candidates.
+A sweep of ``run_ensemble`` is the red-blue split of Goodman & Weare
+(2010) and emcee (Foreman-Mackey et al. 2013, Algorithm 3): the first
+``m // 2`` chains move against the rest, then the rest against the
+updated first half.  A step function moves its one chain ``j`` against
+all ``m - 1`` others.  With ``r`` rows and ``n`` others, a half-update
+draws one block per kind, in this order:
 
-A sweep updates chains in fixed ascending order, each update seeing the
-others' latest positions, so runs are reproducible for a fixed seed.  It
-keeps one log density per chain, so the target is evaluated at candidates
-only.  No draw depends on the ensemble, so a sweep of ``r`` chains makes
-all of its draws first, one block per kind, in this order:
-
-* gaussian: weights ``standard_normal((r, m))``, uniforms ``random(r)``;
-* de: partners ``integers(m - 2, size=r)``, ``integers(m - 1, size=r)``,
+* gaussian: weights ``standard_normal((r, n))``, uniforms ``random(r)``;
+* de: partners ``integers(n - 1, size=r)``, ``integers(n, size=r)``,
   ``integers(2, size=r)`` (Floyd's sampling of a pair, then a swap), then
-  weights ``standard_normal((r, m))`` or, for a constant jitter,
+  weights ``standard_normal((r, n))`` or, for a constant jitter,
   ``standard_normal((r, d))``, then uniforms ``random(r)``;
-* stretch: partners ``integers(m - 1, size=r)``, factors
+* stretch: partners ``integers(n, size=r)``, factors
   ``sample_stretch_factor(law, rng, r)``, uniforms ``random(r)``.
 
-``run_ensemble`` sweeps all ``m`` chains; the public step functions sweep
-the one chain they update, so they draw what one update always drew.
-
-A gaussian or de sweep then updates its chains in rejection runs, as a
-random-walk chain does (``mh`` module docstring): the first segment's
-``rate`` is the previous sweep's acceptance (1.0 for the first sweep and
-the step functions), and a run forms its steps in one stacked product, one
-gemv per row and so equal bit for bit to the row's own ``w @ positions``.
-
-A stretch sweep evaluates the chains in dependency levels: chain ``j``
-whose partner ``k`` comes later in the sweep reads ``k``'s old position and
-sits at level 0; otherwise it sits one level above ``k``.  Each level is
-one array operation and one ``log_density_many`` call, equal bit for bit to
-updating one chain at a time with the same draws; for a target whose
-``log_density_many`` was not written with its ``log_density`` (a subclass
-that overrides ``log_density`` alone) the call is the base class's row loop.
+The gaussian step and de's default jitter are walk steps (Goodman & Weare
+2010): each row of weights is centred and scaled by ``scale / sqrt(n - 1)``,
+so its product with the other chains' positions is exactly Normal(0,
+scale**2 C) for C their covariance, with no covariance formed or factored.
+A constant de jitter is a standard deviation, a scalar or one per
+coordinate, as in ter Braak (2006).  The chains keep their log densities,
+so the target is evaluated at candidates only.
 """
 
 import math
@@ -54,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mh import Chain, _accepts, _rejection_runs
-from .targets import _checked, _log_density_rows
+from .mh import Chain, _accept_rows
+from .targets import _checked, _log_densities
 
 __all__ = [
     "EnsembleState",
@@ -74,8 +63,12 @@ __all__ = [
 
 ENSEMBLE_METHODS = ("gaussian", "de", "stretch")
 
-# fewest chains each move can run with
-MIN_CHAINS = {"gaussian": 3, "de": 3, "stretch": 2}
+# fewest other chains a move builds its proposal from
+_MIN_OTHERS = {"gaussian": 2, "de": 2, "stretch": 1}
+
+# fewest chains run_ensemble runs each move with: each half's other half
+# holds _MIN_OTHERS chains
+MIN_CHAINS = {method: 2 * n for method, n in _MIN_OTHERS.items()}
 
 # default gamma = DEFAULT_DELTA / sqrt(d) of the moves that take a scale
 DEFAULT_DELTA = {"gaussian": 2.5, "de": 1.7}
@@ -129,7 +122,7 @@ class StretchLaw:
 
 
 def _positions(state, j: int, method: str, dim=None) -> np.ndarray:
-    """``state``'s positions, once the chain count suits ``method`` and ``j`` is a chain.
+    """``state``'s positions, once ``j`` is a chain and its ``m - 1`` others suit ``method``.
 
     The positions must have shape ``(m, dim)``, or ``(m, d)`` for any ``d``
     without ``dim``; a flat ``(m,)`` array is m one-dimensional chains, read
@@ -143,9 +136,9 @@ def _positions(state, j: int, method: str, dim=None) -> np.ndarray:
     if positions.ndim != 2 or dim not in (None, positions.shape[1]):
         want = "d" if dim is None else dim
         raise ValueError(f"positions must have shape (m, {want}), got {positions.shape}")
-    m = positions.shape[0]
-    if m < MIN_CHAINS[method]:
-        raise ValueError(f"{method} moves need at least {MIN_CHAINS[method]} chains, got {m}")
+    m, fewest = positions.shape[0], _MIN_OTHERS[method] + 1
+    if m < fewest:
+        raise ValueError(f"{method} moves need at least {fewest} chains, got {m}")
     # a negative j would let a partner index step onto chain j itself
     if not 0 <= j < m:
         raise ValueError(f"chain index {j} outside [0, {m})")
@@ -186,139 +179,63 @@ def _checked_scales(gamma, jitter_sd, d: int):
     return sd
 
 
-def _walk_weights(w: np.ndarray, rows: np.ndarray, scale: float) -> np.ndarray:
-    """Centre the standard normal ``(r, m)`` block ``w`` into walk weights, in place.
+def _update(method, target, positions, lp, rows, others, gamma, law, jitter_sd, rng):
+    """Move the chains ``rows`` at once against the fixed chains ``others``; their flags.
 
-    Row ``i`` is chain ``rows[i]``'s: own entry zeroed, the mean of the
-    others subtracted, own entry zeroed again, times ``scale / sqrt(m - 2)``.
-    ``w[i] @ positions`` is then ``scale * sum_k w_k (x_k - mean)`` over the
-    other chains, exactly Normal(0, scale**2 C) for C their covariance: the
-    walk move of Goodman & Weare (2010) over all complementary walkers.  The
-    weights sum to zero, so the mean is never formed; the step is odd in ``w``.
+    ``rows`` and ``others`` are disjoint index arrays.  ``positions`` and
+    ``lp``, the chains' log densities, are updated in place.  ``jitter_sd``
+    is de's constant jitter, checked; None makes it a fifth of the other
+    chains' covariance.  The draws follow the block order of the module
+    docstring; one checked ``_log_densities`` call evaluates the candidates
+    and ``mh._accept_rows`` decides them.
     """
-    m = w.shape[1]
-    own = (np.arange(len(rows)), rows)
-    w[own] = 0.0
-    w -= w.sum(axis=1, keepdims=True) / (m - 1)
-    w[own] = 0.0
-    w *= scale / math.sqrt(m - 2)
-    return w
-
-
-def _partner_pairs(m: int, rows: np.ndarray, rng):
-    """Two distinct partners ``(k, l)`` per chain in ``rows``, neither the chain itself.
-
-    Floyd's sampling of a pair below ``m - 1``, then a swap, in three
-    blocks; one row draws as ``rng.choice(m - 1, 2, replace=False)`` at a
-    fraction of its cost.  The pair is then shifted past the chain's index.
-    """
-    r = len(rows)
-    a = rng.integers(m - 2, size=r)
-    b = rng.integers(m - 1, size=r)
-    b[b == a] = m - 2
-    swap = rng.integers(2, size=r) == 0
-    k = np.where(swap, b, a)
-    l = np.where(swap, a, b)
-    k += k >= rows
-    l += l >= rows
-    return k, l
-
-
-def _sweep(method, target, positions, rows, lp, gamma, law, jitter_sd, rng, accepted, rate):
-    """Update chains ``rows`` (an index array) in order; updates its arguments in place.
-
-    ``lp`` maps each chain in ``rows`` to its log density and ``accepted``
-    takes one flag per chain.  ``jitter_sd`` is de's constant jitter, checked;
-    None makes it a fifth of the ensemble covariance.  All draws come first,
-    in the block order of the module docstring.  ``rate``, the acceptance
-    of the previous sweep (1.0 for none), sets the length of the gaussian
-    and de rejection runs (module docstring).
-    """
+    r, n = len(rows), len(others)
+    x, y = positions[rows], positions[others]
+    log_correction = 0.0
     if method == "stretch":
-        _stretch_sweep(target, positions, rows, lp, law, rng, accepted)
-        return
-    m, d = positions.shape
-    r = len(rows)
-    pairs = None
-    if method == "de":
-        pairs = _partner_pairs(m, rows, rng)
-    if jitter_sd is None:
-        scale = 1.0 if method == "gaussian" else math.sqrt(0.2)
-        walk = _walk_weights(rng.standard_normal((r, m)), rows, scale)
+        ends = y[rng.integers(n, size=r)]
+        z = sample_stretch_factor(law, rng, r)
+        candidates = ends + z[:, None] * (x - ends)
+        log_correction = (positions.shape[1] - 1) * np.log(z)
     else:
-        walk, eps = None, jitter_sd * rng.standard_normal((r, d))
-    log_u = np.log(rng.random(r)).tolist()
-    chain_list = rows.tolist()
-    accepted[rows] = False
-
-    def form(a, b):
-        # stacked: one gemv per row, equal bit for bit to walk[a] @ positions,
-        # which a (k, m) @ (m, d) gemm is not
-        step = eps[a:b] if walk is None else (walk[a:b, None, :] @ positions)[:, 0, :]
-        if pairs is not None:
-            step = positions[pairs[0][a:b]] - positions[pairs[1][a:b]] + step
-        return positions[rows[a:b]] + gamma * step
-
-    runs = _rejection_runs(
-        target, form, lambda a, b: [lp[c] for c in chain_list[a:b]], log_u, rate
-    )
-    for i, candidate, lp_candidate in runs:
-        j = chain_list[i]
-        positions[j] = candidate
-        lp[j] = lp_candidate
-        accepted[j] = True
-
-
-def _stretch_sweep(target, positions, rows, lp, law, rng, accepted):
-    """Stretch updates of chains ``rows`` in dependency levels, in place.
-
-    Arguments as for ``_sweep``.  Every level reads its positions before it
-    writes any, so level 0 sees the ensemble as the sweep found it, and a
-    partner outside ``rows`` is read where it stands.
-    """
-    m, d = positions.shape
-    r = len(rows)
-    partners = rng.integers(m - 1, size=r)
-    partners += partners >= rows
-    z = sample_stretch_factor(law, rng, r)
-    log_u = np.log(rng.random(r)).tolist()
-    log_volume = ((d - 1) * np.log(z)).tolist()
-    log_density_rows = _log_density_rows(target)
-    level = [-1] * m  # each chain's level; -1 until it is reached
-    levels = []  # indices into rows of each level, in sweep order
-    for i, (j, k) in enumerate(zip(rows.tolist(), partners.tolist())):
-        # j sees k's new position if k updated earlier in the sweep, else its old one
-        lv = level[k] + 1
-        level[j] = lv
-        if lv == len(levels):
-            levels.append([])
-        levels[lv].append(i)
-    for members in levels:
-        idx = np.array(members)
-        chains = rows[idx]
-        ends = positions[partners[idx]]
-        candidates = ends + z[idx, None] * (positions[chains] - ends)
-        lp_new = log_density_rows(candidates)
-        taken = []
-        for i, j, lp_j, candidate in zip(members, chains.tolist(), lp_new.tolist(), candidates):
-            acc = _accepts(lp[j], lp_j, candidate, log_volume[i], log_u[i])
-            if acc:
-                lp[j] = lp_j
-            taken.append(acc)
-        accepted[chains] = taken
-        positions[chains[taken]] = candidates[taken]
+        if method == "de":
+            a = rng.integers(n - 1, size=r)
+            b = rng.integers(n, size=r)
+            b[b == a] = n - 1
+            swap = rng.integers(2, size=r) == 0
+            pair = y[np.where(swap, b, a)] - y[np.where(swap, a, b)]
+        if jitter_sd is None:
+            # walk weights: they sum to zero, so the mean is never formed,
+            # and the step is odd in them
+            w = rng.standard_normal((r, n))
+            w -= w.mean(axis=1, keepdims=True)
+            w *= (1.0 if method == "gaussian" else math.sqrt(0.2)) / math.sqrt(n - 1)
+            step = w @ y
+        else:
+            step = jitter_sd * rng.standard_normal((r, positions.shape[1]))
+        if method == "de":
+            step = pair + step
+        candidates = x + gamma * step
+    log_u = np.log(rng.random(r))
+    lp_new = _log_densities(target, candidates)
+    taken = _accept_rows(lp[rows], lp_new, candidates, log_correction, log_u)
+    moved = rows[taken]
+    positions[moved] = candidates[taken]
+    lp[moved] = lp_new[taken]
+    return taken
 
 
 def _single_update(method, target, state, j, gamma, law, jitter_sd, rng):
-    """One update of chain ``j`` from scratch; ``(new_position, accepted)``."""
+    """One update of chain ``j`` against all others; ``(new_position, accepted)``."""
     positions = _positions(state, j, method, target.dim).copy()
     m, d = positions.shape
     jitter_sd = _checked_scales(gamma, jitter_sd, d)
-    lp = {j: _checked(float(target.log_density(positions[j])), positions[j])}
-    accepted = np.zeros(m, dtype=bool)
-    rows = np.array([j])
-    _sweep(method, target, positions, rows, lp, gamma, law, jitter_sd, rng, accepted, 1.0)
-    return positions[j], bool(accepted[j])
+    lp = np.empty(m)
+    lp[j] = _checked(float(target.log_density(positions[j])), positions[j])
+    others = np.delete(np.arange(m), j)
+    taken = _update(method, target, positions, lp, np.array([j]), others, gamma, law,
+                    jitter_sd, rng)
+    return positions[j], bool(taken[0])
 
 
 def ensemble_gaussian_step(target, state, j: int, gamma: float, rng):
@@ -332,9 +249,12 @@ def ensemble_gaussian_step(target, state, j: int, gamma: float, rng):
 
 
 def de_trajectory_count(m: int) -> int:
-    """Distinct difference-vector pairs, ignoring order: (m-1)(m-2)/2."""
-    if m < MIN_CHAINS["de"]:
-        raise ValueError(f"difference moves need at least {MIN_CHAINS['de']} chains")
+    """Distinct difference-vector pairs of a ``de_step``, ignoring order: (m-1)(m-2)/2.
+
+    A ``run_ensemble`` chain draws its pair from the other half instead.
+    """
+    if m < _MIN_OTHERS["de"] + 1:
+        raise ValueError(f"difference moves need at least {_MIN_OTHERS['de'] + 1} chains")
     return (m - 1) * (m - 2) // 2
 
 
@@ -382,16 +302,17 @@ def run_ensemble(
     law: StretchLaw | None = None,
     jitter_sd=None,
 ) -> EnsembleState:
-    """Run ``n_sweeps`` sequential sweeps of an ensemble sampler.
+    """Run ``n_sweeps`` red-blue sweeps of an ensemble sampler.
 
-    Within a sweep, chains update in ascending order and each sees the
-    others' latest positions.  Chains start at ``theta0``, of shape (d,)
-    (default the origin) or (m, d) for one point per chain, plus unit
-    Gaussian jitter, since identical starts would give the covariance moves
-    zero steps.  ``gamma`` (gaussian and de) must be finite and defaults to
-    ``DEFAULT_DELTA[method] / sqrt(d)``, ``law`` (stretch) to
-    ``StretchLaw()``, and ``jitter_sd`` is de's constant jitter, as in
-    ``de_step``.  An argument the move does not read raises ``ValueError``.
+    A sweep moves the first ``m // 2`` chains against the rest, then the
+    rest against the updated first half (module docstring).  Chains start
+    at ``theta0``, of shape (d,) (default the origin) or (m, d) for one
+    point per chain, plus unit Gaussian jitter, since identical starts
+    would give the covariance moves zero steps.  ``gamma`` (gaussian and
+    de) must be finite and defaults to ``DEFAULT_DELTA[method] / sqrt(d)``,
+    ``law`` (stretch) to ``StretchLaw()``, and ``jitter_sd`` is de's
+    constant jitter, as in ``de_step``.  An argument the move does not read
+    raises ``ValueError``.
     """
     if method not in ENSEMBLE_METHODS:
         raise ValueError(f"unknown ensemble method {method!r}")
@@ -423,12 +344,12 @@ def run_ensemble(
             stacklevel=2,
         )
     # the gaussian move and de's ensemble jitter step within the span of
-    # the other chains, which is all of R^d only from d + 2 chains on
+    # the other half, which is all of R^d only once m // 2 >= d + 1
     shaped = method == "gaussian" or (method == "de" and jitter_sd is None)
-    if shaped and m < d + 2:
+    if shaped and m < 2 * d + 2:
         warnings.warn(
-            f"covariance proposals want m >= d + 2 chains (m={m}, d={d}); "
-            "their steps stay in the span of the other chains",
+            f"covariance proposals want m >= 2d + 2 chains (m={m}, d={d}); "
+            "their steps stay in the span of the other half",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -436,14 +357,13 @@ def run_ensemble(
     starts = positions.copy()
     # one cached log density per chain: each update evaluates the target
     # at its candidate only
-    lp = [_checked(float(target.log_density(x)), x) for x in positions]
+    lp = np.array([_checked(float(target.log_density(x)), x) for x in positions])
     history = np.empty((n_sweeps, m, d))
     accepted = np.empty((n_sweeps, m), dtype=bool)
-    rows = np.arange(m)
-    rate = 1.0
+    first, second = np.arange(m // 2), np.arange(m // 2, m)
     for sweep in range(n_sweeps):
-        _sweep(method, target, positions, rows, lp, gamma, law, jitter_sd, rng,
-               accepted[sweep], rate)
+        for rows, others in ((first, second), (second, first)):
+            accepted[sweep, rows] = _update(method, target, positions, lp, rows, others,
+                                            gamma, law, jitter_sd, rng)
         history[sweep] = positions
-        rate = np.count_nonzero(accepted[sweep]) / m
     return EnsembleState(positions, history, accepted, starts)

@@ -7,25 +7,20 @@ aligned across proposal variants.  A random-walk chain draws in two
 blocks: all of its steps first, then all of its uniforms.  Any other
 proposal draws its candidate and then its uniform step by step.
 
-A rejected proposal moves nothing, so the next candidates of a symmetric
-random walk are known while it sits still: step ``i`` of a random-walk
-chain proposes ``current + steps[i]``, and a gaussian or de sweep of the
-ensemble samplers forms a chain's walk step from positions no rejection
-changes.  Both update in rejection runs (``_rejection_runs``), the
-rejection branch of pre-fetching (Brockwell 2006).  The updates go in
-segments of 256.  A run takes ``K = _batch_size(rate)`` updates, about
-``2 / rate`` and at most 256, and stops at the end of its segment.
-``rate`` is the acceptance of the segment before; a chain's first segment
-takes 1.0, and a sweep's first the previous sweep's acceptance (1.0 for
-the first sweep).  A run evaluates its candidates in one
+A rejected proposal moves nothing, so while a random-walk chain sits
+still, the candidate of step ``i`` is already known: ``current +
+steps[i]``.  The chain updates in rejection runs, the rejection branch of
+pre-fetching (Brockwell 2006), in segments of 256 steps.  A run takes
+``K = _batch_size(rate)`` steps, about ``2 / rate`` and at most 256, and
+stops at the end of its segment; ``rate`` is the acceptance of the segment
+before, 1.0 for the first.  A run evaluates its candidates in one
 ``log_density_many`` call and decides them in order until the first
 accept; the rows after it are discarded unchecked, and the next run starts
-at the update after the accept.  The chain, its flags and its stream
-equal one-at-a-time evaluation bit for bit.  A target whose
-``log_density_many`` was not written with its ``log_density`` runs with
-``K = 1``, one ``log_density`` call per update.  The same accept rule
-drives every ensemble move: a ``-inf`` candidate is rejected, and a NaN or
-``+inf`` log density breaks the target contract and raises
+at the step after the accept.  The chain, its flags and its stream equal
+one-at-a-time evaluation bit for bit.  A target whose ``log_density_many``
+was not written with its ``log_density`` runs with ``K = 1``, one
+``log_density`` call per step.  A ``-inf`` candidate is rejected, and a
+NaN or ``+inf`` log density breaks the target contract and raises
 ``NumericalError``.
 """
 
@@ -34,7 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .targets import _checked, _log_density_rows, _rows_agree, log_unnorm_density
+from .targets import (
+    _checked, _checked_rows, _log_density_rows, _rows_agree, log_unnorm_density,
+)
 
 __all__ = [
     "MarkovProposal",
@@ -154,6 +151,19 @@ def _accepts(lp_current, lp_candidate, candidate, log_correction, log_u) -> bool
     return log_a > -math.inf and log_u <= log_a
 
 
+def _accept_rows(lp_current, lp_candidate, candidates, log_correction, log_u) -> np.ndarray:
+    """``_accepts`` for each row of arrays, in the same operations: one flag per row.
+
+    A ``-inf`` candidate is rejected; the first NaN or ``+inf`` one in row
+    order raises ``NumericalError``, naming its row of ``candidates``.
+    """
+    _checked_rows(lp_candidate, candidates)
+    with np.errstate(invalid="ignore"):  # -inf - -inf, at a rejected row
+        log_t = (lp_candidate - lp_current) + log_correction
+    log_a = np.where(lp_candidate == -math.inf, -math.inf, np.where(log_t > 0.0, 0.0, log_t))
+    return (log_a > -math.inf) & (log_u <= log_a)
+
+
 def _start_log_density(target, point) -> float:
     """Checked log density of the point a chain moves from, inside the support."""
     lp = _checked(log_unnorm_density(target, point), point)
@@ -186,43 +196,6 @@ _SEGMENT = 256
 
 def _batch_size(rate: float) -> int:
     return _SEGMENT if rate * _SEGMENT <= 2.0 else max(2, int(2.0 / rate))
-
-
-def _rejection_runs(target, form, lps, log_us, rate):
-    """Decide ``len(log_us)`` symmetric updates in rejection runs; yield each accept.
-
-    A run of up to ``K`` updates from ``i`` forms its candidates with
-    ``form(i, stop)``, evaluates them in one ``_log_density_rows`` call and
-    decides them in order with ``_accepts``, update ``j`` moving from log
-    density ``lps(i, stop)[j - i]`` with uniform ``log_us[j]``.  The first
-    accept is yielded as ``(j, candidate, lp)``; the caller moves its state
-    before the generator resumes, and the next run starts at ``j + 1``.
-    The rows after an accept are discarded unchecked.  ``K`` is
-    ``_batch_size(rate)`` in the first segment of ``_SEGMENT`` updates and
-    ``_batch_size`` of the previous segment's acceptance in each later one
-    (1 if ``_rows_agree(target)`` fails); a run stops at its segment's end.
-    """
-    rows = _log_density_rows(target)
-    agree = _rows_agree(target)
-    n = len(log_us)
-    for lo in range(0, n, _SEGMENT):
-        hi = min(lo + _SEGMENT, n)
-        k = _batch_size(rate) if agree else 1
-        i, taken = lo, 0
-        while i < hi:
-            stop = min(i + k, hi)
-            candidates = form(i, stop)
-            lp_candidates = rows(candidates).tolist()
-            lp_run = lps(i, stop)
-            # indexing, not a zip of the three: this loop runs once per update
-            for j, lp_candidate in enumerate(lp_candidates):
-                if _accepts(lp_run[j], lp_candidate, candidates[j], 0.0, log_us[i + j]):
-                    yield i + j, candidates[j], lp_candidate
-                    taken += 1
-                    stop = i + j + 1
-                    break
-            i = stop
-        rate = taken / (hi - lo)
 
 
 def _scalar_steps(target, proposal, start, lp, n, rng):
@@ -260,16 +233,29 @@ def _run_steps(target, proposal, start, lp, n, rng):
     # a memoryview yields Python floats without holding n float objects
     log_us = memoryview(np.log(rng.random(n)))
     accepted = np.zeros(n, dtype=bool)
-    current, last = start, 0
-    runs = _rejection_runs(
-        target, lambda a, b: current + states[a:b], lambda a, b: [lp] * (b - a), log_us, 1.0
-    )
-    for i, candidate, lp_candidate in runs:
-        states[last:i] = current
-        current, lp = candidate, lp_candidate
-        states[i] = current
-        accepted[i] = True
-        last = i + 1
+    rows = _log_density_rows(target)
+    agree = _rows_agree(target)
+    current, last, rate = start, 0, 1.0
+    for lo in range(0, n, _SEGMENT):
+        hi = min(lo + _SEGMENT, n)
+        k = _batch_size(rate) if agree else 1
+        i, taken = lo, 0
+        while i < hi:
+            stop = min(i + k, hi)
+            candidates = current + states[i:stop]
+            # indexing, not a zip: this loop runs once per step
+            for j, lp_candidate in enumerate(rows(candidates).tolist()):
+                if _accepts(lp, lp_candidate, candidates[j], 0.0, log_us[i + j]):
+                    stop = i + j + 1
+                    states[last:stop - 1] = current
+                    current, lp = candidates[j], lp_candidate
+                    states[stop - 1] = current
+                    accepted[stop - 1] = True
+                    last = stop
+                    taken += 1
+                    break
+            i = stop
+        rate = taken / (hi - lo)
     states[last:] = current
     return states, accepted
 

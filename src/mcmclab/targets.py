@@ -52,12 +52,11 @@ class TargetDensity:
         their streams match one-at-a-time evaluation only if the rows agree
         exactly.  Rows may be evaluated speculatively, beyond the point a
         sequential sampler would reach: a random-walk chain evaluates a
-        batch of candidates from one state, a gaussian or de sweep the
-        candidates of a run of chains from one ensemble, and both discard
-        the rows after the first accepted one unchecked.  The default loops
-        over rows; subclasses override with vectorized evaluation that
-        keeps the per-row arithmetic (``np.vecdot`` for a dot product, not a
-        sum of squares).  A subclass that overrides ``log_density`` alone
+        batch of candidates from one state and discards the rows after the
+        first accepted one unchecked.  The default loops over rows;
+        subclasses override with vectorized evaluation that keeps the
+        per-row arithmetic (``np.vecdot`` for a dot product, not a sum of
+        squares).  A subclass that overrides ``log_density`` alone
         would inherit a ``log_density_many`` of another density, so the
         package's callers then use this default loop instead
         (``_log_density_rows``).
@@ -118,16 +117,17 @@ def _checked(lp: float, point) -> float:
     )
 
 
-def _log_densities(target, points) -> np.ndarray:
-    """Checked log densities of the rows of ``points`` through ``_log_density_rows``.
-
-    The first NaN or ``+inf`` row raises ``_checked``'s error, naming its point.
-    """
-    lp = _log_density_rows(target)(points)
+def _checked_rows(lp: np.ndarray, points) -> np.ndarray:
+    """``lp`` itself, unless a row is NaN or ``+inf``: the first raises, naming its point."""
     bad = np.flatnonzero(~(lp < math.inf))
     if bad.size:
         _checked(float(lp[bad[0]]), points[bad[0]])
     return lp
+
+
+def _log_densities(target, points) -> np.ndarray:
+    """The ``_log_density_rows`` values at the rows of ``points``, ``_checked_rows``."""
+    return _checked_rows(_log_density_rows(target)(points), points)
 
 
 def _log_sum_exp(a) -> float:

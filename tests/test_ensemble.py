@@ -16,8 +16,7 @@ from mcmclab.ensemble import (
     ENSEMBLE_METHODS,
     MIN_CHAINS,
     StretchLaw,
-    _partner_pairs,
-    _walk_weights,
+    _update,
     de_step,
     de_trajectory_count,
     ensemble_covariance,
@@ -27,7 +26,7 @@ from mcmclab.ensemble import (
     stretch_step,
 )
 from mcmclab.errors import NumericalError
-from mcmclab.mh import GaussianRandomWalk, _batch_size, run_chain
+from mcmclab.mh import GaussianRandomWalk, run_chain
 from mcmclab.targets import IsotropicGaussianTarget, TargetDensity
 
 
@@ -149,106 +148,141 @@ class TestLooCovariance:
         np.testing.assert_array_equal(got, expected)
 
 
-def row_weights(z, j, scale):
-    """Chain ``j``'s walk weights from its standard normal row ``z``, spelled out.
+class Recorder(TargetDensity):
+    """Log density ``value`` everywhere; ``points`` keeps each batch it evaluates."""
 
-    Zero the own entry, subtract the mean of the others, zero the own entry
-    again and scale by ``scale / sqrt(m - 2)``: what ``_walk_weights`` does
-    to each row of a block.
+    def __init__(self, dim, value):
+        self.dim = dim
+        self.value = value
+        self.points = []
+
+    def log_density(self, theta):
+        return self.value
+
+    def log_density_many(self, points):
+        self.points.append(points.copy())
+        return np.full(len(points), self.value)
+
+
+class ScriptedWeights:
+    """Duck-typed generator for one gaussian half-update: weights ``z``, uniforms 1/2."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def standard_normal(self, shape):
+        assert shape == self.z.shape
+        return self.z.copy()
+
+    def random(self, size):
+        return np.full(size, 0.5)
+
+
+def half_update_candidates(method, positions, rows, others, rng, gamma=1.0, jitter_sd=None):
+    """The candidates one ``_update`` of ``rows`` against ``others`` forms; none is taken."""
+    target = Recorder(positions.shape[1], -np.inf)
+    lp = np.zeros(len(positions))
+    law = StretchLaw() if method == "stretch" else None
+    taken = _update(method, target, positions.copy(), lp, np.asarray(rows), np.asarray(others),
+                    gamma, law, jitter_sd, rng)
+    assert not taken.any()
+    return target.points[0]
+
+
+def walk_weights(z, scale):
+    """The walk weights of the standard normal ``(r, n)`` block ``z``, row by row.
+
+    Subtract the row's mean and scale by ``scale / sqrt(n - 1)``: what
+    ``_update`` does to the block.
     """
-    m = z.size
-    w = z.copy()
-    w[j] = 0.0
-    w -= w.sum() / (m - 1)
-    w[j] = 0.0
-    w *= scale / math.sqrt(m - 2)
-    return w
+    n = z.shape[1]
+    return np.array([(row - row.sum() / n) * (scale / math.sqrt(n - 1)) for row in z])
 
 
-def walk_rounding(positions):
-    """Bound on the rounding of each entry of a walk step ``w @ positions``.
+def walk_rounding(others):
+    """Bound on the rounding of each entry of a walk step from unit weights.
 
-    Each entry is a dot product of m weights, of 1-norm below
-    ``2/sqrt(m-2)``, with the positions, so it rounds by at most
-    ``(m + 2) eps`` times that norm times the largest position: the scale of
+    Each entry is a dot product of n centred unit weights, of 1-norm below
+    ``2/sqrt(n-1)``, with the positions, so it rounds by at most
+    ``(n + 3) eps`` times that norm times the largest position: the scale of
     the positions, not of their spread.
     """
-    m = positions.shape[0]
-    return (m + 2) * np.finfo(float).eps * 2.0 / np.sqrt(m - 2) * np.max(np.abs(positions))
+    n = others.shape[0]
+    return (n + 3) * np.finfo(float).eps * 2.0 / np.sqrt(n - 1) * np.max(np.abs(others))
+
+
+def walk_steps(z, others, scale=1.0):
+    """The gaussian steps of weights ``z`` over the chains at ``others``, one chain per row."""
+    r, (n, d) = len(z), others.shape
+    positions = np.vstack([others, np.zeros((r, d))])
+    return half_update_candidates("gaussian", positions, np.arange(n, n + r), np.arange(n),
+                                  ScriptedWeights(z), gamma=scale)
 
 
 class TestWalkWeights:
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        m=st.integers(3, 130),
+        n=st.integers(2, 130),
         r=st.integers(1, 40),
-        log_scale=st.floats(-3.0, 3.0),
     )
-    def test_block_equals_one_row_at_a_time(self, seed, m, r, log_scale):
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal((r, m))
-        rows = rng.integers(m, size=r)
-        scale = 10.0 ** log_scale
-        got = _walk_weights(z.copy(), rows, scale)
-        want = np.array([row_weights(z[i], j, scale) for i, j in enumerate(rows)])
-        np.testing.assert_array_equal(got, want)
+    def test_weights_are_centred_and_sum_to_zero(self, seed, n, r):
+        # over unit positions each step is its row of weights
+        z = np.random.default_rng(seed).standard_normal((r, n))
+        got = walk_steps(z, np.eye(n))
+        np.testing.assert_array_equal(got, walk_weights(z, 1.0))
+        eps = np.finfo(float).eps
+        bound = 2 * (n + 2) * eps * (np.abs(z).sum(axis=1) + np.abs(got).sum(axis=1))
+        assert np.all(np.abs(got.sum(axis=1)) <= bound)
 
     @settings(max_examples=300, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        m=st.integers(3, 30),
+        n=st.integers(2, 30),
         d=st.integers(1, 8),
         log_offset=st.one_of(st.none(), st.floats(-2.0, 6.0)),
         log_scale=st.floats(-3.0, 3.0),
     )
-    def test_unit_weights_sum_to_the_covariance(self, seed, m, d, log_offset, log_scale):
-        # sum_i step(e_i) step(e_i)^T is C exactly, also below d + 2 chains
+    def test_unit_weights_sum_to_the_covariance(self, seed, n, d, log_offset, log_scale):
+        # sum_i step(e_i) step(e_i)^T is C exactly, also below d + 1 others
         rng = np.random.default_rng(seed)
         scale = 10.0 ** log_scale
         offset = 0.0 if log_offset is None else 10.0 ** log_offset
-        positions = scale * (offset * rng.standard_normal(d) + rng.standard_normal((m, d)))
-        j = int(rng.integers(m))
-        w = _walk_weights(np.eye(m), np.full(m, j), 1.0)
-        steps = np.array([wi @ positions for wi in w])
-        np.testing.assert_array_equal(steps[j], 0.0)
-        want = ensemble_covariance(positions, j)
+        others = scale * (offset * rng.standard_normal(d) + rng.standard_normal((n, d)))
+        steps = walk_steps(np.eye(n), others)
+        want = ensemble_covariance(np.vstack([others, np.zeros(d)]), n)
         err = np.max(np.abs(steps.T @ steps - want))
         # 1e-12 of C's largest entry, plus what the positions' own rounding
-        # does to m outer products; that dominates only for offsets far
+        # does to n outer products; that dominates only for offsets far
         # larger than the spread
-        r = walk_rounding(positions)
-        assert err <= 1e-12 * np.max(np.abs(want)) + m * (2.0 * np.max(np.abs(steps)) * r + r**2)
+        r = walk_rounding(others)
+        assert err <= 1e-12 * np.max(np.abs(want)) + n * (2.0 * np.max(np.abs(steps)) * r + r**2)
 
     @settings(max_examples=100, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        m=st.integers(3, 30),
+        n=st.integers(2, 30),
         d=st.integers(1, 8),
         log_offset=st.floats(-2.0, 6.0),
     )
-    def test_step_is_odd_in_the_weights(self, seed, m, d, log_offset):
+    def test_step_is_odd_in_the_weights(self, seed, n, d, log_offset):
         rng = np.random.default_rng(seed)
-        positions = 10.0 ** log_offset + rng.standard_normal((m, d))
-        rows = rng.integers(m, size=5)
-        z = rng.standard_normal((5, m))
-        w = _walk_weights(z.copy(), rows, 1.0)
-        w_neg = _walk_weights(-z, rows, 1.0)
-        for i in range(5):
-            np.testing.assert_array_equal(w_neg[i] @ positions, -(w[i] @ positions))
+        others = 10.0 ** log_offset + rng.standard_normal((n, d))
+        z = rng.standard_normal((5, n))
+        np.testing.assert_array_equal(walk_steps(-z, others), -walk_steps(z, others))
 
     @pytest.mark.parametrize("point", [0.0, 1.0, -3e5])
-    @pytest.mark.parametrize("m, d", [(3, 1), (5, 3), (4, 8), (100, 20)])
-    def test_collapsed_ensemble_steps_nowhere(self, point, m, d):
-        positions = np.full((m, d), point)
-        rng = np.random.default_rng(m + d)
+    @pytest.mark.parametrize("n, d", [(2, 1), (4, 3), (3, 8), (99, 20)])
+    def test_collapsed_ensemble_steps_nowhere(self, point, n, d):
+        others = np.full((n, d), point)
+        z = np.random.default_rng(n + d).standard_normal((n + 1, n))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            w = _walk_weights(rng.standard_normal((m, m)), np.arange(m), 1.0)
-            steps = np.array([wi @ positions for wi in w])
+            steps = walk_steps(z, others)
         assert np.all(np.isfinite(steps))
-        # zero up to the rounding of the positions themselves
-        assert np.max(np.abs(steps)) <= walk_rounding(positions)
+        # zero up to the rounding of n products with the point and their sum
+        w = np.abs(walk_weights(z, 1.0)).sum(axis=1, keepdims=True)
+        assert np.all(np.abs(steps) <= 2 * (n + 2) * np.finfo(float).eps * w * abs(point))
         if point == 0.0:
             np.testing.assert_array_equal(steps, 0.0)
 
@@ -473,32 +507,49 @@ class TestPartnerPairs:
     @pytest.mark.parametrize("m", [3, 4, 5, 12, 99, 100])
     def test_one_row_matches_rng_choice(self, m):
         # the spelled-out draws must track numpy's own choice exactly; a
-        # numpy that samples differently fails here, not in a stream drift
+        # numpy that samples differently fails here, not in a stream drift.
+        # Over unit positions and with no jitter, the taken candidate
+        # e_j + e_k - e_l names the pair
         spelled, reference = np.random.default_rng(m), np.random.default_rng(m)
+        target, positions = Recorder(m, 0.0), np.eye(m)
         got, want = [], []
         for t in range(4000):
             j = t % m
-            k, l = _partner_pairs(m, np.array([j]), spelled)
-            got.append((int(k[0]), int(l[0])))
+            new, accepted = de_step(target, positions, j, 1.0, spelled, jitter_sd=0.0)
+            assert accepted
+            step = new - positions[j]
+            got.append((int(step.argmax()), int(step.argmin())))
             a, b = (int(i) for i in reference.choice(m - 1, size=2, replace=False))
             want.append((a + (a >= j), b + (b >= j)))
-            # other draws in between, as in a de update
-            spelled.standard_normal(3)
-            reference.standard_normal(3)
-            spelled.random()
-            reference.random()
+            # the jitter and the uniform, as in a de update
+            reference.standard_normal((1, m))
+            reference.random(1)
         assert got == want
         assert spelled.bit_generator.state == reference.bit_generator.state
 
     @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(3, 30), r=st.integers(1, 200))
-    def test_partners_are_distinct_and_never_the_chain(self, seed, m, r):
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(3, 30),
+           method=st.sampled_from(["de", "stretch"]))
+    def test_partners_are_distinct_and_from_the_other_half(self, seed, m, method):
+        # over unit positions a de candidate is e_j + e_k - e_l and a
+        # stretch candidate (1 - z) e_k + z e_j, which name the partners
         rng = np.random.default_rng(seed)
-        rows = rng.integers(m, size=r)
-        k, l = _partner_pairs(m, rows, rng)
-        assert np.all(k != l)
-        assert np.all((k != rows) & (l != rows))
-        assert np.all((0 <= k) & (k < m) & (0 <= l) & (l < m))
+        chains = rng.permutation(m)
+        split = int(rng.integers(1, m - 1))
+        rows, others = chains[:split], chains[split:]
+        positions = np.eye(m)
+        candidates = half_update_candidates(method, positions, rows, others, rng,
+                                            jitter_sd=0.0 if method == "de" else None)
+        for j, candidate in zip(rows, candidates):
+            step = candidate - positions[j]
+            step[j] = 0.0
+            if method == "de":
+                k, l = int(step.argmax()), int(step.argmin())
+                assert step[k] == 1.0 and step[l] == -1.0
+                assert k in others and l in others
+            else:
+                partners = np.flatnonzero(step)
+                assert len(partners) == 1 and partners[0] in others
 
 
 class ScriptedStretch:
@@ -571,8 +622,9 @@ class TestStretchStep:
         stretch_step(target, positions, 0, StretchLaw(), rng)),
 ], ids=["gaussian", "de", "stretch"])
 def test_step_needs_min_chains(method, step):
+    # a step moves one chain against all m - 1 others
     target = IsotropicGaussianTarget(2, 1.0)
-    fewest = MIN_CHAINS[method]
+    fewest = {"gaussian": 3, "de": 3, "stretch": 2}[method]
     rng = np.random.default_rng(17)
     with pytest.raises(ValueError, match=f"at least {fewest} chains, got {fewest - 1}"):
         step(target, rng.standard_normal((fewest - 1, 2)), rng)
@@ -663,54 +715,52 @@ def test_gamma_must_be_finite(call, gamma):
 def replay(method, target, m, n_sweeps, rng, gamma, law, jitter_sd):
     """``run_ensemble`` in plain numpy, one chain at a time.
 
-    Each sweep makes its draws in the documented block order, then updates
-    chains 0, 1, ... in turn through ``target.log_density``.  Returns the
-    history and the accept flags.
+    Each half-sweep makes its draws in the documented block order and forms
+    its candidates from the other half, then decides its chains in turn
+    through ``target.log_density``.  Returns the history and the accept
+    flags.
     """
     d = target.dim
     positions = rng.standard_normal((m, d))
     lp = [target.log_density(x) for x in positions]
     history = np.empty((n_sweeps, m, d))
     accepted = np.empty((n_sweeps, m), dtype=bool)
+    first, second = list(range(m // 2)), list(range(m // 2, m))
     for sweep in range(n_sweeps):
-        if method == "stretch":
-            partners = rng.integers(m - 1, size=m)
-            z = ((law.a - 1.0) * rng.random(m) + 1.0) ** 2 / law.a
-            log_z = np.log(z)
-        if method == "de":
-            a = rng.integers(m - 2, size=m)
-            b = rng.integers(m - 1, size=m)
-            swap = rng.integers(2, size=m)
-        if method == "de" and jitter_sd is not None:
-            eps = jitter_sd * rng.standard_normal((m, d))
-        elif method != "stretch":
-            weights = rng.standard_normal((m, m))
-        log_u = np.log(rng.random(m))
-        for j in range(m):
-            log_volume = 0.0
+        for rows, others in ((first, second), (second, first)):
+            r, n = len(rows), len(others)
+            x, y = positions[rows], positions[others]
+            log_volume = np.zeros(r)
             if method == "stretch":
-                k = partners[j] + (partners[j] >= j)
-                candidate = positions[k] + z[j] * (positions[j] - positions[k])
-                log_volume = (d - 1) * log_z[j]
+                ends = y[rng.integers(n, size=r)]
+                z = ((law.a - 1.0) * rng.random(r) + 1.0) ** 2 / law.a
+                candidates = ends + z[:, None] * (x - ends)
+                log_volume = (d - 1) * np.log(z)
             else:
+                if method == "de":
+                    a = rng.integers(n - 1, size=r)
+                    b = rng.integers(n, size=r)
+                    swap = rng.integers(2, size=r)
+                    pairs = []
+                    for ai, bi, si in zip(a, b, swap):
+                        bi = bi if bi != ai else n - 1
+                        pairs.append((bi, ai) if si == 0 else (ai, bi))
                 if method == "de" and jitter_sd is not None:
-                    step = eps[j]
+                    step = jitter_sd * rng.standard_normal((r, d))
                 else:
                     scale = 1.0 if method == "gaussian" else math.sqrt(0.2)
-                    step = row_weights(weights[j], j, scale) @ positions
+                    step = walk_weights(rng.standard_normal((r, n)), scale) @ y
                 if method == "de":
-                    k = a[j]
-                    l = b[j] if b[j] != a[j] else m - 2
-                    if swap[j] == 0:
-                        k, l = l, k
-                    step = positions[k + (k >= j)] - positions[l + (l >= j)] + step
-                candidate = positions[j] + gamma * step
-            lp_candidate = target.log_density(candidate)
-            take = log_u[j] <= min(0.0, lp_candidate - lp[j] + log_volume)
-            if take:
-                positions[j] = candidate
-                lp[j] = lp_candidate
-            accepted[sweep, j] = take
+                    step = np.array([y[k] - y[l] for k, l in pairs]) + step
+                candidates = x + gamma * step
+            log_u = np.log(rng.random(r))
+            for i, j in enumerate(rows):
+                lp_candidate = target.log_density(candidates[i])
+                take = log_u[i] <= min(0.0, lp_candidate - lp[j] + log_volume[i])
+                if take:
+                    positions[j] = candidates[i]
+                    lp[j] = lp_candidate
+                accepted[sweep, j] = take
         history[sweep] = positions
     return history, accepted
 
@@ -734,11 +784,11 @@ def assert_run_matches_replay(method, target, m, jitter_sd, seed, law=StretchLaw
     return state
 
 
-# one update's draws before the per-sweep blocks, scalar call by scalar call
+# one step function's draws, scalar call by scalar call
 ONE_UPDATE_DRAWS = {
-    "gaussian": lambda rng, m, d: (rng.standard_normal(m), rng.random()),
+    "gaussian": lambda rng, m, d: (rng.standard_normal(m - 1), rng.random()),
     "de": lambda rng, m, d: (rng.integers(m - 2), rng.integers(m - 1), rng.integers(2),
-                             rng.standard_normal(m), rng.random()),
+                             rng.standard_normal(m - 1), rng.random()),
     "de-constant": lambda rng, m, d: (rng.integers(m - 2), rng.integers(m - 1),
                                       rng.integers(2), rng.standard_normal(d), rng.random()),
     "stretch": lambda rng, m, d: (rng.integers(m - 1), rng.random(), rng.random()),
@@ -750,39 +800,42 @@ class TestSingleCodePath:
         "method, m, d, jitter_sd",
         [
             ("gaussian", 12, 3, None),
+            ("gaussian", 5, 3, None),
             ("gaussian", 4, 3, None),
             ("stretch", 12, 3, None),
+            ("stretch", 5, 3, None),
+            ("stretch", 2, 3, None),
             ("de", 12, 3, None),
             ("de", 12, 3, 0.0),
             ("de", 12, 3, np.sqrt([0.2, 0.1, 0.05])),
             ("de", 12, 3, np.sqrt([0.2, 0.1, 0.0])),
+            ("de", 5, 3, None),
+            ("de", 5, 3, 0.1),
             ("de", 4, 3, None),
             ("de", 4, 3, 0.0),
         ],
     )
     @pytest.mark.parametrize("seed", [0, 1])
     def test_run_ensemble_equals_step_functions(self, method, m, d, jitter_sd, seed):
-        # run_ensemble and the step functions run one sweep code, which
-        # must equal the plain one-chain-at-a-time replay
+        # run_ensemble and the step functions run one half-update code,
+        # whose sweeps must equal the plain one-chain-at-a-time replay
         assert_run_matches_replay(
             method, IsotropicGaussianTarget(d, 1.0), m, jitter_sd, seed
         )
 
-    @pytest.mark.parametrize("m", [2, 3, 40])
-    @pytest.mark.parametrize("d", [1, 20])
-    @pytest.mark.parametrize("a", [1.1, 5.0])
-    @pytest.mark.parametrize("target_cls", [IsotropicGaussianTarget, CountingTarget])
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_stretch_levels_equal_step_functions(self, m, d, a, target_cls, seed):
-        # the dependency-level sweep, through a vectorised log_density_many
-        # and through the default per-row one, against one update at a time
-        assert_run_matches_replay(
-            "stretch", target_cls(d), m, None, seed, law=StretchLaw(a)
-        )
+    @pytest.mark.parametrize("method", ENSEMBLE_METHODS)
+    @pytest.mark.parametrize("m", [5, 12])
+    def test_run_ensemble_equals_replay_through_the_row_loop(self, method, m):
+        # a target without its own log_density_many, at the default scales
+        target = CountingTarget(3)
+        assert_run_matches_replay(method, target, m, None, 2,
+                                  delta=DEFAULT_DELTA.get(method, 1.2))
+        assert target.calls == 2 * (m + 40 * m)
 
     @pytest.mark.parametrize("move", list(ONE_UPDATE_DRAWS))
     def test_step_functions_keep_the_one_update_stream(self, move):
-        # a one-row sweep draws what one update drew before the sweep blocks
+        # a one-row half-update against the m - 1 others draws these blocks,
+        # so its stream equals the scalar draws
         m, d = 7, 3
         target = IsotropicGaussianTarget(d, 1.0)
         positions = np.random.default_rng(40).standard_normal((m, d))
@@ -859,126 +912,6 @@ class Poisoned(VectorBall):
         return lp
 
 
-class CountingMany(CountingTarget):
-    """``CountingTarget`` with a ``log_density_many`` of its own that counts its calls."""
-
-    def __init__(self, dim):
-        super().__init__(dim)
-        self.many_calls = 0
-
-    def log_density_many(self, points):
-        self.many_calls += 1
-        return np.array([-0.5 * float(p @ p) for p in points])
-
-
-class Recounted(CountingMany):
-    """Overrides ``log_density`` alone, so the inherited ``log_density_many`` is not its own."""
-
-    def log_density(self, theta):
-        return super().log_density(theta)
-
-
-def walk_runs(accepted):
-    """Each rejection run of the walk sweeps that made ``accepted``: ``(length, reached)``.
-
-    A sweep's runs take ``_batch_size`` of the previous sweep's acceptance
-    (1.0 before the first) rows, capped by the rows left, and end at their
-    first accept; the next run starts at the row after it.
-    """
-    runs, rate = [], 1.0
-    for flags in accepted.tolist():
-        k, i = _batch_size(rate), 0
-        while i < len(flags):
-            run = flags[i:i + k]
-            reached = run.index(True) + 1 if True in run else len(run)
-            runs.append((len(run), reached))
-            i += reached
-        rate = sum(flags) / len(flags)
-    return runs
-
-
-WALK_MOVES = [("gaussian", None), ("de", None), ("de", 0.1)]
-
-
-class TestWalkRuns:
-    @pytest.mark.parametrize("method, jitter_sd", WALK_MOVES)
-    @pytest.mark.parametrize("m, d", [(40, 20), (12, 2)])
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_runs_equal_one_update_at_a_time(self, method, jitter_sd, m, d, seed):
-        # at the default scales, acceptance is about 0.2 at d=20 and 0.35 at
-        # d=2: runs of several rows, many of them ended by an accept mid-run
-        state = assert_run_matches_replay(
-            method, IsotropicGaussianTarget(d, 1.0), m, jitter_sd, seed,
-            delta=DEFAULT_DELTA[method],
-        )
-        runs = walk_runs(state.accepted)
-        assert max(length for length, _ in runs) > 2
-        assert sum(reached < length for length, reached in runs) > len(runs) // 4
-
-    @pytest.mark.parametrize("method, jitter_sd", WALK_MOVES)
-    def test_one_batch_per_run(self, method, jitter_sd):
-        m, d = 40, 20
-        target = VectorBall(d, -np.inf)
-        state = run_ensemble(method, target, m=m, n_sweeps=30,
-                             rng=np.random.default_rng(50), jitter_sd=jitter_sd)
-        runs = walk_runs(state.accepted)
-        assert target.batches == [length for length, _ in runs]
-        assert max(target.batches) > 2 and len(target.batches) < m * 30
-        # the rows after each run's accept were evaluated, and discarded
-        assert sum(target.batches) > sum(reached for _, reached in runs) == m * 30
-
-    @pytest.mark.parametrize("method, jitter_sd", WALK_MOVES)
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_bad_value_at_a_reached_row_raises_for_its_point(self, method, jitter_sd, bad):
-        # the draws never depend on the target: a clean run shows every
-        # row, and a reached one past the start of its run is poisoned
-        kwargs = dict(m=12, n_sweeps=20, jitter_sd=jitter_sd)
-        clean = Poisoned(2)
-        run_ensemble(method, clean, rng=np.random.default_rng(51), **kwargs)
-        runs = walk_runs(run_ensemble(method, Poisoned(2), rng=np.random.default_rng(51),
-                                      **kwargs).accepted)
-        b = next(b for b, (_, reached) in enumerate(runs) if reached > 1)
-        point = clean.points[b][runs[b][1] - 1]
-        shown = np.array2string(point, precision=6, separator=", ")
-        with pytest.raises(NumericalError, match=f"{bad} at {re.escape(shown)}"):
-            run_ensemble(method, Poisoned(2, bad, [point]), rng=np.random.default_rng(51),
-                         **kwargs)
-
-    @pytest.mark.parametrize("method, jitter_sd", WALK_MOVES)
-    def test_bad_values_after_an_accept_are_never_checked(self, method, jitter_sd):
-        kwargs = dict(m=12, n_sweeps=20, jitter_sd=jitter_sd)
-        clean = Poisoned(2)
-        want = run_ensemble(method, clean, rng=np.random.default_rng(52), **kwargs)
-        runs = zip(clean.points, walk_runs(want.accepted))
-        reached, unreached = set(), []
-        for points, (_, n) in runs:
-            reached.update(p.tobytes() for p in points[:n])
-            unreached.extend(points[n:])
-        # a de step that skips the moved chain is proposed again in the next run
-        poison = [p for p in unreached if p.tobytes() not in reached]
-        assert len(poison) > 10
-        target = Poisoned(2, np.nan, poison)
-        got = run_ensemble(method, target, rng=np.random.default_rng(52), **kwargs)
-        np.testing.assert_array_equal(got.accepted, want.accepted)
-        np.testing.assert_array_equal(got.history, want.history)
-        history, _ = replay(method, Ball(2, np.nan), 12, 20, np.random.default_rng(52),
-                            DEFAULT_DELTA[method] / np.sqrt(2), None, jitter_sd)
-        np.testing.assert_array_equal(got.history, history)
-
-    @pytest.mark.parametrize("method, jitter_sd", WALK_MOVES)
-    def test_targets_without_their_own_rows_take_one_update_at_a_time(self, method, jitter_sd):
-        m, n_sweeps = 9, 15
-        batched, single = CountingMany(3), Recounted(3)
-        want = run_ensemble(method, batched, m=m, n_sweeps=n_sweeps,
-                            rng=np.random.default_rng(53), jitter_sd=jitter_sd)
-        got = run_ensemble(method, single, m=m, n_sweeps=n_sweeps,
-                           rng=np.random.default_rng(53), jitter_sd=jitter_sd)
-        assert batched.calls == m and batched.many_calls > n_sweeps
-        assert single.calls == m + n_sweeps * m and single.many_calls == 0
-        np.testing.assert_array_equal(got.accepted, want.accepted)
-        np.testing.assert_array_equal(got.history, want.history)
-
-
 class TestTargetContract:
     @pytest.mark.parametrize("method", ["gaussian", "de", "stretch"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -1047,27 +980,26 @@ class TestTargetContract:
         radii2 = np.einsum("...i,...i->...", state.history, state.history)
         assert np.all(radii2 < 100.0)
 
-    def test_one_batch_per_dependency_level(self):
-        # replay the sweep's draws: chain j sits at level 0 if its partner k
-        # comes later in the sweep, else one level above k
-        m, d, n_sweeps, seed = 9, 3, 20, 31
-        target = VectorBall(d, -np.inf)
-        run_ensemble("stretch", target, m=m, n_sweeps=n_sweeps,
-                     rng=np.random.default_rng(seed))
-        rng = np.random.default_rng(seed)
-        rng.standard_normal((m, d))
-        expected = []
-        for _ in range(n_sweeps):
-            partners = rng.integers(m - 1, size=m).tolist()
-            rng.random(m)
-            rng.random(m)
-            level = []
-            for j, k in enumerate(partners):
-                k += k >= j
-                level.append(0 if k > j else level[k] + 1)
-            expected += np.bincount(level).tolist()
-        assert target.batches == expected
-        assert len(expected) < m * n_sweeps
+    @pytest.mark.parametrize("method", ENSEMBLE_METHODS)
+    @pytest.mark.parametrize("m", [5, 12])
+    def test_one_batch_per_half_update(self, method, m):
+        target = VectorBall(1, -np.inf)
+        run_ensemble(method, target, m=m, n_sweeps=7, rng=np.random.default_rng(31))
+        assert target.batches == [m // 2, m - m // 2] * 7
+
+    @pytest.mark.parametrize("method", ENSEMBLE_METHODS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_first_bad_row_of_a_half_raises_for_its_point(self, method, bad):
+        # the draws never depend on the target: a clean run shows every
+        # batch, and two rows of one half are poisoned
+        clean = Poisoned(2)
+        run_ensemble(method, clean, m=12, n_sweeps=3, rng=np.random.default_rng(51))
+        batch = clean.points[3]
+        shown = np.array2string(batch[1], precision=6, separator=", ")
+        target = Poisoned(2, bad, [batch[4], batch[1]])
+        with pytest.raises(NumericalError, match=f"{bad} at {re.escape(shown)}"):
+            run_ensemble(method, target, m=12, n_sweeps=3, rng=np.random.default_rng(51))
+        assert len(target.points) == 4
 
     def test_batched_sweep_checks_result_shape(self):
         class Column(VectorBall):
@@ -1093,11 +1025,31 @@ class TestRunEnsemble:
         with pytest.raises(ValueError):
             run_ensemble("gaussian", target, m=1, n_sweeps=5, rng=np.random.default_rng(14))
 
+    @pytest.mark.parametrize("method, step", [
+        ("gaussian", lambda target, positions, rng:
+            ensemble_gaussian_step(target, positions, 2, 1.0, rng)),
+        ("de", lambda target, positions, rng: de_step(target, positions, 2, 1.0, rng)),
+    ], ids=["gaussian", "de"])
+    def test_three_chains_step_but_do_not_run(self, method, step):
+        # each half of a run needs two other chains; a step has m - 1 = 2
+        assert MIN_CHAINS[method] == 4
+        target = IsotropicGaussianTarget(1, 1.0)
+        rng = np.random.default_rng(14)
+        with pytest.raises(ValueError, match=f"'{method}' needs at least 4 chains, got 3"):
+            run_ensemble(method, target, m=3, n_sweeps=5, rng=rng)
+        step(target, rng.standard_normal((3, 1)), rng)
+        run_ensemble(method, target, m=4, n_sweeps=5, rng=rng)
+
     @pytest.mark.parametrize("method", ["gaussian", "de"])
-    def test_covariance_moves_warn_below_d_plus_2_chains(self, method):
+    def test_covariance_moves_warn_below_2d_plus_2_chains(self, method):
+        # a half of m // 2 chains spans R^d only from d + 1 chains on
         target = IsotropicGaussianTarget(5, 1.0)
-        with pytest.warns(RuntimeWarning, match=r"m >= d \+ 2"):
-            run_ensemble(method, target, m=4, n_sweeps=1, rng=np.random.default_rng(28))
+        for m in (4, 11):
+            with pytest.warns(RuntimeWarning, match=r"m >= 2d \+ 2"):
+                run_ensemble(method, target, m=m, n_sweeps=1, rng=np.random.default_rng(28))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_ensemble(method, target, m=12, n_sweeps=1, rng=np.random.default_rng(28))
 
     def test_de_with_constant_jitter_does_not_warn(self):
         target = IsotropicGaussianTarget(5, 1.0)

@@ -12,6 +12,8 @@ from mcmclab.errors import NumericalError
 from mcmclab.harness import exercise_2d_target
 from mcmclab.mh import (
     Chain,
+    _accept_rows,
+    _accepts,
     _log_accept_prob,
     GaussianRandomWalk,
     MarkovProposal,
@@ -259,20 +261,33 @@ class TestTargetContract:
         lp_current=st.floats(-1e300, 1e300),
         lp_candidate=st.floats(allow_nan=True, allow_infinity=True),
         log_correction=st.floats(-1e300, 1e300),
+        log_u=st.floats(max_value=0.0),
+        earlier=st.lists(st.floats(-1e300, 1e300) | st.just(-math.inf), max_size=3),
     )
     def test_rule_never_takes_a_nan_or_inf_candidate(
-        self, lp_current, lp_candidate, log_correction
+        self, lp_current, lp_candidate, log_correction, log_u, earlier
     ):
+        # the row form decides rows ``earlier`` and then the candidate, each
+        # as the scalar rule does
         point = np.zeros(1)
+        lps = np.array([*earlier, lp_candidate])
+        points = np.arange(len(lps), dtype=float)[:, None]
         if math.isnan(lp_candidate) or lp_candidate == math.inf:
             with pytest.raises(NumericalError):
                 _log_accept_prob(lp_current, lp_candidate, point, log_correction)
+            with pytest.raises(NumericalError) as scalar:
+                _accepts(lp_current, lp_candidate, points[-1], log_correction, log_u)
+            with pytest.raises(NumericalError) as rows:
+                _accept_rows(lp_current, lps, points, log_correction, log_u)
+            assert str(rows.value) == str(scalar.value)
             return
         log_a = _log_accept_prob(lp_current, lp_candidate, point, log_correction)
         if lp_candidate == -math.inf:
             assert log_a == -math.inf
         else:
             assert log_a <= 0.0
+        want = [_accepts(lp_current, lp, p, log_correction, log_u) for lp, p in zip(lps, points)]
+        assert _accept_rows(lp_current, lps, points, log_correction, log_u).tolist() == want
 
 
 class TestDetailedBalance:
