@@ -832,6 +832,19 @@ class TestSingleCodePath:
                                   delta=DEFAULT_DELTA.get(method, 1.2))
         assert target.calls == 2 * (m + 40 * m)
 
+    @pytest.mark.parametrize("m", [2, 3, 40])
+    @pytest.mark.parametrize("d", [1, 20])
+    @pytest.mark.parametrize("a", [1.1, 5.0])
+    @pytest.mark.parametrize("target_cls", [IsotropicGaussianTarget, CountingTarget])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_stretch_half_updates_equal_replay(self, m, d, a, target_cls, seed):
+        # one-chain halves and unequal ones, a volume factor of 1 (d = 1) and
+        # of z^19, narrow and wide laws, through a vectorised
+        # log_density_many and through the default per-row one
+        assert_run_matches_replay(
+            "stretch", target_cls(d), m, None, seed, law=StretchLaw(a)
+        )
+
     @pytest.mark.parametrize("move", list(ONE_UPDATE_DRAWS))
     def test_step_functions_keep_the_one_update_stream(self, move):
         # a one-row half-update against the m - 1 others draws these blocks,
