@@ -34,7 +34,8 @@ so its product with the other chains' positions is exactly Normal(0,
 scale**2 C) for C their covariance, with no covariance formed or factored.
 A constant de jitter is a standard deviation, a scalar or one per
 coordinate, as in ter Braak (2006).  The chains keep their log densities,
-so the target is evaluated at candidates only.
+so the target is evaluated at candidates only, and their starts go through
+``mh._start_log_densities``: a start of zero density raises ``ValueError``.
 """
 
 import math
@@ -43,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mh import Chain, _accept_rows
-from .targets import _checked, _log_densities
+from .mh import Chain, _accepts, _start_log_densities
+from .targets import _log_densities
 
 __all__ = [
     "EnsembleState",
@@ -183,11 +184,11 @@ def _update(method, target, positions, lp, rows, others, gamma, law, jitter_sd, 
     """Move the chains ``rows`` at once against the fixed chains ``others``; their flags.
 
     ``rows`` and ``others`` are disjoint index arrays.  ``positions`` and
-    ``lp``, the chains' log densities, are updated in place.  ``jitter_sd``
-    is de's constant jitter, checked; None makes it a fifth of the other
-    chains' covariance.  The draws follow the block order of the module
-    docstring; one checked ``_log_densities`` call evaluates the candidates
-    and ``mh._accept_rows`` decides them.
+    ``lp``, the chains' finite log densities, are updated in place.
+    ``jitter_sd`` is de's constant jitter, checked; None makes it a fifth of
+    the other chains' covariance.  The draws follow the block order of the
+    module docstring; one ``_log_densities`` call evaluates and checks the
+    candidates, and ``mh._accepts`` decides every row at once.
     """
     r, n = len(rows), len(others)
     x, y = positions[rows], positions[others]
@@ -218,7 +219,7 @@ def _update(method, target, positions, lp, rows, others, gamma, law, jitter_sd, 
         candidates = x + gamma * step
     log_u = np.log(rng.random(r))
     lp_new = _log_densities(target, candidates)
-    taken = _accept_rows(lp[rows], lp_new, candidates, log_correction, log_u)
+    taken = _accepts(lp[rows], lp_new, log_correction, log_u)
     moved = rows[taken]
     positions[moved] = candidates[taken]
     lp[moved] = lp_new[taken]
@@ -231,7 +232,7 @@ def _single_update(method, target, state, j, gamma, law, jitter_sd, rng):
     m, d = positions.shape
     jitter_sd = _checked_scales(gamma, jitter_sd, d)
     lp = np.empty(m)
-    lp[j] = _checked(float(target.log_density(positions[j])), positions[j])
+    lp[j] = _start_log_densities(target, positions[j:j + 1])[0]
     others = np.delete(np.arange(m), j)
     taken = _update(method, target, positions, lp, np.array([j]), others, gamma, law,
                     jitter_sd, rng)
@@ -312,7 +313,7 @@ def run_ensemble(
     de) must be finite and defaults to ``DEFAULT_DELTA[method] / sqrt(d)``,
     ``law`` (stretch) to ``StretchLaw()``, and ``jitter_sd`` is de's
     constant jitter, as in ``de_step``.  An argument the move does not read
-    raises ``ValueError``.
+    raises ``ValueError``, and so does a start of zero density.
     """
     if method not in ENSEMBLE_METHODS:
         raise ValueError(f"unknown ensemble method {method!r}")
@@ -355,9 +356,9 @@ def run_ensemble(
         )
     positions = theta0 + rng.standard_normal((m, d))
     starts = positions.copy()
-    # one cached log density per chain: each update evaluates the target
-    # at its candidate only
-    lp = np.array([_checked(float(target.log_density(x)), x) for x in positions])
+    # one cached log density per chain, in a copy the target cannot reuse:
+    # each update evaluates the target at its candidates only
+    lp = _start_log_densities(target, positions).copy()
     history = np.empty((n_sweeps, m, d))
     accepted = np.empty((n_sweeps, m), dtype=bool)
     first, second = np.arange(m // 2), np.arange(m // 2, m)

@@ -1,11 +1,16 @@
-"""Single-chain Metropolis-Hastings.
+"""Single-chain Metropolis-Hastings, and the accept rule of every sampler.
 
-The accept/reject decision is made in log space (accept iff
-``log u <= min(0, dlogp + dlogq)``), and a uniform variate is drawn for
-every step, even when acceptance is certain, so that random streams stay
-aligned across proposal variants.  A random-walk chain draws in two
-blocks: all of its steps first, then all of its uniforms.  Any other
-proposal draws its candidate and then its uniform step by step.
+One rule, ``_accepts``, decides every move of every sampler, one on floats
+or one per row on arrays: accept iff ``log T > -inf`` and ``log u <= log
+T``, where ``log T = dlogp + dlogq`` (or the stretch move's volume factor
+for ``dlogq``).  Callers pass checked log densities, since NaN or ``+inf``
+raises ``NumericalError``, and chains start inside the support
+(``_start_log_densities``), so the current log density is finite.  A
+uniform variate is drawn for every step, even when acceptance is certain,
+so that random streams stay aligned across proposal variants.  A
+random-walk chain draws in two blocks: all of its steps first, then all of
+its uniforms.  Any other proposal draws its candidate and then its uniform
+step by step.
 
 A rejected proposal moves nothing, so while a random-walk chain sits
 still, the candidate of step ``i`` is already known: ``current +
@@ -15,13 +20,11 @@ pre-fetching (Brockwell 2006), in segments of 256 steps.  A run takes
 stops at the end of its segment; ``rate`` is the acceptance of the segment
 before, 1.0 for the first.  A run evaluates its candidates in one
 ``log_density_many`` call and decides them in order until the first
-accept; the rows after it are discarded unchecked, and the next run starts
-at the step after the accept.  The chain, its flags and its stream equal
-one-at-a-time evaluation bit for bit.  A target whose ``log_density_many``
-was not written with its ``log_density`` runs with ``K = 1``, one
-``log_density`` call per step.  A ``-inf`` candidate is rejected, and a
-NaN or ``+inf`` log density breaks the target contract and raises
-``NumericalError``.
+accept; each decided row is checked, the rows after it are discarded
+unchecked, and the next run starts at the step after the accept.  The
+chain, its flags and its stream equal one-at-a-time evaluation bit for
+bit.  A target whose ``log_density_many`` was not written with its
+``log_density`` runs with ``K = 1``, one ``log_density`` call per step.
 """
 
 import math
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .targets import (
-    _checked, _checked_rows, _log_density_rows, _rows_agree, log_unnorm_density,
+    _check_length, _checked, _log_densities, _log_density_rows, _rows_agree, log_unnorm_density,
 )
 
 __all__ = [
@@ -132,43 +135,32 @@ def _hastings_log_ratio(proposal, current, candidate) -> float:
     return proposal.log_q(candidate, current) - proposal.log_q(current, candidate)
 
 
-def _log_accept_prob(lp_current, lp_candidate, candidate, log_correction=0.0) -> float:
-    """The Metropolis accept rule: ``log min(1, T)`` for one proposed move.
+def _accepts(lp_current, lp_candidate, log_correction, log_u):
+    """The Metropolis accept rule: whether ``log u <= log min(1, T)`` takes the move.
 
     ``T`` is the density ratio times ``exp(log_correction)`` (the Hastings
-    ratio, or the stretch move's volume factor).  A ``-inf`` candidate has
-    probability 0; a NaN or ``+inf`` one raises ``NumericalError``.
+    ratio, or the stretch move's volume factor).  The caller passes checked
+    log densities, ``lp_current`` finite, and ``log_u <= 0``, so the ``min``
+    changes no flag; a ``-inf`` candidate is rejected.  The same body
+    decides one move on floats and one move per row on arrays.
     """
-    if lp_candidate == -math.inf:
-        return -math.inf
-    log_t = (_checked(lp_candidate, candidate) - lp_current) + log_correction
-    return 0.0 if log_t > 0.0 else log_t
+    log_t = (lp_candidate - lp_current) + log_correction
+    return (log_t > -math.inf) & (log_u <= log_t)
 
 
-def _accepts(lp_current, lp_candidate, candidate, log_correction, log_u) -> bool:
-    """Whether the move is taken for the uniform ``u``: ``log u <= log min(1, T)``."""
-    log_a = _log_accept_prob(lp_current, lp_candidate, candidate, log_correction)
-    return log_a > -math.inf and log_u <= log_a
+def _start_log_densities(target, points) -> np.ndarray:
+    """Checked log densities of the ``(m, d)`` points that ``m`` chains start from.
 
-
-def _accept_rows(lp_current, lp_candidate, candidates, log_correction, log_u) -> np.ndarray:
-    """``_accepts`` for each row of arrays, in the same operations: one flag per row.
-
-    A ``-inf`` candidate is rejected; the first NaN or ``+inf`` one in row
-    order raises ``NumericalError``, naming its row of ``candidates``.
+    One ``_log_densities`` call evaluates them all, so NaN or ``+inf`` raises
+    ``NumericalError`` naming the first bad point.  A wrong length ``d`` and
+    a start of zero density raise ``ValueError``: chains start inside the
+    support.
     """
-    _checked_rows(lp_candidate, candidates)
-    with np.errstate(invalid="ignore"):  # -inf - -inf, at a rejected row
-        log_t = (lp_candidate - lp_current) + log_correction
-    log_a = np.where(lp_candidate == -math.inf, -math.inf, np.where(log_t > 0.0, 0.0, log_t))
-    return (log_a > -math.inf) & (log_u <= log_a)
-
-
-def _start_log_density(target, point) -> float:
-    """Checked log density of the point a chain moves from, inside the support."""
-    lp = _checked(log_unnorm_density(target, point), point)
-    if np.isneginf(lp):
-        raise ValueError("chain point has zero density; chains must stay in support")
+    _check_length(target, points.shape[1])
+    lp = _log_densities(target, points)
+    outside = np.flatnonzero(lp == -math.inf)
+    if outside.size:
+        raise ValueError(f"chain {outside[0]} sits at zero density; chains must stay in support")
     return lp
 
 
@@ -180,13 +172,10 @@ def transition_probability(target, proposal, current, candidate) -> float:
     """
     current = np.asarray(current, dtype=float)
     candidate = np.asarray(candidate, dtype=float)
-    lp_current = _start_log_density(target, current)
-    lp_candidate = log_unnorm_density(target, candidate)
-    log_a = _log_accept_prob(
-        lp_current, lp_candidate, candidate,
-        _hastings_log_ratio(proposal, current, candidate),
-    )
-    return float(np.exp(log_a))
+    lp_current = _start_log_densities(target, current.reshape(1, -1))[0]
+    lp_candidate = _checked(log_unnorm_density(target, candidate), candidate)
+    log_t = (lp_candidate - lp_current) + _hastings_log_ratio(proposal, current, candidate)
+    return math.exp(min(log_t, 0.0))
 
 
 # Rejection runs go in segments of _SEGMENT updates; each segment takes its
@@ -210,8 +199,8 @@ def _scalar_steps(target, proposal, start, lp, n, rng):
         candidate = proposal.propose(current, rng)
         log_correction = _hastings_log_ratio(proposal, current, candidate)
         log_u = np.log(rng.random())
-        lp_candidate = float(target.log_density(candidate))
-        if _accepts(lp, lp_candidate, candidate, log_correction, log_u):
+        lp_candidate = _checked(float(target.log_density(candidate)), candidate)
+        if _accepts(lp, lp_candidate, log_correction, log_u):
             current, lp = candidate, lp_candidate
             accepted[i] = True
         states[i] = current
@@ -245,7 +234,7 @@ def _run_steps(target, proposal, start, lp, n, rng):
             candidates = current + states[i:stop]
             # indexing, not a zip: this loop runs once per step
             for j, lp_candidate in enumerate(rows(candidates).tolist()):
-                if _accepts(lp, lp_candidate, candidates[j], 0.0, log_us[i + j]):
+                if _accepts(lp, _checked(lp_candidate, candidates[j]), 0.0, log_us[i + j]):
                     stop = i + j + 1
                     states[last:stop - 1] = current
                     current, lp = candidates[j], lp_candidate
@@ -266,7 +255,7 @@ def mh_step(target, proposal, current, rng):
     On rejection the returned point is the current one, unchanged.
     """
     current = np.asarray(current, dtype=float)
-    lp_current = _start_log_density(target, current)
+    lp_current = float(_start_log_densities(target, current.reshape(1, -1))[0])
     states, accepted = _run_steps(target, proposal, current, lp_current, 1, rng)
     return states[0], bool(accepted[0])
 
@@ -282,7 +271,7 @@ def run_chain(target, proposal, theta0, n: int, rng) -> Chain:
     if n < 1:
         raise ValueError("n must be >= 1")
     theta0 = np.asarray(theta0, dtype=float).ravel()
-    lp = _start_log_density(target, theta0)
+    lp = float(_start_log_densities(target, theta0[None])[0])
     states, accepted = _run_steps(target, proposal, theta0, lp, n, rng)
     return Chain(states=states, accepted=accepted, start=theta0)
 

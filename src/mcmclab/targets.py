@@ -144,6 +144,12 @@ def _log_sum_exp(a) -> float:
     return float(np.log1p(rest / count) + np.log(count) + top)
 
 
+def _check_length(target, length: int) -> None:
+    """A point of ``length`` coordinates on a target of another ``dim`` raises ``ValueError``."""
+    if length != target.dim:
+        raise ValueError(f"point has length {length}, target has dim {target.dim}")
+
+
 def log_unnorm_density(target, theta) -> float:
     """Evaluate ``target`` at ``theta`` with dimension checking.
 
@@ -151,10 +157,7 @@ def log_unnorm_density(target, theta) -> float:
     and ``target.dim`` is a contract violation and raises ``ValueError``.
     """
     theta = np.asarray(theta, dtype=float).ravel()
-    if theta.size != target.dim:
-        raise ValueError(
-            f"point has length {theta.size}, target has dim {target.dim}"
-        )
+    _check_length(target, theta.size)
     return float(target.log_density(theta))
 
 

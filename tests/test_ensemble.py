@@ -998,7 +998,8 @@ class TestTargetContract:
     def test_one_batch_per_half_update(self, method, m):
         target = VectorBall(1, -np.inf)
         run_ensemble(method, target, m=m, n_sweeps=7, rng=np.random.default_rng(31))
-        assert target.batches == [m // 2, m - m // 2] * 7
+        # the m starts go in one batch
+        assert target.batches == [m] + [m // 2, m - m // 2] * 7
 
     @pytest.mark.parametrize("method", ENSEMBLE_METHODS)
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -1023,13 +1024,38 @@ class TestTargetContract:
             run_ensemble("stretch", Column(2, -np.inf), m=4, n_sweeps=1,
                          rng=np.random.default_rng(34))
 
+    def test_run_ensemble_raises_on_zero_density_start(self):
+        # chain 1 starts outside the radius-10 ball, where the density is 0
+        theta0 = np.zeros((6, 2))
+        theta0[1] = 50.0
+        with pytest.raises(ValueError, match="chain 1 sits at zero density"):
+            run_ensemble("stretch", VectorBall(2, -np.inf), m=6, n_sweeps=1,
+                         rng=np.random.default_rng(35), theta0=theta0)
+
+    @pytest.mark.parametrize("method", ENSEMBLE_METHODS)
+    @pytest.mark.parametrize("bad", [-np.inf, np.nan, np.inf])
+    def test_step_raises_on_bad_start(self, method, bad):
+        # chain 2 starts outside the radius-10 ball: zero density is a
+        # ValueError, NaN or +inf a NumericalError naming the point
+        positions = np.random.default_rng(36).standard_normal((6, 2))
+        positions[2] = 50.0
+        shown = np.array2string(positions[2], precision=6, separator=", ")
+        error, match = ((ValueError, "zero density") if bad == -np.inf
+                        else (NumericalError, f"{bad} at {re.escape(shown)}"))
+        with pytest.raises(error, match=match):
+            FAR_MOVES[method](positions, 2, np.random.default_rng(37), Ball(2, bad))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_run_ensemble_raises_on_bad_start(self, bad):
-        # every start lies outside the radius-10 ball
-        target = Ball(2, bad)
-        with pytest.raises(NumericalError, match=str(bad)):
-            run_ensemble("stretch", target, m=4, n_sweeps=1,
-                         rng=np.random.default_rng(25), theta0=np.full(2, 50.0))
+        # chains 1 and 3 start outside the radius-10 ball, and the first of
+        # them is named; the starts add unit jitter to theta0
+        theta0 = np.zeros((4, 2))
+        theta0[[1, 3]] = 50.0
+        starts = theta0 + np.random.default_rng(25).standard_normal((4, 2))
+        shown = np.array2string(starts[1], precision=6, separator=", ")
+        with pytest.raises(NumericalError, match=f"{bad} at {re.escape(shown)}"):
+            run_ensemble("stretch", Ball(2, bad), m=4, n_sweeps=1,
+                         rng=np.random.default_rng(25), theta0=theta0)
 
 
 class TestRunEnsemble:

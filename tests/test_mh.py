@@ -5,16 +5,14 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mcmclab.errors import NumericalError
 from mcmclab.harness import exercise_2d_target
 from mcmclab.mh import (
     Chain,
-    _accept_rows,
     _accepts,
-    _log_accept_prob,
     GaussianRandomWalk,
     MarkovProposal,
     acceptance_fraction,
@@ -23,7 +21,7 @@ from mcmclab.mh import (
     run_chain,
     transition_probability,
 )
-from mcmclab.targets import IsotropicGaussianTarget, TargetDensity
+from mcmclab.targets import IsotropicGaussianTarget, TargetDensity, _checked, _checked_rows
 
 
 class ThreeState(TargetDensity):
@@ -259,35 +257,48 @@ class TestTargetContract:
 
     @given(
         lp_current=st.floats(-1e300, 1e300),
-        lp_candidate=st.floats(allow_nan=True, allow_infinity=True),
+        lp_candidate=st.floats(-1e300, 1e300) | st.just(-math.inf),
         log_correction=st.floats(-1e300, 1e300),
         log_u=st.floats(max_value=0.0),
         earlier=st.lists(st.floats(-1e300, 1e300) | st.just(-math.inf), max_size=3),
     )
-    def test_rule_never_takes_a_nan_or_inf_candidate(
+    # a tie takes the move; a -inf candidate never does, not even for u = 0
+    @example(lp_current=0.0, lp_candidate=0.0, log_correction=0.0, log_u=0.0, earlier=[])
+    @example(lp_current=0.0, lp_candidate=-math.inf, log_correction=0.0, log_u=-math.inf,
+             earlier=[])
+    def test_rule_is_min_one_t_on_floats_and_rows(
         self, lp_current, lp_candidate, log_correction, log_u, earlier
     ):
-        # the row form decides rows ``earlier`` and then the candidate, each
-        # as the scalar rule does
-        point = np.zeros(1)
+        # the reference is the rule as written with min(0, .) and a -inf branch
+        def reference(lp):
+            log_a = -math.inf if lp == -math.inf else min(0.0, (lp - lp_current) + log_correction)
+            return log_a > -math.inf and log_u <= log_a
+
+        flag = _accepts(lp_current, lp_candidate, log_correction, log_u)
+        assert isinstance(flag, bool)
+        assert flag == reference(lp_candidate)
         lps = np.array([*earlier, lp_candidate])
-        points = np.arange(len(lps), dtype=float)[:, None]
-        if math.isnan(lp_candidate) or lp_candidate == math.inf:
-            with pytest.raises(NumericalError):
-                _log_accept_prob(lp_current, lp_candidate, point, log_correction)
-            with pytest.raises(NumericalError) as scalar:
-                _accepts(lp_current, lp_candidate, points[-1], log_correction, log_u)
-            with pytest.raises(NumericalError) as rows:
-                _accept_rows(lp_current, lps, points, log_correction, log_u)
-            assert str(rows.value) == str(scalar.value)
-            return
-        log_a = _log_accept_prob(lp_current, lp_candidate, point, log_correction)
-        if lp_candidate == -math.inf:
-            assert log_a == -math.inf
-        else:
-            assert log_a <= 0.0
-        want = [_accepts(lp_current, lp, p, log_correction, log_u) for lp, p in zip(lps, points)]
-        assert _accept_rows(lp_current, lps, points, log_correction, log_u).tolist() == want
+        want = [_accepts(lp_current, lp, log_correction, log_u) for lp in lps.tolist()]
+        assert _accepts(lp_current, lps, log_correction, log_u).tolist() == want
+
+    @given(
+        lps=st.lists(st.floats(-1e300, 1e300) | st.just(-math.inf), min_size=1, max_size=6),
+        bad=st.lists(st.tuples(st.integers(0, 5), st.sampled_from([math.nan, math.inf])),
+                     min_size=1, max_size=3),
+    )
+    def test_checked_rows_names_the_first_bad_row(self, lps, bad):
+        lps = np.array(lps)
+        for i, value in bad:
+            lps[i % len(lps)] = value
+        points = np.arange(2 * len(lps), dtype=float).reshape(-1, 2) / 3.0
+        first = min(i % len(lps) for i, _ in bad)
+        with pytest.raises(NumericalError) as scalar:
+            _checked(float(lps[first]), points[first])
+        with pytest.raises(NumericalError) as rows:
+            _checked_rows(lps, points)
+        assert str(rows.value) == str(scalar.value)
+        good = np.where(np.isfinite(lps) | (lps == -math.inf), lps, 0.0)
+        assert _checked_rows(good, points) is good
 
 
 class TestDetailedBalance:
