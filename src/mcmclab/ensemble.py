@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mh import Chain, _accepts, _start_log_densities
-from .targets import _log_densities
+from .targets import _checked_rows, _log_density_rows
 
 __all__ = [
     "EnsembleState",
@@ -180,15 +180,15 @@ def _checked_scales(gamma, jitter_sd, d: int):
     return sd
 
 
-def _update(method, target, positions, lp, rows, others, gamma, law, jitter_sd, rng):
+def _update(method, log_density_rows, positions, lp, rows, others, gamma, law, jitter_sd, rng):
     """Move the chains ``rows`` at once against the fixed chains ``others``; their flags.
 
     ``rows`` and ``others`` are disjoint index arrays.  ``positions`` and
     ``lp``, the chains' finite log densities, are updated in place.
     ``jitter_sd`` is de's constant jitter, checked; None makes it a fifth of
     the other chains' covariance.  The draws follow the block order of the
-    module docstring; one ``_log_densities`` call evaluates and checks the
-    candidates, and ``mh._accepts`` decides every row at once.
+    module docstring; one ``log_density_rows`` call evaluates the candidates,
+    ``_checked_rows`` checks them, and ``mh._accepts`` decides every row at once.
     """
     r, n = len(rows), len(others)
     x, y = positions[rows], positions[others]
@@ -218,7 +218,7 @@ def _update(method, target, positions, lp, rows, others, gamma, law, jitter_sd, 
             step = pair + step
         candidates = x + gamma * step
     log_u = np.log(rng.random(r))
-    lp_new = _log_densities(target, candidates)
+    lp_new = _checked_rows(log_density_rows(candidates), candidates)
     taken = _accepts(lp[rows], lp_new, log_correction, log_u)
     moved = rows[taken]
     positions[moved] = candidates[taken]
@@ -231,11 +231,12 @@ def _single_update(method, target, state, j, gamma, law, jitter_sd, rng):
     positions = _positions(state, j, method, target.dim).copy()
     m, d = positions.shape
     jitter_sd = _checked_scales(gamma, jitter_sd, d)
+    log_density_rows = _log_density_rows(target)
     lp = np.empty(m)
-    lp[j] = _start_log_densities(target, positions[j:j + 1])[0]
+    lp[j] = _start_log_densities(target, positions[j:j + 1], log_density_rows)[0]
     others = np.delete(np.arange(m), j)
-    taken = _update(method, target, positions, lp, np.array([j]), others, gamma, law,
-                    jitter_sd, rng)
+    taken = _update(method, log_density_rows, positions, lp, np.array([j]), others, gamma,
+                    law, jitter_sd, rng)
     return positions[j], bool(taken[0])
 
 
@@ -356,15 +357,16 @@ def run_ensemble(
         )
     positions = theta0 + rng.standard_normal((m, d))
     starts = positions.copy()
+    log_density_rows = _log_density_rows(target)
     # one cached log density per chain, in a copy the target cannot reuse:
     # each update evaluates the target at its candidates only
-    lp = _start_log_densities(target, positions).copy()
+    lp = _start_log_densities(target, positions, log_density_rows).copy()
     history = np.empty((n_sweeps, m, d))
     accepted = np.empty((n_sweeps, m), dtype=bool)
     first, second = np.arange(m // 2), np.arange(m // 2, m)
     for sweep in range(n_sweeps):
         for rows, others in ((first, second), (second, first)):
-            accepted[sweep, rows] = _update(method, target, positions, lp, rows, others,
-                                            gamma, law, jitter_sd, rng)
+            accepted[sweep, rows] = _update(method, log_density_rows, positions, lp, rows,
+                                            others, gamma, law, jitter_sd, rng)
         history[sweep] = positions
     return EnsembleState(positions, history, accepted, starts)

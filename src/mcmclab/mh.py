@@ -18,11 +18,12 @@ steps[i]``.  The chain updates in rejection runs, the rejection branch of
 pre-fetching (Brockwell 2006), in segments of 256 steps.  A run takes
 ``K = _batch_size(rate)`` steps, about ``2 / rate`` and at most 256, and
 stops at the end of its segment; ``rate`` is the acceptance of the segment
-before, 1.0 for the first.  A run evaluates its candidates in one
-``log_density_many`` call and decides them in order until the first
-accept; each decided row is checked, the rows after it are discarded
-unchecked, and the next run starts at the step after the accept.  The
-chain, its flags and its stream equal one-at-a-time evaluation bit for
+before, 1.0 for the first.  A run costs one batch call, ``log_density_many``
+on its candidates, and decides them in order until the first accept; the
+rows after it are discarded unchecked, and the next run starts at the step
+after the accept.  A decided row costs one comparison and one ``_accepts``:
+only a value that is not below ``+inf`` goes to ``_checked``, which raises.
+The chain, its flags and its stream equal one-at-a-time evaluation bit for
 bit.  A target whose ``log_density_many`` was not written with its
 ``log_density`` runs with ``K = 1``, one ``log_density`` call per step.
 """
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .targets import (
-    _check_length, _checked, _log_densities, _log_density_rows, _rows_agree, log_unnorm_density,
+    _check_length, _checked, _checked_rows, _log_density_rows, _rows_agree, log_unnorm_density,
 )
 
 __all__ = [
@@ -148,16 +149,17 @@ def _accepts(lp_current, lp_candidate, log_correction, log_u):
     return (log_t > -math.inf) & (log_u <= log_t)
 
 
-def _start_log_densities(target, points) -> np.ndarray:
+def _start_log_densities(target, points, log_density_rows=None) -> np.ndarray:
     """Checked log densities of the ``(m, d)`` points that ``m`` chains start from.
 
-    One ``_log_densities`` call evaluates them all, so NaN or ``+inf`` raises
-    ``NumericalError`` naming the first bad point.  A wrong length ``d`` and
-    a start of zero density raise ``ValueError``: chains start inside the
-    support.
+    One call of the caller's ``_log_density_rows(target)``, if given,
+    evaluates them all, and NaN or ``+inf`` raises ``NumericalError`` naming
+    the first bad point.  A wrong length ``d`` and a start of zero density
+    raise ``ValueError``: chains start inside the support.
     """
     _check_length(target, points.shape[1])
-    lp = _log_densities(target, points)
+    rows = log_density_rows or _log_density_rows(target)
+    lp = _checked_rows(rows(points), points)
     outside = np.flatnonzero(lp == -math.inf)
     if outside.size:
         raise ValueError(f"chain {outside[0]} sits at zero density; chains must stay in support")
@@ -211,9 +213,9 @@ def _run_steps(target, proposal, start, lp, n, rng):
     """``(states, accepted)`` of ``n`` MH steps from ``start``, whose log density is ``lp``.
 
     With a ``steps`` hook, all steps are drawn first, into ``states`` (row
-    ``i`` holds step ``i`` until the state after step ``i`` overwrites it),
-    then all uniforms, and the steps run in rejection runs (module
-    docstring).  Otherwise they go one at a time (``_scalar_steps``).
+    ``i`` holds step ``i`` until the next accept writes the state after step
+    ``i`` there), then all uniforms, and the steps run in rejection runs
+    (module docstring).  Otherwise they go one at a time (``_scalar_steps``).
     """
     steps = getattr(proposal, "steps", None)
     if steps is None:
@@ -222,8 +224,9 @@ def _run_steps(target, proposal, start, lp, n, rng):
     # a memoryview yields Python floats without holding n float objects
     log_us = memoryview(np.log(rng.random(n)))
     accepted = np.zeros(n, dtype=bool)
-    rows = _log_density_rows(target)
     agree = _rows_agree(target)
+    rows = _log_density_rows(target, agree)
+    # the states after steps last.. are current: the next accept or the end fills them
     current, last, rate = start, 0, 1.0
     for lo in range(0, n, _SEGMENT):
         hi = min(lo + _SEGMENT, n)
@@ -234,13 +237,13 @@ def _run_steps(target, proposal, start, lp, n, rng):
             candidates = current + states[i:stop]
             # indexing, not a zip: this loop runs once per step
             for j, lp_candidate in enumerate(rows(candidates).tolist()):
-                if _accepts(lp, _checked(lp_candidate, candidates[j]), 0.0, log_us[i + j]):
+                if not lp_candidate < math.inf:
+                    _checked(lp_candidate, candidates[j])
+                if _accepts(lp, lp_candidate, 0.0, log_us[i + j]):
                     stop = i + j + 1
                     states[last:stop - 1] = current
-                    current, lp = candidates[j], lp_candidate
-                    states[stop - 1] = current
-                    accepted[stop - 1] = True
-                    last = stop
+                    current, lp, last = candidates[j], lp_candidate, stop - 1
+                    accepted[last] = True
                     taken += 1
                     break
             i = stop

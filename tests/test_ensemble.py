@@ -27,7 +27,7 @@ from mcmclab.ensemble import (
 )
 from mcmclab.errors import NumericalError
 from mcmclab.mh import GaussianRandomWalk, run_chain
-from mcmclab.targets import IsotropicGaussianTarget, TargetDensity
+from mcmclab.targets import IsotropicGaussianTarget, TargetDensity, _log_density_rows
 
 
 class FixedUniform:
@@ -183,8 +183,8 @@ def half_update_candidates(method, positions, rows, others, rng, gamma=1.0, jitt
     target = Recorder(positions.shape[1], -np.inf)
     lp = np.zeros(len(positions))
     law = StretchLaw() if method == "stretch" else None
-    taken = _update(method, target, positions.copy(), lp, np.asarray(rows), np.asarray(others),
-                    gamma, law, jitter_sd, rng)
+    taken = _update(method, _log_density_rows(target), positions.copy(), lp, np.asarray(rows),
+                    np.asarray(others), gamma, law, jitter_sd, rng)
     assert not taken.any()
     return target.points[0]
 

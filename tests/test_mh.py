@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcmclab.errors import NumericalError
@@ -611,6 +611,75 @@ class TestPrefetchedRuns:
         assert chain.accepted.mean() < 0.1
         np.testing.assert_array_equal(chain.states, np.array(states))
         assert target.batches == 0
+
+
+class TestDecidedRows:
+    """The checks of a rejection run, through ``run_chain``, at every acceptance."""
+
+    @pytest.mark.parametrize("reshape, shown", [
+        (lambda lp: lp[:-1], "(1,)"),
+        (lambda lp: lp[:, None], "(2, 1)"),
+        (lambda lp: lp.sum(), "()"),
+    ], ids=["short", "column", "scalar"])
+    def test_wrong_batch_shape_raises(self, reshape, shown):
+        # one-row calls (the start) keep the contract; the first run's
+        # two-row call does not
+        class BadShape(TargetDensity):
+            dim = 2
+
+            def log_density(self, theta):
+                return -0.5 * float(theta @ theta)
+
+            def log_density_many(self, points):
+                lp = np.vecdot(-0.5 * points, points)
+                return lp if len(points) == 1 else reshape(lp)
+
+        message = f"log_density_many returned shape {shown} for 2 points; expected (2,)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_chain(BadShape(), GaussianRandomWalk(1.0), np.zeros(2), 100,
+                      np.random.default_rng(39))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_inf_at_a_decided_row_of_a_busy_chain_raises(self, bad):
+        # d=2 at scale 1 accepts about half the steps, so runs hold K = 2-4 rows
+        d, n, scale = 2, 3000, 1.0
+        theta0 = np.zeros(d)
+        states, accepted = block_oracle(CountingGaussian(d), scale, theta0, n, 40)
+        assert 0.45 < accepted.mean() < 0.65
+        steps = scale * np.random.default_rng(40).standard_normal((n, d))
+        reached = states[1999] + steps[2000]  # step 2000's candidate
+        target = CountingGaussian(d, bad, [reached])
+        shown = np.array2string(reached, precision=6, separator=", ")
+        with pytest.raises(NumericalError, match=re.escape(f"is {bad} at {shown}")):
+            run_chain(target, GaussianRandomWalk(scale), theta0, n, np.random.default_rng(40))
+        assert target.batches > 0
+
+    def test_nan_after_the_first_accept_of_a_busy_chain_stays_silent(self):
+        # the rows a run holds past its accept, one to three at this acceptance
+        d, n, scale = 2, 3000, 1.0
+        theta0 = np.zeros(d)
+        states, accepted = block_oracle(CountingGaussian(d), scale, theta0, n, 41)
+        steps = scale * np.random.default_rng(41).standard_normal((n, d))
+        before = np.vstack([theta0, states[:-1]])
+        unreached = [before[a] + steps[a + 1:a + 4] for a in np.flatnonzero(accepted)[:200]]
+        target = CountingGaussian(d, np.nan, np.vstack(unreached))
+        TestPrefetchedRuns.assert_matches_oracle(target, scale, theta0, n, 41)
+        assert target.batches > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 8),
+        log10_scale=st.floats(-1.5, 1.5),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 1800).filter(lambda n: n % 256),
+    )
+    # a busy chain with K = 2-3, and one that runs K = 256 over a short last segment
+    @example(d=1, log10_scale=-1.0, seed=0, n=1000)
+    @example(d=8, log10_scale=1.0, seed=1, n=1300)
+    def test_chain_equals_block_oracle(self, d, log10_scale, seed, n):
+        theta0 = np.full(d, 0.3)
+        TestPrefetchedRuns.assert_matches_oracle(
+            IsotropicGaussianTarget(d), 10.0 ** log10_scale, theta0, n, seed)
 
 
 class TestAcceptanceFraction:
