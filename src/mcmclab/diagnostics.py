@@ -5,6 +5,13 @@ sequence positive semidefinite and bounds every autocorrelation by one; one
 zero-padded FFT gives all lags.  The integrated autocorrelation time is summed
 up to Sokal's self-consistent window ``W = min{t : t >= c * tau_hat(t)}``.
 
+The columns of an ``(n, k)`` batch are transformed in blocks of
+``w = max(1, _SEGMENT // 2n)`` series.  One workspace, allocated per call and
+reused by every block, holds a block's zero-padded series, which the inverse
+transform overwrites, and its spectrum: memory is bounded by the block, not by
+``k``.  Each column's arithmetic does not depend on ``w``, so a batch gives
+every column the tau a call on that column alone gives, bit for bit.
+
 The chain evidence is ``is_evidence`` with the chain's own histogram as the
 importance proposal, so it keeps the checks of ``importance_weights``.
 """
@@ -38,6 +45,10 @@ __all__ = [
 
 # Below this many samples the windowed tau estimate is meaningless.
 MIN_TAU_SAMPLES = 100
+
+# Doubles in one block of the autocorrelation workspace: a block holds
+# ``_SEGMENT // (2 n)`` zero-padded series of length ``2 n``, and at least one.
+_SEGMENT = 2**15
 
 
 def _as_series(series) -> np.ndarray:
@@ -89,23 +100,49 @@ class TauEstimate:
     insufficient_data: bool = False
 
 
-def _acf(columns: np.ndarray, t_max: int) -> np.ndarray:
-    """A(0..t_max) of each column of an ``(n, k)`` array, as ``(k, t_max + 1)``."""
-    rows = np.ascontiguousarray(np.asarray(columns, dtype=float).T)
-    n = rows.shape[1]
+def _acf_blocks(columns: np.ndarray, t_max: int):
+    """A(0..t_max) of each column of an ``(n, k)`` array, a block at a time.
+
+    Yields one ``(w, t_max + 1)`` array per block of ``w`` columns, in column
+    order (the last block may be narrower).  Every block shares one
+    workspace, so each array is overwritten by the next block.
+    """
+    n, k = columns.shape
     if not 0 <= t_max < n:
         raise ValueError(f"t_max {t_max} out of range for series of length {n}")
-    bad = ~np.isfinite(rows).all(axis=1)
-    if bad.any():
-        raise NumericalError(f"series column {np.argmax(bad)} is not finite")
-    rows = rows - rows.mean(axis=1, keepdims=True)
-    c0 = np.array([a @ a for a in rows]) / n
-    if np.any(c0 <= 0.0):
-        raise ZeroVarianceError(f"series column {np.argmax(c0 <= 0.0)} has zero variance")
-    # zero padding to 2n keeps the circular products from wrapping round
-    f = np.fft.rfft(rows, n=2 * n, axis=1)
-    acov = np.fft.irfft(f.real**2 + f.imag**2, n=2 * n, axis=1)[:, : t_max + 1]
-    return acov / n / c0[:, None]
+    w = max(1, min(k, _SEGMENT // (2 * n)))
+    # zero padding to 2n keeps the circular products from wrapping round; the
+    # inverse transform lands in the same buffer, so its tail is zeroed again
+    padded = np.empty((w, 2 * n))
+    spectrum = np.empty((w, n + 1), dtype=complex)
+    for j in range(0, k, w):
+        rows = padded[: min(w, k - j)]
+        series = rows[:, :n]
+        series[...] = columns[:, j : j + len(rows)].T
+        rows[:, n:] = 0.0
+        bad = ~np.isfinite(series).all(axis=1)
+        if bad.any():
+            raise NumericalError(f"series column {j + np.argmax(bad)} is not finite")
+        # exact: a constant row's mean need not round back to its value, so
+        # its centred squares can sum to 1e-34 rather than 0
+        flat = (series == series[:, :1]).all(axis=1)
+        if not flat.any():
+            series -= series.mean(axis=1, keepdims=True)
+            c0 = np.array([a @ a for a in series]) / n
+            flat = c0 <= 0.0  # values so small that every square underflows
+        if flat.any():
+            col = j + int(np.argmax(flat))
+            raise ZeroVarianceError(f"series column {col} has zero variance", column=col)
+        f = np.fft.rfft(rows, axis=1, out=spectrum[: len(rows)])
+        # the power |f|^2 as a complex spectrum of zero imaginary part
+        np.square(f.real, out=f.real)
+        np.square(f.imag, out=f.imag)
+        np.add(f.real, f.imag, out=f.real)
+        f.imag[...] = 0.0
+        rho = np.fft.irfft(f, n=2 * n, axis=1, out=rows)[:, : t_max + 1]
+        rho /= n
+        rho /= c0[:, None]
+        yield rho
 
 
 def _taus(columns: np.ndarray, c: float, t_max: int | None) -> list[TauEstimate]:
@@ -114,18 +151,23 @@ def _taus(columns: np.ndarray, c: float, t_max: int | None) -> list[TauEstimate]
     if n < MIN_TAU_SAMPLES:
         return [TauEstimate(tau=float("nan"), window=0, insufficient_data=True)] * k
     t_max = min(n - 1, 10_000) if t_max is None else t_max
-    rho = _acf(columns, t_max)
-    rho[:, 0] = 0.0
-    taus = 2.0 * np.cumsum(rho, axis=1)
-    done = np.arange(t_max + 1) >= c * taus
-    done[:, 0] = False
-    windows = np.where(done.any(axis=1), done.argmax(axis=1), t_max)
-    truncated = ~done[np.arange(k), windows]
-    if truncated.any():
-        warnings.warn(f"autocorrelation window hit t_max={t_max} before "
+    lags = np.arange(t_max + 1)
+    out = []
+    for rho in _acf_blocks(columns, t_max):
+        rho[:, 0] = 0.0
+        taus = np.cumsum(rho, axis=1, out=rho)
+        taus *= 2.0
+        done = lags >= c * taus
+        done[:, 0] = False
+        windows = np.where(done.any(axis=1), done.argmax(axis=1), t_max)
+        truncated = ~done[np.arange(len(done)), windows]
+        out += [TauEstimate(tau=float(max(tau[w], 0.0)), window=int(w), truncated=bool(cut))
+                for tau, w, cut in zip(taus, windows, truncated)]
+    cut = sum(est.truncated for est in out)
+    if cut:
+        warnings.warn(f"{cut} of {k} autocorrelation windows hit t_max={t_max} before "
                       "self-consistency", RuntimeWarning, stacklevel=3)
-    return [TauEstimate(tau=float(max(tau[w], 0.0)), window=int(w), truncated=bool(cut))
-            for tau, w, cut in zip(taus, windows, truncated)]
+    return out
 
 
 def autocorrelation(series, t_max: int | None = None) -> AutocorrCurve:
@@ -137,7 +179,7 @@ def autocorrelation(series, t_max: int | None = None) -> AutocorrCurve:
     x = _as_series(series)
     if t_max is None:
         t_max = min(x.size - 1, 1000)
-    values = _acf(x[:, None], t_max)[0]
+    values = next(_acf_blocks(x[:, None], t_max))[0].copy()
     values[0] = 1.0
     return AutocorrCurve(lags=np.arange(t_max + 1), values=values)
 
@@ -149,7 +191,8 @@ def integrated_autocorr_time(
 
     Lags accumulate until ``t >= c * tau_hat(t)``; tau is clamped at zero.
     Series shorter than ``MIN_TAU_SAMPLES`` get an insufficient-data status
-    instead of a number, and NaN or ``inf`` values raise ``NumericalError``.
+    instead of a number, NaN or ``inf`` values raise ``NumericalError``, and a
+    constant series raises ``ZeroVarianceError``.
     """
     return _taus(_as_series(series)[:, None], c, t_max)[0]
 
@@ -162,7 +205,11 @@ def _states_of(x) -> np.ndarray:
 
 
 def per_coordinate_tau(x, c: float = 5.0) -> list[TauEstimate]:
-    """Tau estimate of each coordinate projection of a chain or array."""
+    """Tau estimate of each coordinate projection of a chain or array.
+
+    One ``RuntimeWarning`` counts the windows that hit ``t_max``.  A column
+    with NaN or ``inf``, or a constant one, raises an error naming it.
+    """
     return _taus(_states_of(x), c, None)
 
 

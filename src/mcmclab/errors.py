@@ -18,4 +18,11 @@ class CoverageError(NumericalError):
 
 
 class ZeroVarianceError(NumericalError):
-    """A series has zero variance, so correlation diagnostics are undefined."""
+    """A series has zero variance, so correlation diagnostics are undefined.
+
+    ``column`` is the index of the constant column in a batch of series.
+    """
+
+    def __init__(self, message: str, column: int | None = None):
+        super().__init__(message)
+        self.column = column

@@ -382,14 +382,6 @@ def default_evidence_histogram(samples: np.ndarray):
     return diagnostics.histogram_density(samples, bins=10, bounds=bounds)
 
 
-def _mean_tau(samples_2d: np.ndarray) -> float:
-    """Average windowed tau over coordinate projections (NaN if too short)."""
-    taus = diagnostics.per_coordinate_tau(samples_2d)
-    if any(t.insufficient_data for t in taus):
-        return float("nan")
-    return float(np.mean([t.tau for t in taus]))
-
-
 def _scaling_row(cfg: ExperimentConfig, dim: int, replicate: int) -> ResultRow:
     """Run one (sampler, dim, replicate) cell of the scaling battery."""
     labels = ("scaling", cfg.sampler, dim, replicate)
@@ -422,10 +414,18 @@ def _scaling_row(cfg: ExperimentConfig, dim: int, replicate: int) -> ResultRow:
     accept = float(accepted.mean())
     hist = history[int(np.floor(cfg.burn_in * cfg.n)):]
     try:
-        chain_taus = [_mean_tau(hist[:, j, :]) for j in range(hist.shape[1])]
+        # one call over every chain's coordinates: flat column c is chain
+        # c // dim, coordinate c % dim (a view, as hist is contiguous)
+        taus = diagnostics.per_coordinate_tau(hist.reshape(hist.shape[0], -1))
     except ZeroVarianceError as exc:
-        # a chain that never moved: name the cell, not just the column
-        raise ZeroVarianceError(f"{cfg.sampler} d={dim} replicate {replicate}: {exc}") from exc
+        # a chain that never moved: name the cell, and in an ensemble the walker
+        where = f"{cfg.sampler} d={dim} replicate {replicate}"
+        if m_col is not None:
+            where += f" walker {exc.column // dim} coordinate {exc.column % dim}"
+        raise ZeroVarianceError(f"{where}: {exc}") from exc
+    # a series too short for a window has tau NaN, and so has its chain's mean
+    chain_taus = [float(np.mean([t.tau for t in taus[j : j + dim]]))
+                  for j in range(0, len(taus), dim)]
     tau = float(np.mean(chain_taus))
     ess = float(np.mean([diagnostics.ess_from_tau(hist.shape[0], t) for t in chain_taus]))
     samples = hist.reshape(-1, dim)

@@ -1,5 +1,7 @@
 """Diagnostics against analytic oracles: AR(1), iid series, Kish identities."""
 
+import contextlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcmclab import diagnostics
 from mcmclab.diagnostics import (
     autocorrelation,
     autocovariance,
@@ -219,7 +222,7 @@ class TestFftMatchesLagLoop:
         rng = np.random.default_rng(21)
         walk = np.cumsum(rng.standard_normal(40_000))
         x = np.column_stack([rng.standard_normal(40_000), walk])
-        with pytest.warns(RuntimeWarning, match="t_max=10000"):
+        with pytest.warns(RuntimeWarning, match="1 of 2 autocorrelation windows hit t_max=10000"):
             fast, slow = per_coordinate_tau(x)
         assert not fast.truncated
         assert slow.truncated and slow.window == 10_000
@@ -246,6 +249,87 @@ class TestFftMatchesLagLoop:
         x = np.random.default_rng(24).standard_normal(200)
         with pytest.raises(ValueError, match="t_max"):
             integrated_autocorr_time(x, t_max=200)
+
+
+@contextlib.contextmanager
+def blocks_of(width, n):
+    """Make the tau workspace hold ``width`` series of length ``n`` per block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diagnostics, "_SEGMENT", 2 * n * width)
+        yield
+
+
+blocked_batches = st.tuples(
+    st.integers(100, 600),
+    st.integers(3, 12),
+    st.one_of(st.none(), st.integers(1, 99)),
+    st.floats(-0.5, 0.999),
+    st.integers(0, 2**32 - 1),
+)
+
+
+class TestBlockedWorkspace:
+    @settings(max_examples=60, deadline=None)
+    @given(blocked_batches)
+    def test_blocks_match_single_columns(self, case):
+        # at least three blocks, the last one often partial
+        n, k, t_max, phi, seed = case
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([ar1_series(phi, n, rng) for _ in range(k)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            alone = [integrated_autocorr_time(x[:, j], t_max=t_max) for j in range(k)]
+        with blocks_of(max(1, k // 3), n), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if t_max is None:
+                blocked = per_coordinate_tau(x)
+            else:
+                blocked = diagnostics._taus(x, 5.0, t_max)
+        assert blocked == alone
+        cut = sum(e.truncated for e in alone)
+        assert [str(w.message) for w in caught] == [
+            f"{cut} of {k} autocorrelation windows hit t_max={t_max or n - 1} "
+            "before self-consistency"
+        ] * (cut > 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 8),
+           st.integers(100, 400), st.integers(0, 2**32 - 1))
+    def test_constant_column_in_any_block_raises(self, value, col, n, seed):
+        # a constant series' mean need not round back to its value
+        x = np.random.default_rng(seed).standard_normal((n, 9))
+        x[:, col] = value
+        with blocks_of(2, n), pytest.raises(ZeroVarianceError,
+                                            match=f"column {col} has zero variance") as err:
+            per_coordinate_tau(x)
+        assert err.value.column == col
+
+    def test_underflowing_column_has_zero_variance(self):
+        # every centred square of these values rounds to zero
+        x = np.random.default_rng(26).standard_normal((200, 3))
+        x[:, 1] = 0.0
+        x[-1, 1] = 1e-200
+        with pytest.raises(ZeroVarianceError, match="column 1 has zero variance"):
+            per_coordinate_tau(x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_in_a_later_block_names_its_column(self, bad):
+        x = np.random.default_rng(27).standard_normal((200, 9))
+        x[50, 7] = bad
+        with blocks_of(2, 200), pytest.raises(NumericalError, match="column 7 is not finite"):
+            per_coordinate_tau(x)
+
+    @pytest.mark.parametrize("shape", [(16_000, 20), (1200, 2000)])
+    def test_memory_is_bounded_by_the_block(self, shape):
+        # one (k, 2n) transform of every column would peak at 19.7 and 146.6 MiB
+        x = np.random.default_rng(28).standard_normal(shape)
+        tracemalloc.start()
+        try:
+            per_coordinate_tau(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestChainEss:

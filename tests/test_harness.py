@@ -10,9 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from mcmclab import cli, harness
+from mcmclab import cli, diagnostics, harness
 from mcmclab.ensemble import ENSEMBLE_METHODS, MIN_CHAINS
-from mcmclab.errors import ConfigError, ResourceLimitError
+from mcmclab.errors import ConfigError, ResourceLimitError, ZeroVarianceError
 from mcmclab.harness import (
     _keys_used,
     EXERCISE_CSV_HEADER,
@@ -368,6 +368,50 @@ class TestScaling:
         assert strip_wall_time(scaling_csv_text(run_scaling(cfg1))) == (
             strip_wall_time(scaling_csv_text(run_scaling(cfg2)))
         )
+
+    @pytest.mark.parametrize("sampler, n", [("mh-adaptive", 1200), ("ens-stretch", 200),
+                                            ("ens-de", 60)])
+    def test_cell_tau_matches_the_per_chain_loop(self, sampler, n, monkeypatch):
+        # one tau call per cell gives each chain's mean bit for bit as one
+        # call per chain did (n=60 leaves too few samples: NaN either way)
+        runs = []
+
+        def recording(run):
+            def recorded(*args, **kwargs):
+                runs.append(run(*args, **kwargs))
+                return runs[-1]
+            return recorded
+
+        for name in ("run_chain", "run_ensemble"):
+            monkeypatch.setattr(harness, name, recording(getattr(harness, name)))
+        cfg = ExperimentConfig("scaling", sampler=sampler, dims=(3,), n=n, m=8, seed=7)
+        row = harness._scaling_row(cfg, 3, 0)
+        (run,) = runs
+        history = run.history if sampler.startswith("ens-") else run.states[:, None, :]
+        hist = history[int(np.floor(cfg.burn_in * n)):]
+        chain_taus = []
+        for j in range(hist.shape[1]):
+            taus = diagnostics.per_coordinate_tau(hist[:, j, :])
+            chain_taus.append(float("nan") if any(t.insufficient_data for t in taus)
+                              else float(np.mean([t.tau for t in taus])))
+        ess = np.mean([diagnostics.ess_from_tau(hist.shape[0], t) for t in chain_taus])
+        assert repr((row.tau_hat, row.ess)) == repr((float(np.mean(chain_taus)), float(ess)))
+
+    def test_frozen_walker_is_named(self, monkeypatch):
+        run_ensemble = harness.run_ensemble
+
+        def freeze_walker(*args, **kwargs):
+            state = run_ensemble(*args, **kwargs)
+            state.history[:, 3, 1] = 0.25
+            return state
+
+        monkeypatch.setattr(harness, "run_ensemble", freeze_walker)
+        cfg = ExperimentConfig("scaling", sampler="ens-stretch", dims=(2,), n=200, m=8)
+        with pytest.raises(ZeroVarianceError, match=(
+            "^ens-stretch d=2 replicate 0 walker 3 coordinate 1: "
+            "series column 7 has zero variance$"
+        )):
+            harness._scaling_row(cfg, 2, 0)
 
 
 class TestExercises:
@@ -744,7 +788,7 @@ class TestCli:
                 "--replicates", "2", "--jobs", jobs, "--out", str(out)]
         assert cli.main(argv) == 4
         assert capsys.readouterr().err == (
-            "numerical failure: mh-fixed d=60 replicate 0: series column 2 has zero variance\n"
+            "numerical failure: mh-fixed d=60 replicate 0: series column 0 has zero variance\n"
         )
         assert not out.exists()
 
