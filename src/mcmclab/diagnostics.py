@@ -128,7 +128,7 @@ def _acf_blocks(columns: np.ndarray, t_max: int):
         flat = (series == series[:, :1]).all(axis=1)
         if not flat.any():
             series -= series.mean(axis=1, keepdims=True)
-            c0 = np.array([a @ a for a in series]) / n
+            c0 = np.vecdot(series, series) / n  # one BLAS dot per row, as a @ a
             flat = c0 <= 0.0  # values so small that every square underflows
         if flat.any():
             col = j + int(np.argmax(flat))
@@ -152,22 +152,27 @@ def _taus(columns: np.ndarray, c: float, t_max: int | None) -> list[TauEstimate]
         return [TauEstimate(tau=float("nan"), window=0, insufficient_data=True)] * k
     t_max = min(n - 1, 10_000) if t_max is None else t_max
     lags = np.arange(t_max + 1)
-    out = []
+    tau, window, truncated = np.empty(k), np.empty(k, dtype=int), np.empty(k, dtype=bool)
+    j = 0
     for rho in _acf_blocks(columns, t_max):
         rho[:, 0] = 0.0
         taus = np.cumsum(rho, axis=1, out=rho)
         taus *= 2.0
         done = lags >= c * taus
         done[:, 0] = False
-        windows = np.where(done.any(axis=1), done.argmax(axis=1), t_max)
-        truncated = ~done[np.arange(len(done)), windows]
-        out += [TauEstimate(tau=float(max(tau[w], 0.0)), window=int(w), truncated=bool(cut))
-                for tau, w, cut in zip(taus, windows, truncated)]
-    cut = sum(est.truncated for est in out)
+        rows, block = np.arange(len(done)), slice(j, j + len(done))
+        w = window[block] = np.where(done.any(axis=1), done.argmax(axis=1), t_max)
+        truncated[block] = ~done[rows, w]
+        tau[block] = taus[rows, w]
+        j += len(done)
+    # clamped as max(tau, 0.0) would: a negative tau becomes 0.0, -0.0 stays
+    tau = np.where(tau < 0.0, 0.0, tau)
+    cut = int(truncated.sum())
     if cut:
         warnings.warn(f"{cut} of {k} autocorrelation windows hit t_max={t_max} before "
                       "self-consistency", RuntimeWarning, stacklevel=3)
-    return out
+    return [TauEstimate(tau=t, window=w, truncated=cut)
+            for t, w, cut in zip(tau.tolist(), window.tolist(), truncated.tolist())]
 
 
 def autocorrelation(series, t_max: int | None = None) -> AutocorrCurve:

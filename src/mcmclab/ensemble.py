@@ -16,9 +16,11 @@ stay fixed, and one ``log_density_many`` call evaluates the candidates.
 A sweep of ``run_ensemble`` is the red-blue split of Goodman & Weare
 (2010) and emcee (Foreman-Mackey et al. 2013, Algorithm 3): the first
 ``m // 2`` chains move against the rest, then the rest against the
-updated first half.  A step function moves its one chain ``j`` against
-all ``m - 1`` others.  With ``r`` rows and ``n`` others, a half-update
-draws one block per kind, in this order:
+updated first half.  Both halves are contiguous, so they are passed as
+slices and read as views, and each half is written back whole with
+``np.where``.  A step function moves its one chain ``j`` against all
+``m - 1`` others, given as index arrays.  With ``r`` rows and ``n``
+others, a half-update draws one block per kind, in this order:
 
 * gaussian: weights ``standard_normal((r, n))``, uniforms ``random(r)``;
 * de: partners ``integers(n - 1, size=r)``, ``integers(n, size=r)``,
@@ -183,15 +185,16 @@ def _checked_scales(gamma, jitter_sd, d: int):
 def _update(method, log_density_rows, positions, lp, rows, others, gamma, law, jitter_sd, rng):
     """Move the chains ``rows`` at once against the fixed chains ``others``; their flags.
 
-    ``rows`` and ``others`` are disjoint index arrays.  ``positions`` and
-    ``lp``, the chains' finite log densities, are updated in place.
+    ``rows`` and ``others`` are disjoint index arrays or slices.  ``positions``
+    and ``lp``, the chains' finite log densities, are updated in place: every
+    row is written back, its candidate where taken and its own value where not.
     ``jitter_sd`` is de's constant jitter, checked; None makes it a fifth of
     the other chains' covariance.  The draws follow the block order of the
     module docstring; one ``log_density_rows`` call evaluates the candidates,
     ``_checked_rows`` checks them, and ``mh._accepts`` decides every row at once.
     """
-    r, n = len(rows), len(others)
     x, y = positions[rows], positions[others]
+    r, n = len(x), len(y)
     log_correction = 0.0
     if method == "stretch":
         ends = y[rng.integers(n, size=r)]
@@ -220,9 +223,8 @@ def _update(method, log_density_rows, positions, lp, rows, others, gamma, law, j
     log_u = np.log(rng.random(r))
     lp_new = _checked_rows(log_density_rows(candidates), candidates)
     taken = _accepts(lp[rows], lp_new, log_correction, log_u)
-    moved = rows[taken]
-    positions[moved] = candidates[taken]
-    lp[moved] = lp_new[taken]
+    positions[rows] = np.where(taken[:, None], candidates, x)
+    lp[rows] = np.where(taken, lp_new, lp[rows])
     return taken
 
 
@@ -363,7 +365,7 @@ def run_ensemble(
     lp = _start_log_densities(target, positions, log_density_rows).copy()
     history = np.empty((n_sweeps, m, d))
     accepted = np.empty((n_sweeps, m), dtype=bool)
-    first, second = np.arange(m // 2), np.arange(m // 2, m)
+    first, second = slice(0, m // 2), slice(m // 2, m)
     for sweep in range(n_sweeps):
         for rows, others in ((first, second), (second, first)):
             accepted[sweep, rows] = _update(method, log_density_rows, positions, lp, rows,

@@ -424,10 +424,9 @@ def _scaling_row(cfg: ExperimentConfig, dim: int, replicate: int) -> ResultRow:
             where += f" walker {exc.column // dim} coordinate {exc.column % dim}"
         raise ZeroVarianceError(f"{where}: {exc}") from exc
     # a series too short for a window has tau NaN, and so has its chain's mean
-    chain_taus = [float(np.mean([t.tau for t in taus[j : j + dim]]))
-                  for j in range(0, len(taus), dim)]
-    tau = float(np.mean(chain_taus))
-    ess = float(np.mean([diagnostics.ess_from_tau(hist.shape[0], t) for t in chain_taus]))
+    chain_taus = np.array([t.tau for t in taus]).reshape(-1, dim).mean(axis=1)
+    tau = float(chain_taus.mean())
+    ess = float(diagnostics.ess_from_tau(hist.shape[0], chain_taus).mean())
     samples = hist.reshape(-1, dim)
     evidence = None
     if dim <= _EVIDENCE_MAX_DIM:

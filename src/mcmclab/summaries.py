@@ -196,11 +196,20 @@ def _weighted_quantiles(xs, masses, ps):
     """Quantiles at the probabilities ``ps``, by linear interpolation of the cumulative mass.
 
     The support is sorted and summed once for all of ``ps``; each quantile
-    equals a call with its probability alone.
+    equals a call with its probability alone.  Equal masses, as every
+    ``from_samples`` posterior has, sum to the same cumulative mass in any
+    order, so the values are sorted without the stable argsort.  That sort
+    may differ from the argsort's only in which zero, ``-0.0`` or ``0.0``,
+    stands where, so the zeros are put back in input order, as the argsort has them.
     """
+    if masses.min() == masses.max():
+        xs_sorted = np.sort(xs)
+        zeros = xs_sorted == 0.0
+        if zeros.any():
+            xs_sorted[zeros] = xs[xs == 0.0]
+        return np.interp(ps, np.cumsum(masses), xs_sorted).tolist()
     order = np.argsort(xs, kind="stable")
-    cum = np.cumsum(masses[order])
-    return np.interp(ps, cum, xs[order]).tolist()
+    return np.interp(ps, np.cumsum(masses[order]), xs[order]).tolist()
 
 
 def _distinct_sorted(values):

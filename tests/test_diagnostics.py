@@ -286,6 +286,9 @@ class TestBlockedWorkspace:
             else:
                 blocked = diagnostics._taus(x, 5.0, t_max)
         assert blocked == alone
+        # the batch fills its windows and flags per block: each must be the column's
+        assert [(e.window, e.truncated, repr(e.tau)) for e in blocked] == [
+            (e.window, e.truncated, repr(e.tau)) for e in alone]
         cut = sum(e.truncated for e in alone)
         assert [str(w.message) for w in caught] == [
             f"{cut} of {k} autocorrelation windows hit t_max={t_max or n - 1} "

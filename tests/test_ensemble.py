@@ -845,6 +845,33 @@ class TestSingleCodePath:
             "stretch", target_cls(d), m, None, seed, law=StretchLaw(a)
         )
 
+    @settings(max_examples=100, deadline=None)
+    @given(move=st.sampled_from(["gaussian", "de", "de-constant", "stretch"]),
+           m=st.integers(4, 41), d=st.integers(1, 20), scale=st.sampled_from([0.5, 2.0, 8.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_slice_halves_equal_index_array_halves(self, move, m, d, scale, seed):
+        # run_ensemble's halves are slices, read as views; the same halves as
+        # index arrays must move every chain and draw every number alike.
+        # Wide scales step past the ball's edge, so -inf candidates are rejected.
+        method = move.split("-")[0]
+        jitter_sd = np.linspace(0.05, 0.2, d) * scale if move == "de-constant" else None
+        gamma = None if method == "stretch" else scale / np.sqrt(d)
+        law = StretchLaw(1.0 + scale) if method == "stretch" else None
+        target = VectorBall(d, -math.inf)
+        log_density_rows = _log_density_rows(target)
+        start = np.random.default_rng(seed).standard_normal((m, d))
+        runs = []
+        for first, second in [(slice(0, m // 2), slice(m // 2, m)),
+                              (np.arange(m // 2), np.arange(m // 2, m))]:
+            positions, lp = start.copy(), log_density_rows(start).copy()
+            rng = np.random.default_rng([seed, 1])
+            flags = [_update(method, log_density_rows, positions, lp, rows, others, gamma, law,
+                             jitter_sd, rng)
+                     for _ in range(4) for rows, others in ((first, second), (second, first))]
+            runs.append((positions.tobytes(), lp.tobytes(), np.concatenate(flags).tolist(),
+                         rng.bit_generator.state))
+        assert runs[0] == runs[1]
+
     @pytest.mark.parametrize("move", list(ONE_UPDATE_DRAWS))
     def test_step_functions_keep_the_one_update_stream(self, move):
         # a one-row half-update against the m - 1 others draws these blocks,

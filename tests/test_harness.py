@@ -369,11 +369,14 @@ class TestScaling:
             strip_wall_time(scaling_csv_text(run_scaling(cfg2)))
         )
 
-    @pytest.mark.parametrize("sampler, n", [("mh-adaptive", 1200), ("ens-stretch", 200),
-                                            ("ens-de", 60)])
-    def test_cell_tau_matches_the_per_chain_loop(self, sampler, n, monkeypatch):
+    @pytest.mark.parametrize("sampler, n, dim, m", [
+        ("mh-adaptive", 1200, 3, 8), ("ens-stretch", 200, 3, 8), ("ens-de", 60, 3, 8),
+        ("ens-gaussian", 300, 20, 100),
+    ])
+    def test_cell_tau_matches_the_per_chain_loop(self, sampler, n, dim, m, monkeypatch):
         # one tau call per cell gives each chain's mean bit for bit as one
-        # call per chain did (n=60 leaves too few samples: NaN either way)
+        # call per chain did (n=60 leaves too few samples: NaN either way);
+        # d=20, m=100 is the bench's width, 2000 columns in 30 blocks
         runs = []
 
         def recording(run):
@@ -384,8 +387,8 @@ class TestScaling:
 
         for name in ("run_chain", "run_ensemble"):
             monkeypatch.setattr(harness, name, recording(getattr(harness, name)))
-        cfg = ExperimentConfig("scaling", sampler=sampler, dims=(3,), n=n, m=8, seed=7)
-        row = harness._scaling_row(cfg, 3, 0)
+        cfg = ExperimentConfig("scaling", sampler=sampler, dims=(dim,), n=n, m=m, seed=7)
+        row = harness._scaling_row(cfg, dim, 0)
         (run,) = runs
         history = run.history if sampler.startswith("ens-") else run.states[:, None, :]
         hist = history[int(np.floor(cfg.burn_in * n)):]

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
@@ -43,6 +45,33 @@ def gaussian_grid_posterior(mu=0.0, sd=1.0, k=4001, span=8.0):
     xs = np.linspace(mu - span * sd, mu + span * sd, k)
     masses = np.exp(-0.5 * ((xs - mu) / sd) ** 2)
     return DiscretizedPosterior(points=xs, masses=masses / masses.sum())
+
+
+def stable_quantiles(post, ps):
+    """Quantiles of a 1-D posterior through a stable argsort of its support."""
+    order = np.argsort(post.points, kind="stable")
+    cum = np.cumsum(post.masses[order])
+    return [float(np.interp(p, cum, post.points[order])) for p in ps]
+
+
+# ties, signed zeros and spread values: np.sort may reorder -0.0 and 0.0,
+# and may even write one where the other was
+support_values = st.sampled_from([-0.0, 0.0, -1.0, 1.0, 2.5]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def equal_mass_cases(draw):
+    """An equal-mass support and a coverage, whose tail often lands on a cumulative mass."""
+    n = draw(st.sampled_from([1, 2, 4, 8, 16, 32, 64]) | st.integers(1, 64))
+    xs = np.array(draw(st.lists(support_values, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        # a tail at cum[j] exactly, which holds whenever n is a power of two
+        p = float(np.cumsum(np.full(n, 1.0 / n))[draw(st.integers(0, n - 1))])
+        coverage = 1.0 - 2.0 * p if p < 0.5 else 2.0 * p - 1.0
+        assume(0.0 < coverage < 1.0)
+    else:
+        coverage = draw(st.floats(1e-6, 1.0 - 1e-6))
+    return xs, coverage
 
 
 class TestExpectedLoss:
@@ -175,14 +204,18 @@ class TestPercentileInterval:
         with pytest.raises(ValueError):
             percentile_interval(post, 0.5)
 
-    @pytest.mark.parametrize("support", ["ties", "unequal", "one-point"])
+    @pytest.mark.parametrize("support", ["ties", "signed-zero-ties", "unequal", "one-point"])
     @pytest.mark.parametrize("coverage", [0.1, 0.68, 0.95])
     def test_one_sort_equals_two_quantile_calls(self, support, coverage):
         # both tails and the median come from one sort of the support; each
-        # must equal a plain stable-sort quantile of its probability alone
+        # must equal a plain stable-sort quantile of its probability alone,
+        # the sign of a zero included
         rng = np.random.default_rng(61)
         if support == "ties":
             pts = rng.integers(0, 12, size=300).astype(float)
+            masses = rng.random(300)
+        elif support == "signed-zero-ties":
+            pts = rng.choice([-0.0, 0.0, -1.0, 1.0], size=300)
             masses = rng.random(300)
         elif support == "unequal":
             pts = rng.standard_normal(500)
@@ -190,16 +223,22 @@ class TestPercentileInterval:
         else:
             pts, masses = np.array([2.5]), np.array([1.0])
         post = DiscretizedPosterior(points=pts, masses=masses)
+        ps = [(1.0 - coverage) / 2.0, (1.0 + coverage) / 2.0, 0.5]
+        got = [*percentile_interval(post, coverage), point_estimate(post, LossSpec.absolute())]
+        assert repr(got) == repr(stable_quantiles(post, ps))
+        assert all(type(q) is float for q in got)
 
-        def quantile(p):
-            order = np.argsort(post.points, kind="stable")
-            return float(np.interp(p, np.cumsum(post.masses[order]), post.points[order]))
-
-        lo, hi = percentile_interval(post, coverage)
-        assert (lo, hi) == (quantile((1.0 - coverage) / 2.0), quantile((1.0 + coverage) / 2.0))
-        assert type(lo) is float and type(hi) is float
-        median = point_estimate(post, LossSpec.absolute())
-        assert median == quantile(0.5) and type(median) is float
+    @settings(max_examples=300, deadline=None)
+    @given(equal_mass_cases())
+    @example((np.array([0.0] * 8 + [-0.0] * 8), 0.5))
+    def test_equal_masses_match_the_stable_sort(self, case):
+        # the value sort of equal masses must give the stable argsort's
+        # quantiles to the bit, the sign of a zero included
+        xs, coverage = case
+        post = DiscretizedPosterior.from_samples(xs)
+        ps = [(1.0 - coverage) / 2.0, (1.0 + coverage) / 2.0, 0.5]
+        got = [*percentile_interval(post, coverage), point_estimate(post, LossSpec.absolute())]
+        assert repr(got) == repr(stable_quantiles(post, ps))
 
 
 class TestThresholdCredibleRegion:
