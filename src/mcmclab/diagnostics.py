@@ -3,7 +3,7 @@
 Autocovariance uses the biased 1/n normalization, which keeps the estimated
 sequence positive semidefinite and bounds every autocorrelation by one; one
 zero-padded FFT gives all lags.  The integrated autocorrelation time is summed
-up to Sokal's self-consistent window ``W = min{t : t >= c * tau_hat(t)}``.
+up to Sokal's self-consistent window ``W = min{t : t >= 5 * tau_hat(t)}``.
 
 The columns of an ``(n, k)`` batch are transformed in blocks of
 ``w = max(1, _SEGMENT // 2n)`` series.  One workspace, allocated per call and
@@ -45,6 +45,9 @@ __all__ = [
 
 # Below this many samples the windowed tau estimate is meaningless.
 MIN_TAU_SAMPLES = 100
+
+# Sokal's window constant c, as in emcee: lags accumulate until t >= c * tau_hat(t).
+_SOKAL_C = 5.0
 
 # Doubles in one block of the autocorrelation workspace: a block holds
 # ``_SEGMENT // (2 n)`` zero-padded series of length ``2 n``, and at least one.
@@ -145,7 +148,7 @@ def _acf_blocks(columns: np.ndarray, t_max: int):
         yield rho
 
 
-def _taus(columns: np.ndarray, c: float, t_max: int | None) -> list[TauEstimate]:
+def _taus(columns: np.ndarray, t_max: int | None) -> list[TauEstimate]:
     """Windowed, zero-clamped tau of each column of an ``(n, k)`` array."""
     n, k = columns.shape
     if n < MIN_TAU_SAMPLES:
@@ -158,7 +161,7 @@ def _taus(columns: np.ndarray, c: float, t_max: int | None) -> list[TauEstimate]
         rho[:, 0] = 0.0
         taus = np.cumsum(rho, axis=1, out=rho)
         taus *= 2.0
-        done = lags >= c * taus
+        done = lags >= _SOKAL_C * taus
         done[:, 0] = False
         rows, block = np.arange(len(done)), slice(j, j + len(done))
         w = window[block] = np.where(done.any(axis=1), done.argmax(axis=1), t_max)
@@ -189,17 +192,15 @@ def autocorrelation(series, t_max: int | None = None) -> AutocorrCurve:
     return AutocorrCurve(lags=np.arange(t_max + 1), values=values)
 
 
-def integrated_autocorr_time(
-    series, c: float = 5.0, t_max: int | None = None
-) -> TauEstimate:
+def integrated_autocorr_time(series, t_max: int | None = None) -> TauEstimate:
     """Estimate ``tau = 2 * sum_{t>=1} A(t)`` with a self-consistent window.
 
-    Lags accumulate until ``t >= c * tau_hat(t)``; tau is clamped at zero.
+    Lags accumulate until ``t >= 5 * tau_hat(t)``; tau is clamped at zero.
     Series shorter than ``MIN_TAU_SAMPLES`` get an insufficient-data status
     instead of a number, NaN or ``inf`` values raise ``NumericalError``, and a
     constant series raises ``ZeroVarianceError``.
     """
-    return _taus(_as_series(series)[:, None], c, t_max)[0]
+    return _taus(_as_series(series)[:, None], t_max)[0]
 
 
 def _states_of(x) -> np.ndarray:
@@ -209,13 +210,13 @@ def _states_of(x) -> np.ndarray:
     return arr[:, None] if arr.ndim == 1 else arr
 
 
-def per_coordinate_tau(x, c: float = 5.0) -> list[TauEstimate]:
+def per_coordinate_tau(x) -> list[TauEstimate]:
     """Tau estimate of each coordinate projection of a chain or array.
 
     One ``RuntimeWarning`` counts the windows that hit ``t_max``.  A column
     with NaN or ``inf``, or a constant one, raises an error naming it.
     """
-    return _taus(_states_of(x), c, None)
+    return _taus(_states_of(x), None)
 
 
 def ess_from_tau(n: int, tau: float) -> float:
@@ -223,7 +224,7 @@ def ess_from_tau(n: int, tau: float) -> float:
     return n / (1.0 + tau)
 
 
-def chain_ess(x, c: float = 5.0) -> float:
+def chain_ess(x) -> float:
     """Effective sample size of a chain: ``n / (1 + tau_hat)``.
 
     Multivariate inputs report the minimum over coordinate projections
@@ -231,7 +232,7 @@ def chain_ess(x, c: float = 5.0) -> float:
     Returns NaN when the chain is too short for a tau estimate.
     """
     states = _states_of(x)
-    taus = per_coordinate_tau(states, c=c)
+    taus = per_coordinate_tau(states)
     return min(ess_from_tau(states.shape[0], t.tau) for t in taus)
 
 

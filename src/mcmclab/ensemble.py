@@ -235,7 +235,7 @@ def _single_update(method, target, state, j, gamma, law, jitter_sd, rng):
     jitter_sd = _checked_scales(gamma, jitter_sd, d)
     log_density_rows = _log_density_rows(target)
     lp = np.empty(m)
-    lp[j] = _start_log_densities(target, positions[j:j + 1], log_density_rows)[0]
+    lp[j] = _start_log_densities(target, positions[j:j + 1])[0]
     others = np.delete(np.arange(m), j)
     taken = _update(method, log_density_rows, positions, lp, np.array([j]), others, gamma,
                     law, jitter_sd, rng)
@@ -362,7 +362,7 @@ def run_ensemble(
     log_density_rows = _log_density_rows(target)
     # one cached log density per chain, in a copy the target cannot reuse:
     # each update evaluates the target at its candidates only
-    lp = _start_log_densities(target, positions, log_density_rows).copy()
+    lp = _start_log_densities(target, positions).copy()
     history = np.empty((n_sweeps, m, d))
     accepted = np.empty((n_sweeps, m), dtype=bool)
     first, second = slice(0, m // 2), slice(m // 2, m)

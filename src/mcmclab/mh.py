@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .targets import (
-    _check_length, _checked, _checked_rows, _log_density_rows, _rows_agree, log_unnorm_density,
+    _check_length, _checked, _log_densities, _log_density_rows, _rows_agree, log_unnorm_density,
 )
 
 __all__ = [
@@ -149,17 +149,16 @@ def _accepts(lp_current, lp_candidate, log_correction, log_u):
     return (log_t > -math.inf) & (log_u <= log_t)
 
 
-def _start_log_densities(target, points, log_density_rows=None) -> np.ndarray:
+def _start_log_densities(target, points) -> np.ndarray:
     """Checked log densities of the ``(m, d)`` points that ``m`` chains start from.
 
-    One call of the caller's ``_log_density_rows(target)``, if given,
-    evaluates them all, and NaN or ``+inf`` raises ``NumericalError`` naming
-    the first bad point.  A wrong length ``d`` and a start of zero density
-    raise ``ValueError``: chains start inside the support.
+    One ``_log_densities`` call evaluates them all, and NaN or ``+inf``
+    raises ``NumericalError`` naming the first bad point.  A wrong length
+    ``d`` and a start of zero density raise ``ValueError``: chains start
+    inside the support.
     """
     _check_length(target, points.shape[1])
-    rows = log_density_rows or _log_density_rows(target)
-    lp = _checked_rows(rows(points), points)
+    lp = _log_densities(target, points)
     outside = np.flatnonzero(lp == -math.inf)
     if outside.size:
         raise ValueError(f"chain {outside[0]} sits at zero density; chains must stay in support")
@@ -225,7 +224,7 @@ def _run_steps(target, proposal, start, lp, n, rng):
     log_us = memoryview(np.log(rng.random(n)))
     accepted = np.zeros(n, dtype=bool)
     agree = _rows_agree(target)
-    rows = _log_density_rows(target, agree)
+    rows = _log_density_rows(target)
     # the states after steps last.. are current: the next accept or the end fills them
     current, last, rate = start, 0, 1.0
     for lo in range(0, n, _SEGMENT):
@@ -255,12 +254,11 @@ def _run_steps(target, proposal, start, lp, n, rng):
 def mh_step(target, proposal, current, rng):
     """Propose once and accept or reject; returns ``(next_point, accepted)``.
 
-    On rejection the returned point is the current one, unchanged.
+    On rejection the returned point is the current one, unchanged.  It is
+    the first step of ``run_chain`` from ``current``.
     """
-    current = np.asarray(current, dtype=float)
-    lp_current = float(_start_log_densities(target, current.reshape(1, -1))[0])
-    states, accepted = _run_steps(target, proposal, current, lp_current, 1, rng)
-    return states[0], bool(accepted[0])
+    chain = run_chain(target, proposal, current, 1, rng)
+    return chain.states[0], bool(chain.accepted[0])
 
 
 def run_chain(target, proposal, theta0, n: int, rng) -> Chain:

@@ -21,6 +21,10 @@ from .targets import NoisyMeanModel, _log_densities
 # one-shot product, which the blocks then equal bit for bit (one BLAS thread).
 _KERNEL_ROWS = 256
 
+# Half-width of the predictive's internal grid, in the largest prior or
+# measurement standard deviation, beyond the outermost anchor.
+_SPAN = 10.0
+
 __all__ = [
     "DiscretizedPosterior",
     "LossSpec",
@@ -123,15 +127,12 @@ class LossSpec:
 
     Kinds: ``squared`` (optimal point estimate: the mean), ``absolute``
     (the median), ``catastrophic`` (a delta spike at the truth; optimal
-    estimate: the mode), and ``piecewise`` (power ``below_exponent`` where
-    the truth falls below ``threshold``, power ``above_exponent`` at or
-    above it).
+    estimate: the mode), and ``piecewise`` (the cubed distance where the
+    truth falls below ``threshold``, the plain distance at or above it).
     """
 
     kind: str
     threshold: float | None = None
-    below_exponent: float = 3.0
-    above_exponent: float = 1.0
 
     _KINDS = ("squared", "absolute", "catastrophic", "piecewise")
 
@@ -154,33 +155,21 @@ class LossSpec:
         return cls(kind="catastrophic")
 
     @classmethod
-    def piecewise_power(cls, threshold, below_exponent=3.0, above_exponent=1.0):
-        return cls(
-            kind="piecewise",
-            threshold=float(threshold),
-            below_exponent=float(below_exponent),
-            above_exponent=float(above_exponent),
-        )
+    def piecewise_power(cls, threshold):
+        return cls(kind="piecewise", threshold=float(threshold))
 
 
 def _pointwise_loss(loss: LossSpec, candidate, points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        dist = np.abs(pts - float(candidate))
-    else:
-        dist = np.linalg.norm(pts - np.asarray(candidate, dtype=float), axis=1)
+    if pts.ndim != 1:
+        raise ValueError("expected losses are defined for 1-D posteriors")
+    dist = np.abs(pts - float(candidate))
     if loss.kind == "squared":
         return dist ** 2
     if loss.kind == "absolute":
         return dist
     if loss.kind == "piecewise":
-        if pts.ndim != 1:
-            raise ValueError("piecewise loss is defined for 1-D posteriors")
-        return np.where(
-            pts < loss.threshold,
-            dist ** loss.below_exponent,
-            dist ** loss.above_exponent,
-        )
+        return np.where(pts < loss.threshold, dist ** 3.0, dist ** 1.0)
     raise ValueError(
         "catastrophic loss has no finite expected value on a discretized "
         "posterior; its minimizer is the mode (see point_estimate)"
@@ -188,7 +177,7 @@ def _pointwise_loss(loss: LossSpec, candidate, points) -> np.ndarray:
 
 
 def expected_loss(post: DiscretizedPosterior, loss: LossSpec, candidate) -> float:
-    """Posterior-averaged loss of announcing ``candidate``."""
+    """Posterior-averaged loss of announcing ``candidate`` for a 1-D posterior."""
     return float(_pointwise_loss(loss, candidate, post.points) @ post.masses)
 
 
@@ -241,7 +230,7 @@ def _golden_section(fun, lo, hi, tol):
 
 
 def point_estimate(post: DiscretizedPosterior, loss: LossSpec):
-    """The value minimizing the expected loss.
+    """The value minimizing the expected loss of a 1-D posterior.
 
     Squared loss has the posterior mean in closed form; absolute loss the
     weighted median; catastrophic loss the density argmax over the support;
@@ -249,26 +238,17 @@ def point_estimate(post: DiscretizedPosterior, loss: LossSpec):
     followed by golden-section refinement.  Ties break toward the smaller
     value.
     """
-    if post.n == 0:
-        raise ValueError("posterior has empty support")
     pts = post.points
+    if pts.ndim != 1:
+        raise ValueError("point estimates are defined for 1-D posteriors")
     if loss.kind == "squared":
-        if pts.ndim == 1:
-            return float(pts @ post.masses)
-        return pts.T @ post.masses
+        return float(pts @ post.masses)
     if loss.kind == "absolute":
-        if pts.ndim != 1:
-            raise ValueError("median point estimate is defined for 1-D posteriors")
         return _weighted_quantiles(pts, post.masses, 0.5)
     if loss.kind == "catastrophic":
         dens = post.densities
-        best = np.flatnonzero(dens == dens.max())
-        if pts.ndim == 1:
-            return float(pts[best].min())
-        return pts[best[np.lexsort(pts[best].T[::-1])[0]]]
+        return float(pts[dens == dens.max()].min())
     # piecewise: scan then refine
-    if pts.ndim != 1:
-        raise ValueError("piecewise loss is defined for 1-D posteriors")
     order = np.argsort(pts, kind="stable")
     xs = pts[order]
     stride = max(1, xs.size // 512)
@@ -325,13 +305,13 @@ def posterior_predictive_noisy_mean(
     sigma_new: float,
     t_new,
     grid_cells: int = 4096,
-    span: float = 10.0,
 ):
     """Predictive density of one future observation of a noisy-mean model.
 
-    The model's posterior is discretized on an internal grid (wide enough
-    to cover data and prior by ``span`` standard deviations) and convolved
-    with the new observation's Gaussian noise.  ``sigma_new = 0`` is the
+    The model's posterior is discretized on an internal grid of
+    ``grid_cells`` points, ``_SPAN`` (10) of the largest prior or measurement
+    standard deviations beyond the outermost anchor, and convolved with the
+    new observation's Gaussian noise.  ``sigma_new = 0`` is the
     point-evaluation limit: the predictive equals the posterior density.
     A NaN or ``+inf`` log density on the grid raises ``NumericalError``.
     The convolution is evaluated in fixed blocks of ``t_new`` rows in one
@@ -345,8 +325,8 @@ def posterior_predictive_noisy_mean(
     t_new = np.asarray(t_new, dtype=float)
     anchors = [model.prior_mean] + [v for v, _ in model.observations]
     scales = [model.prior_sd] + [s for _, s in model.observations]
-    lo = min(anchors) - span * max(scales)
-    hi = max(anchors) + span * max(scales)
+    lo = min(anchors) - _SPAN * max(scales)
+    hi = max(anchors) + _SPAN * max(scales)
     support = np.linspace(lo, hi, grid_cells)
     step = support[1] - support[0]
     log_masses = _log_densities(model, support[:, None])

@@ -87,18 +87,17 @@ def _rows_agree(target) -> bool:
     return many is not None and one is not None and issubclass(many, one)
 
 
-def _log_density_rows(target, agree=None):
+def _log_density_rows(target):
     """``points -> (n,) log densities`` for ``target``, equal row by row to ``log_density``.
 
     It calls ``target.log_density_many`` where ``_rows_agree`` says that may
     stand in for ``log_density``, and ``TargetDensity.log_density_many``,
-    the row loop, otherwise; ``agree`` is ``_rows_agree(target)`` from a
-    caller that has it.  A result that is not one value per row raises
+    the row loop, otherwise.  A result that is not one value per row raises
     ``ValueError``.  Look it up once per call of a consumer, not once per
     batch of points.
     """
-    agree = _rows_agree(target) if agree is None else agree
-    many = target.log_density_many if agree else partial(TargetDensity.log_density_many, target)
+    many = (target.log_density_many if _rows_agree(target)
+            else partial(TargetDensity.log_density_many, target))
 
     def rows(points) -> np.ndarray:
         lp = np.asarray(many(points), dtype=float)

@@ -284,7 +284,7 @@ class TestBlockedWorkspace:
             if t_max is None:
                 blocked = per_coordinate_tau(x)
             else:
-                blocked = diagnostics._taus(x, 5.0, t_max)
+                blocked = diagnostics._taus(x, t_max)
         assert blocked == alone
         # the batch fills its windows and flags per block: each must be the column's
         assert [(e.window, e.truncated, repr(e.tau)) for e in blocked] == [
@@ -412,8 +412,22 @@ class TestKishEss:
         with pytest.raises(ValueError):
             kish_ess()
 
+    @pytest.mark.parametrize("log_weights, message", [
+        ([], "empty"),
+        ([0.0, np.nan], "finite or -inf"),
+        ([0.0, np.inf], "finite or -inf"),
+    ], ids=["empty", "nan", "+inf"])
+    def test_log_weight_validation(self, log_weights, message):
+        with pytest.raises(ValueError, match=message):
+            kish_ess(log_weights=np.array(log_weights))
+
 
 class TestHistogramDensity:
+    @pytest.mark.parametrize("bins", [0, [3, 0], [-1, 2]])
+    def test_fewer_than_one_bin_rejected(self, bins):
+        with pytest.raises(ValueError, match="at least one bin"):
+            histogram_density(np.zeros((5, 2)), bins=bins)
+
     def test_single_bin_holds_all_mass(self):
         rng = np.random.default_rng(17)
         samples = rng.random((500, 2))
@@ -627,3 +641,13 @@ class TestBinomialSampleBound:
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
                 binomial_sample_bound(0.5, bad)
+
+    @pytest.mark.parametrize("p_hat", [-0.1, 1.5, np.nan])
+    def test_p_hat_validation(self, p_hat):
+        with pytest.raises(ValueError, match="p_hat"):
+            binomial_sample_bound(p_hat, 0.1)
+
+    def test_tau_hat_validation(self):
+        assert binomial_sample_bound(0.5, 0.1, tau_hat=0.0) == 25
+        with pytest.raises(ValueError, match="tau_hat"):
+            binomial_sample_bound(0.5, 0.1, tau_hat=-0.5)

@@ -1124,6 +1124,18 @@ class TestRunEnsemble:
             run_ensemble("de", target, m=4, n_sweeps=1, rng=np.random.default_rng(29),
                          jitter_sd=0.1)
 
+    @pytest.mark.parametrize("method", ["gaussian", "de"])
+    def test_zero_gamma_warns_of_a_stall(self, method):
+        target = IsotropicGaussianTarget(1, 1.0)
+        with pytest.warns(RuntimeWarning, match="gamma=0 proposes the current point"):
+            run_ensemble(method, target, m=4, n_sweeps=1, rng=np.random.default_rng(30),
+                         gamma=0.0)
+
+    def test_negative_sweep_count_rejected(self):
+        target = IsotropicGaussianTarget(2, 1.0)
+        with pytest.raises(ValueError, match="n_sweeps must be >= 0"):
+            run_ensemble("stretch", target, m=4, n_sweeps=-1, rng=np.random.default_rng(31))
+
     @pytest.mark.parametrize("method", ["gaussian", "stretch"])
     def test_jitter_sd_only_for_de(self, method):
         # the gaussian and stretch moves have no constant jitter, so one

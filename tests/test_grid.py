@@ -96,6 +96,18 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             GridSpec([np.array([0.0, 0.5, 0.4])])  # not increasing
 
+    @pytest.mark.parametrize("edges, message", [
+        ([0.0], "at least two edges"),
+        ([], "at least two edges"),
+        ([[0.0, 1.0], [1.0, 2.0]], "at least two edges"),
+        ([0.0, np.inf], "finite"),
+        ([np.nan, 1.0], "finite"),
+        ([0.0, 1.0, 1.0], "strictly increasing"),
+    ], ids=["one-edge", "no-edges", "2-D", "inf", "nan", "repeated"])
+    def test_edges_validated(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            GridSpec([np.array(edges, dtype=float)])
+
     def test_resource_guard(self):
         spec = GridSpec.regular([(0.0, 1.0)] * 5, 100)  # 10^10 cells
         assert spec.n_cells == 10**10

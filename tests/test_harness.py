@@ -212,6 +212,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig("scaling", sampler=name, m=fewest - 1)
 
+    @pytest.mark.parametrize("name", ["n", "replicates", "jobs", "budget"])
+    def test_counts_below_one_rejected(self, name):
+        ExperimentConfig("scaling", sampler="mh-fixed", **{name: 1})
+        with pytest.raises(ConfigError, match=f"{name} must be >= 1"):
+            ExperimentConfig("scaling", sampler="mh-fixed", **{name: 0})
+
+    def test_override_of_the_wrong_type_is_a_config_error(self):
+        # the config's own comparison raises TypeError on text; the caller
+        # sees the one error type a bad config gets
+        with pytest.raises(ConfigError):
+            config_from_sources("scaling", sampler="mh-fixed", overrides={"n": "5"})
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[noisy-mean]\nwalkers = 7\n")

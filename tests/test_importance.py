@@ -206,3 +206,25 @@ class TestKishBehavior:
             slope = np.polyfit(np.log([100, 1000, 10_000]), np.log(rmses), 1)[0]
             assert slope == pytest.approx(-0.5, abs=0.2)
             assert rmses[-1] < rmses[0] / 3.0
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("log_weights, message", [
+        (np.zeros(2), "one entry per point"),
+        (np.zeros((3, 1)), "one entry per point"),
+        (np.array([0.0, np.nan, 0.0]), "finite or -inf"),
+        (np.array([0.0, np.inf, 0.0]), "finite or -inf"),
+    ], ids=["short", "column", "nan", "+inf"])
+    def test_weighted_samples_rejects(self, log_weights, message):
+        with pytest.raises(ValueError, match=message):
+            WeightedSamples(np.zeros((3, 1)), log_weights)
+
+    @pytest.mark.parametrize("lower, upper, message", [
+        ((0.0, 0.0), (1.0,), "same length"),
+        (((0.0, 0.0),), ((1.0, 1.0),), "1-D"),
+        ((0.0, 1.0), (1.0, 1.0), "upper must exceed lower"),
+        ((0.0, 2.0), (1.0, 1.0), "upper must exceed lower"),
+    ], ids=["lengths", "2-D", "equal", "reversed"])
+    def test_uniform_box_rejects(self, lower, upper, message):
+        with pytest.raises(ValueError, match=message):
+            UniformBoxProposal(lower, upper)

@@ -330,6 +330,12 @@ class TestRunChain:
                 np.random.default_rng(6),
             )
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_fewer_than_one_step_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            run_chain(IsotropicGaussianTarget(1, 1.0), GaussianRandomWalk(1.0), np.zeros(1), n,
+                      np.random.default_rng(7))
+
     def test_seed_determinism(self):
         target = exercise_2d_target()
         a = run_chain(target, GaussianRandomWalk(1.0), np.zeros(2), 500,
@@ -473,6 +479,29 @@ class TestDrawOrder:
             y = candidate if take else y
             assert acc == take
             np.testing.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize("kind", ["random-walk", "no-steps-hook", "three-state", "0-d-start"])
+    def test_mh_step_is_the_first_step_of_run_chain(self, kind):
+        target, proposal, start = {
+            "random-walk": (IsotropicGaussianTarget(3, 1.0), GaussianRandomWalk(1.2),
+                            np.full(3, 0.1)),
+            "no-steps-hook": (IsotropicGaussianTarget(2, 1.0), UniformBox(), np.zeros(2)),
+            "three-state": (ThreeState(), UniformThreeState(), np.array([1.0])),
+            # a 0-d start on a 1-D target is read as a length-1 point
+            "0-d-start": (IsotropicGaussianTarget(1, 1.0), GaussianRandomWalk(2.5),
+                          np.array(0.3)),
+        }[kind]
+        flags = set()
+        for seed in range(40):
+            rng_step, rng_run = np.random.default_rng(seed), np.random.default_rng(seed)
+            point, accepted = mh_step(target, proposal, start, rng_step)
+            chain = run_chain(target, proposal, start, 1, rng_run)
+            assert point.shape == chain.states[0].shape == (target.dim,)
+            np.testing.assert_array_equal(point, chain.states[0])
+            assert accepted is bool(chain.accepted[0])
+            assert rng_step.bit_generator.state == rng_run.bit_generator.state
+            flags.add(accepted)
+        assert flags == {True, False}
 
 
 class CountingGaussian(TargetDensity):
@@ -692,6 +721,16 @@ class TestAcceptanceFraction:
         assert acceptance_fraction(all_true) == 1.0
         assert acceptance_fraction(none_true) == 0.0
         assert acceptance_fraction(three_of_four) == 0.75
+
+    def test_empty_chain_rejected(self):
+        empty = Chain(np.empty((0, 1)), np.empty(0, dtype=bool), np.zeros(1))
+        with pytest.raises(ValueError, match="chain is empty"):
+            acceptance_fraction(empty)
+
+    @pytest.mark.parametrize("flags", [3, 5])
+    def test_one_flag_per_state(self, flags):
+        with pytest.raises(ValueError, match="one flag per state"):
+            Chain(np.zeros((4, 1)), np.ones(flags, dtype=bool), np.zeros(1))
 
 
 class TestDropBurnIn:

@@ -99,6 +99,24 @@ class TestExpectedLoss:
         with pytest.raises(ValueError):
             expected_loss(post, LossSpec.catastrophic(), 0.0)
 
+    @pytest.mark.parametrize("loss", [LossSpec.squared(), LossSpec.absolute(),
+                                      LossSpec.catastrophic(), LossSpec.piecewise_power(0.0)],
+                             ids=["squared", "absolute", "catastrophic", "piecewise"])
+    def test_multi_dimensional_posterior_rejected(self, loss):
+        post = DiscretizedPosterior(points=np.zeros((3, 2)), masses=np.ones(3))
+        with pytest.raises(ValueError, match="1-D posteriors"):
+            expected_loss(post, loss, 0.0)
+        with pytest.raises(ValueError, match="1-D posteriors"):
+            point_estimate(post, loss)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="kind must be one of"):
+            LossSpec(kind="quartic")
+
+    def test_piecewise_loss_needs_a_threshold(self):
+        with pytest.raises(ValueError, match="needs a threshold"):
+            LossSpec(kind="piecewise")
+
 
 class TestPointEstimate:
     def test_symmetric_posterior_mean_median_mode_agree(self):
@@ -518,3 +536,21 @@ class TestInvariances:
             DiscretizedPosterior(points=np.array([0.0]), masses=np.array([-1.0]))
         with pytest.raises(ValueError):
             DiscretizedPosterior(points=np.array([0.0, 1.0]), masses=np.array([0.0, 0.0]))
+
+    @pytest.mark.parametrize("masses, volumes, message", [
+        ([1.0, 1.0, 1.0], None, "one entry per support point"),
+        ([[0.5, 0.5]], None, "one entry per support point"),
+        ([1.0, np.inf], None, "positive and finite"),
+        ([1.0, np.nan], None, "positive and finite"),
+        ([0.5, 0.5], [1.0], "volumes must be positive"),
+        ([0.5, 0.5], [1.0, 0.0], "volumes must be positive"),
+        ([0.5, 0.5], [1.0, -2.0], "volumes must be positive"),
+    ], ids=["long", "2-D", "+inf", "nan", "short-volumes", "zero-volume", "negative-volume"])
+    def test_mass_and_volume_validation(self, masses, volumes, message):
+        with pytest.raises(ValueError, match=message):
+            DiscretizedPosterior(points=np.array([0.0, 1.0]), masses=np.array(masses),
+                                 volumes=volumes)
+
+    def test_all_zero_log_masses_rejected(self):
+        with pytest.raises(ValueError, match="all masses are zero"):
+            DiscretizedPosterior.from_log_masses([0.0, 1.0], [-np.inf, -np.inf])

@@ -412,6 +412,18 @@ class TestRadialLogMass:
             assert np.all(np.diff(vals[:peak]) > 0)
             assert np.all(np.diff(vals[peak + 1:]) < 0)
 
+    @pytest.mark.parametrize("d, sigma, r, message", [
+        (0, 1.0, 1.0, "d must be a positive integer"),
+        (2, 0.0, 1.0, "sigma must be positive"),
+        (2, -1.0, 1.0, "sigma must be positive"),
+        (2, np.nan, 1.0, "sigma must be positive"),
+        (2, 1.0, -0.5, "radius must be nonnegative"),
+        (2, 1.0, [1.0, -1e-9], "radius must be nonnegative"),
+    ])
+    def test_input_validation(self, d, sigma, r, message):
+        with pytest.raises(ValueError, match=message):
+            radial_log_mass(d, sigma, r)
+
 
 class TestHalfVolumeFraction:
     def test_values(self):
