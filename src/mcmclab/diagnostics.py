@@ -16,6 +16,7 @@ The chain evidence is ``is_evidence`` with the chain's own histogram as the
 importance proposal, so it keeps the checks of ``importance_weights``.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -303,19 +304,10 @@ class HistogramDensity:
     def bin_indices(self, points) -> np.ndarray:
         """Per-dimension bin index of each point; -1 marks out-of-box.
 
-        Non-finite coordinates are out of the box: NaN fails both edge
-        comparisons, so it is caught by testing for inside, not outside.
+        Non-finite coordinates are out of the box.  This is the rule that
+        ``histogram_density`` counts with.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        idx = np.empty(pts.shape, dtype=int)
-        for k, e in enumerate(self.edges):
-            x = pts[:, k]
-            i = np.searchsorted(e, x, side="right") - 1
-            # the right edge of the last bin is inclusive
-            i[x == e[-1]] = len(e) - 2
-            i[~((x >= e[0]) & (x <= e[-1]))] = -1
-            idx[:, k] = i
-        return idx
+        return _bin_indices(self.edges, np.atleast_2d(np.asarray(points, dtype=float)))
 
     def density_at(self, points) -> np.ndarray:
         """Estimated density (mass / bin volume) at each point; 0 outside."""
@@ -337,11 +329,33 @@ class HistogramDensity:
             return np.log(self.density_at(points))
 
 
+def _bin_indices(edges, pts: np.ndarray) -> np.ndarray:
+    """Per-dimension bin index of each row of ``pts``; -1 marks out-of-box.
+
+    Bins are closed on the left, and the last bin on the right too.  NaN
+    fails both edge comparisons, so it is caught by testing for inside, not
+    outside.
+    """
+    idx = np.empty(pts.shape, dtype=int)
+    for k, e in enumerate(edges):
+        x = pts[:, k]
+        i = np.searchsorted(e, x, side="right") - 1
+        # the right edge of the last bin is inclusive
+        i[x == e[-1]] = len(e) - 2
+        i[~((x >= e[0]) & (x <= e[-1]))] = -1
+        idx[:, k] = i
+    return idx
+
+
 def histogram_density(samples, bins, bounds=None) -> HistogramDensity:
     """Bin samples into a d-dimensional histogram density.
 
     ``bins`` is an int or a per-dimension sequence; ``bounds`` optional
-    (lo, hi) pairs per dimension, defaulting to the sample range.
+    (lo, hi) pairs per dimension, defaulting to the sample range.  Each
+    axis's edges come from ``np.histogram_bin_edges``, numpy's own outer-edge
+    rule.  The samples are counted with the rule of
+    ``HistogramDensity.bin_indices``, so one rule bins both the counts and
+    every later lookup, and no padded ``(bins + 2)^d`` lattice is built.
     """
     pts = np.atleast_2d(np.asarray(samples, dtype=float))
     n, d = pts.shape
@@ -349,10 +363,19 @@ def histogram_density(samples, bins, bounds=None) -> HistogramDensity:
         bins = [int(bins)] * d
     if any(b < 1 for b in bins):
         raise ValueError("need at least one bin per dimension")
-    counts, edges = np.histogramdd(pts, bins=bins, range=bounds)
-    return HistogramDensity(
-        edges=tuple(edges), counts=counts.astype(int), n_samples=n
-    )
+    if bounds is None:
+        bounds = [None] * d
+    if len(bins) != d or len(bounds) != d:
+        raise ValueError(f"bins and bounds need one entry per dimension, d={d}")
+    edges = tuple(np.histogram_bin_edges(pts[:, k], bins=b, range=r)
+                  for k, (b, r) in enumerate(zip(bins, bounds)))
+    idx = _bin_indices(edges, pts)
+    inside = (idx >= 0).all(axis=1)
+    # no copy when every sample is in the box, as the harness's bounds make it
+    flat = np.ravel_multi_index((idx if inside.all() else idx[inside]).T, bins)
+    del idx  # freed before the count lattice is allocated
+    counts = np.bincount(flat, minlength=math.prod(bins)).reshape(bins)
+    return HistogramDensity(edges=edges, counts=counts, n_samples=n)
 
 
 def evidence_from_chain(target, chain_or_samples, density: HistogramDensity) -> float:
@@ -379,6 +402,6 @@ def binomial_sample_bound(p_hat: float, eps: float, tau_hat: float = 0.0) -> int
         raise ValueError("eps must lie strictly between 0 and 1")
     if not 0.0 <= p_hat <= 1.0:
         raise ValueError("p_hat must lie in [0, 1]")
-    if tau_hat < 0.0:
-        raise ValueError("tau_hat must be nonnegative")
+    if not 0.0 <= tau_hat < np.inf:
+        raise ValueError(f"tau_hat must be finite and nonnegative, got {tau_hat}")
     return int(np.ceil(p_hat * (1.0 - p_hat) / eps ** 2 * (1.0 + tau_hat)))

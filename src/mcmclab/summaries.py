@@ -16,10 +16,12 @@ from .grid import GridCells, _cell_midpoints, grid_log_weights
 from .targets import NoisyMeanModel, _log_densities
 
 # Rows of ``t_new`` per block of the predictive's noise kernel: one block of
-# 256 rows by 4096 grid cells is an 8 MiB buffer.  A power of two keeps each
-# row at the same offset, modulo the BLAS kernel's row width, as in a
-# one-shot product, which the blocks then equal bit for bit (one BLAS thread).
-_KERNEL_ROWS = 256
+# 64 rows by 4096 grid cells is a 2 MiB buffer, under numpy's 4 MiB huge-page
+# threshold.  A power of two keeps each row at the same offset, modulo the
+# BLAS kernel's row width, as in a one-shot product, which the blocks then
+# equal bit for bit (one BLAS thread).  Blocks of 16 rows or fewer do not:
+# the gemv kernel groups rows.
+_KERNEL_ROWS = 64
 
 # Half-width of the predictive's internal grid, in the largest prior or
 # measurement standard deviation, beyond the outermost anchor.
@@ -66,8 +68,9 @@ class DiscretizedPosterior:
         vols = self.volumes
         if vols is not None:
             vols = np.asarray(vols, dtype=float)
-            if vols.shape != masses.shape or np.any(vols <= 0):
-                raise ValueError("volumes must be positive, one per point")
+            # NaN fails both comparisons, so test for valid, not for invalid
+            if vols.shape != masses.shape or not np.all(np.isfinite(vols) & (vols > 0)):
+                raise ValueError("volumes must be positive and finite, one per point")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "volumes", vols)

@@ -8,6 +8,7 @@ or ``+inf`` log density breaks the contract, and ``_checked`` raises on it.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -333,6 +334,12 @@ _SHELL_VAR_SERIES = (
 _SHELL_SERIES_MIN_D = 24
 
 
+def _check_dim(d) -> None:
+    """Reject a dimension that is not a positive integer, such as 0 or 2.5."""
+    if not (isinstance(d, numbers.Integral) and d >= 1):
+        raise ValueError(f"d must be a positive integer, got {d!r}")
+
+
 def shell_stats(d: int, sigma: float = 1.0) -> ShellStats:
     """Radial statistics of a d-dimensional isotropic Gaussian.
 
@@ -341,8 +348,7 @@ def shell_stats(d: int, sigma: float = 1.0) -> ShellStats:
     ``1/d``, where the direct difference cancels, and the mean radius from
     the variance.
     """
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    _check_dim(d)
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     if d < _SHELL_SERIES_MIN_D:
@@ -368,8 +374,7 @@ def radial_log_mass(d: int, sigma: float, r):
     ``r = 0`` is ``-inf``; for ``d = 1`` there is no volume boost and the
     result is simply ``-r^2 / (2 sigma^2)``.
     """
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    _check_dim(d)
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     r = np.asarray(r, dtype=float)
@@ -386,6 +391,5 @@ def radial_log_mass(d: int, sigma: float, r):
 
 def half_volume_length_fraction(d: int) -> float:
     """Side fraction of a d-cube enclosing half its volume: ``2**(-1/d)``."""
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    _check_dim(d)
     return float(2.0 ** (-1.0 / d))

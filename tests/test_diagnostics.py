@@ -487,6 +487,59 @@ class TestHistogramDensity:
         expected[inside] = (hd.counts / hd.n_samples)[sel] / _cell_volumes(hd.edges)[sel]
         np.testing.assert_array_equal(hd.density_at(points), expected)
 
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    @pytest.mark.parametrize("boxed", [False, True])
+    def test_counts_and_edges_equal_histogramdd(self, dim, boxed):
+        # np.histogramdd is only the oracle here: points on an inner edge and
+        # on the last edge, outside the box, NaN and inf, per-axis bins
+        rng = np.random.default_rng(60 + dim)
+        bins = [int(b) for b in rng.integers(2, 7, dim)]
+        samples = rng.standard_normal((3000, dim))
+        if boxed:
+            bounds = [(-1.0, 1.5)] * dim
+            edges = [np.linspace(lo, hi, b + 1) for (lo, hi), b in zip(bounds, bins)]
+            samples[:20] = [e[-1] for e in edges]
+            samples[20:40] = [e[1] for e in edges]
+            samples[40:50] = [e[0] for e in edges]
+            samples[50, 0] = np.nan
+            samples[51, -1] = np.inf
+            samples[52, 0] = -np.inf
+        else:
+            bounds = None
+            samples[:20] = samples.max(axis=0)
+        hd = histogram_density(samples, bins=bins, bounds=bounds)
+        counts, edges = np.histogramdd(samples, bins=bins, range=bounds)
+        for ours, theirs in zip(hd.edges, edges, strict=True):
+            np.testing.assert_array_equal(ours, theirs)
+        assert hd.counts.dtype == counts.astype(int).dtype
+        np.testing.assert_array_equal(hd.counts, counts.astype(int))
+        assert (hd.overflow_count > 0) == boxed
+
+    def test_scalar_bins_and_all_outside(self):
+        samples = np.array([[5.0, 5.0], [np.nan, 0.5], [-1.0, 0.5]])
+        hd = histogram_density(samples, bins=3, bounds=[(0.0, 3.0), (0.0, 3.0)])
+        assert hd.counts.shape == (3, 3)
+        assert hd.counts.sum() == 0
+        assert hd.overflow_count == 3
+
+    @pytest.mark.parametrize("bins, bounds", [([2, 2, 2], None), (2, [(0.0, 1.0)])])
+    def test_entry_per_dimension_required(self, bins, bounds):
+        with pytest.raises(ValueError, match="one entry per dimension"):
+            histogram_density(np.zeros((5, 2)), bins=bins, bounds=bounds)
+
+    def test_counting_in_bounded_memory(self):
+        # np.histogramdd's (bins + 2)^d lattice, its float copy and the
+        # astype(int) copy peaked at 4.55 MiB here
+        samples = np.random.default_rng(61).standard_normal((16_000, 5))
+        bounds = [(-5.0, 5.0)] * 5
+        tracemalloc.start()
+        try:
+            histogram_density(samples, bins=10, bounds=bounds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2**20
+
     def test_log_pdf_is_log_density_at(self):
         samples = np.array([[0.5], [0.5], [1.5], [2.5]])
         hd = histogram_density(samples, bins=4, bounds=[(0.0, 4.0)])
@@ -651,3 +704,8 @@ class TestBinomialSampleBound:
         assert binomial_sample_bound(0.5, 0.1, tau_hat=0.0) == 25
         with pytest.raises(ValueError, match="tau_hat"):
             binomial_sample_bound(0.5, 0.1, tau_hat=-0.5)
+
+    @pytest.mark.parametrize("tau_hat", [np.nan, np.inf, float("inf")])
+    def test_non_finite_tau_hat_rejected(self, tau_hat):
+        with pytest.raises(ValueError, match="tau_hat must be finite and nonnegative"):
+            binomial_sample_bound(0.5, 0.1, tau_hat=tau_hat)

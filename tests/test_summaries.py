@@ -422,6 +422,21 @@ class TestPosteriorPredictive:
                 tracemalloc.stop()
             assert peak <= 16 * 2**20
 
+    @pytest.mark.parametrize("sigma_new", [0.5, 2.0])
+    def test_exercise_call_under_3_mib(self, sigma_new):
+        # the noisy-mean exercise's call: one 64 x 4096 kernel block is
+        # 2 MiB, where a 256-row block alone was 8 MiB
+        lo, hi, _ = NOISY_MEAN_GRID
+        ts = np.linspace(lo, hi, 2001)
+        model = noisy_mean_model()
+        tracemalloc.start()
+        try:
+            posterior_predictive_noisy_mean(model, sigma_new, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
+
     def test_row_blocks_equal_one_shot_kernel_bit_for_bit(self):
         # 2001 rows are not a multiple of the block height.  A multithreaded
         # gemv splits its rows among threads by the matrix's height, which
@@ -545,7 +560,10 @@ class TestInvariances:
         ([0.5, 0.5], [1.0], "volumes must be positive"),
         ([0.5, 0.5], [1.0, 0.0], "volumes must be positive"),
         ([0.5, 0.5], [1.0, -2.0], "volumes must be positive"),
-    ], ids=["long", "2-D", "+inf", "nan", "short-volumes", "zero-volume", "negative-volume"])
+        ([0.5, 0.5], [1.0, np.nan], "volumes must be positive and finite"),
+        ([0.5, 0.5], [1.0, np.inf], "volumes must be positive and finite"),
+    ], ids=["long", "2-D", "+inf", "nan", "short-volumes", "zero-volume", "negative-volume",
+            "nan-volume", "inf-volume"])
     def test_mass_and_volume_validation(self, masses, volumes, message):
         with pytest.raises(ValueError, match=message):
             DiscretizedPosterior(points=np.array([0.0, 1.0]), masses=np.array(masses),

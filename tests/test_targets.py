@@ -378,6 +378,14 @@ class TestShellStats:
         with pytest.raises(ValueError):
             shell_stats(3, -1.0)
 
+    @pytest.mark.parametrize("d", [2.5, 3.0, np.nan, "3"])
+    def test_non_integer_d_rejected(self, d):
+        with pytest.raises(ValueError, match="d must be a positive integer"):
+            shell_stats(d, 1.0)
+
+    def test_numpy_integer_d_accepted(self):
+        assert shell_stats(np.int64(10), 1.0) == shell_stats(10, 1.0)
+
 
 class TestRadialLogMass:
     def test_monotone_decreasing_in_1d(self):
@@ -414,6 +422,8 @@ class TestRadialLogMass:
 
     @pytest.mark.parametrize("d, sigma, r, message", [
         (0, 1.0, 1.0, "d must be a positive integer"),
+        (2.5, 1.0, 1.0, "d must be a positive integer"),
+        (2.0, 1.0, 1.0, "d must be a positive integer"),
         (2, 0.0, 1.0, "sigma must be positive"),
         (2, -1.0, 1.0, "sigma must be positive"),
         (2, np.nan, 1.0, "sigma must be positive"),
@@ -431,6 +441,11 @@ class TestHalfVolumeFraction:
         assert half_volume_length_fraction(2) == pytest.approx(np.sqrt(0.5), rel=1e-12)
         assert half_volume_length_fraction(2) == pytest.approx(0.707, abs=5e-4)
         assert half_volume_length_fraction(15) == pytest.approx(0.955, abs=1e-3)
+
+    @pytest.mark.parametrize("d", [0, -1, 2.5, 2.0])
+    def test_d_must_be_a_positive_integer(self, d):
+        with pytest.raises(ValueError, match="d must be a positive integer"):
+            half_volume_length_fraction(d)
 
     def test_monotone_to_one(self):
         vals = [half_volume_length_fraction(d) for d in range(1, 60)]
