@@ -357,7 +357,7 @@ def histogram_density(samples, bins, bounds=None) -> HistogramDensity:
     ``HistogramDensity.bin_indices``, so one rule bins both the counts and
     every later lookup, and no padded ``(bins + 2)^d`` lattice is built.
     """
-    pts = np.atleast_2d(np.asarray(samples, dtype=float))
+    pts = _states_of(samples)
     n, d = pts.shape
     if np.isscalar(bins):
         bins = [int(bins)] * d

@@ -41,6 +41,7 @@ so the target is evaluated at candidates only, and their starts go through
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -82,9 +83,9 @@ class EnsembleState:
     """Positions and per-sweep histories of an ensemble of chains."""
 
     positions: np.ndarray   # (m, d) current positions
-    history: np.ndarray     # (iterations, m, d)
-    accepted: np.ndarray    # (iterations, m) bool
-    starts: np.ndarray      # (m, d) initial positions
+    history: np.ndarray     # (recorded sweeps, m, d), the last sweeps run
+    accepted: np.ndarray    # (sweeps run, m) bool
+    starts: np.ndarray      # (m, d) positions the first recorded sweep moved from
 
     @property
     def dim(self) -> int:
@@ -92,11 +93,12 @@ class EnsembleState:
 
     @property
     def iteration(self) -> int:
-        return self.history.shape[0]
+        return self.accepted.shape[0]
 
     def chain(self, j: int) -> Chain:
-        """Chain ``j``'s history as a standalone chain object."""
-        return Chain(self.history[:, j, :], self.accepted[:, j], self.starts[j])
+        """Chain ``j``'s recorded sweeps as a standalone chain object."""
+        kept = self.accepted[self.iteration - self.history.shape[0]:, j]
+        return Chain(self.history[:, j, :], kept, self.starts[j])
 
     def acceptance_fraction(self) -> float:
         if self.accepted.size == 0:
@@ -305,6 +307,7 @@ def run_ensemble(
     gamma: float | None = None,
     law: StretchLaw | None = None,
     jitter_sd=None,
+    burn_in: int = 0,
 ) -> EnsembleState:
     """Run ``n_sweeps`` red-blue sweeps of an ensemble sampler.
 
@@ -315,8 +318,11 @@ def run_ensemble(
     would give the covariance moves zero steps.  ``gamma`` (gaussian and
     de) must be finite and defaults to ``DEFAULT_DELTA[method] / sqrt(d)``,
     ``law`` (stretch) to ``StretchLaw()``, and ``jitter_sd`` is de's
-    constant jitter, as in ``de_step``.  An argument the move does not read
-    raises ``ValueError``, and so does a start of zero density.
+    constant jitter, as in ``de_step``.  The first ``burn_in`` sweeps, an
+    integer in ``[0, n_sweeps]``, run and draw as the others do but are not
+    recorded in ``history``; ``accepted`` holds every sweep's flags.  An
+    argument the move does not read raises ``ValueError``, and so does a
+    start of zero density.
     """
     if method not in ENSEMBLE_METHODS:
         raise ValueError(f"unknown ensemble method {method!r}")
@@ -326,6 +332,8 @@ def run_ensemble(
         )
     if n_sweeps < 0:
         raise ValueError("n_sweeps must be >= 0")
+    if not (isinstance(burn_in, numbers.Integral) and 0 <= burn_in <= n_sweeps):
+        raise ValueError(f"burn_in must be an integer in [0, {n_sweeps}], got {burn_in!r}")
     d = target.dim
     if jitter_sd is not None and method != "de":
         raise ValueError(f"jitter_sd is de's constant jitter; the {method} move takes none")
@@ -363,12 +371,15 @@ def run_ensemble(
     # one cached log density per chain, in a copy the target cannot reuse:
     # each update evaluates the target at its candidates only
     lp = _start_log_densities(target, positions).copy()
-    history = np.empty((n_sweeps, m, d))
+    history = np.empty((n_sweeps - burn_in, m, d))
     accepted = np.empty((n_sweeps, m), dtype=bool)
     first, second = slice(0, m // 2), slice(m // 2, m)
     for sweep in range(n_sweeps):
         for rows, others in ((first, second), (second, first)):
             accepted[sweep, rows] = _update(method, log_density_rows, positions, lp, rows,
                                             others, gamma, law, jitter_sd, rng)
-        history[sweep] = positions
+        if sweep < burn_in:
+            starts[...] = positions
+        else:
+            history[sweep - burn_in] = positions
     return EnsembleState(positions, history, accepted, starts)

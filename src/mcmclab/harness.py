@@ -391,6 +391,7 @@ def _scaling_row(cfg: ExperimentConfig, dim: int, replicate: int) -> ResultRow:
     t0 = time.perf_counter()
 
     move = SAMPLERS[cfg.sampler].move
+    burn = int(np.floor(cfg.burn_in * cfg.n))
     if move is None:
         # start from a draw of the target itself: at the exact mode a
         # wide fixed proposal in high dimension essentially never accepts
@@ -399,20 +400,19 @@ def _scaling_row(cfg: ExperimentConfig, dim: int, replicate: int) -> ResultRow:
         chain = run_chain(
             target, GaussianRandomWalk(cfg.proposal_scale(dim)), theta0, cfg.n, rng
         )
-        # a single chain is an ensemble of one: (n,) flags, (n, 1, d) history
-        accepted, history = chain.accepted, chain.states[:, None, :]
+        # a single chain is an ensemble of one: (n,) flags, (n - burn, 1, d) kept history
+        accepted, hist = chain.accepted, chain.states[burn:, None, :]
         m_col = None
     else:
         law = StretchLaw(cfg.a) if move == "stretch" else None
         state = run_ensemble(
             move, target, m=cfg.m, n_sweeps=cfg.n, rng=rng,
-            gamma=cfg.proposal_scale(dim), law=law,
+            gamma=cfg.proposal_scale(dim), law=law, burn_in=burn,
         )
-        accepted, history = state.accepted, state.history
+        accepted, hist = state.accepted, state.history
         m_col = cfg.m
 
     accept = float(accepted.mean())
-    hist = history[int(np.floor(cfg.burn_in * cfg.n)):]
     try:
         # one call over every chain's coordinates: flat column c is chain
         # c // dim, coordinate c % dim (a view, as hist is contiguous)

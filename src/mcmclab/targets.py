@@ -179,8 +179,7 @@ class IsotropicGaussianTarget(TargetDensity):
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
+        _check_dim(self.dim)
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
         object.__setattr__(self, "_variance", np.array(self.sigma ** 2, dtype=float))

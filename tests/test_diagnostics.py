@@ -540,6 +540,26 @@ class TestHistogramDensity:
             tracemalloc.stop()
         assert peak <= 1.5 * 2**20
 
+    def test_flat_samples_are_one_dimensional(self):
+        hd = histogram_density(np.array([0.1, 0.2, 0.3, 0.4]), bins=2)
+        assert (hd.n_samples, hd.dim) == (4, 1)
+        np.testing.assert_array_equal(hd.counts, [2, 2])
+        column = histogram_density(np.array([[0.1], [0.2], [0.3], [0.4]]), bins=2)
+        np.testing.assert_array_equal(hd.counts, column.counts)
+        np.testing.assert_array_equal(hd.edges[0], column.edges[0])
+
+    def test_two_dimensional_samples_bin_as_before(self):
+        # (n, d) samples are read as given: np.histogram2d's counts and edges
+        samples = np.random.default_rng(62).standard_normal((500, 2))
+        hd = histogram_density(samples, bins=[4, 6], bounds=[(-3.0, 3.0), None])
+        counts, *edges = np.histogram2d(samples[:, 0], samples[:, 1], bins=[4, 6],
+                                        range=[(-3.0, 3.0), (samples[:, 1].min(),
+                                                             samples[:, 1].max())])
+        assert (hd.n_samples, hd.dim) == (500, 2)
+        np.testing.assert_array_equal(hd.counts, counts.astype(int))
+        for got, want in zip(hd.edges, edges):
+            np.testing.assert_array_equal(got, want)
+
     def test_log_pdf_is_log_density_at(self):
         samples = np.array([[0.5], [0.5], [1.5], [2.5]])
         hd = histogram_density(samples, bins=4, bounds=[(0.0, 4.0)])

@@ -1203,6 +1203,40 @@ class TestRunEnsemble:
         np.testing.assert_array_equal(chain.accepted, state.accepted[:, 3])
         np.testing.assert_array_equal(chain.start, state.starts[3])
 
+    @pytest.mark.parametrize("method", ENSEMBLE_METHODS)
+    @pytest.mark.parametrize("burn_in", [0, 1, 11, 12])
+    def test_burn_in_sweeps_run_but_are_not_recorded(self, method, burn_in):
+        target = IsotropicGaussianTarget(2, 1.0)
+        n, m = 12, 8
+        full_rng, rng = np.random.default_rng(71), np.random.default_rng(71)
+        full = run_ensemble(method, target, m=m, n_sweeps=n, rng=full_rng)
+        state = run_ensemble(method, target, m=m, n_sweeps=n, rng=rng, burn_in=burn_in)
+        assert state.history.shape == (n - burn_in, m, 2)
+        assert state.iteration == n
+        np.testing.assert_array_equal(state.history, full.history[burn_in:])
+        np.testing.assert_array_equal(state.accepted, full.accepted)
+        np.testing.assert_array_equal(state.positions, full.positions)
+        assert state.acceptance_fraction() == full.acceptance_fraction()
+        assert rng.random() == full_rng.random()
+        # the start is the state the first recorded sweep moved from
+        start = full.starts if burn_in == 0 else full.history[burn_in - 1]
+        np.testing.assert_array_equal(state.starts, start)
+        for j in (0, m - 1):
+            chain = state.chain(j)
+            np.testing.assert_array_equal(chain.states, full.history[burn_in:, j])
+            np.testing.assert_array_equal(chain.accepted, full.accepted[burn_in:, j])
+            np.testing.assert_array_equal(chain.start, start[j])
+
+    @pytest.mark.parametrize("burn_in", [-1, 13, 2.0, 0.5, "1", None])
+    def test_burn_in_is_an_integer_in_range(self, burn_in):
+        target = IsotropicGaussianTarget(2, 1.0)
+        with pytest.raises(ValueError, match=r"burn_in must be an integer in \[0, 12\]"):
+            run_ensemble("stretch", target, m=4, n_sweeps=12, rng=np.random.default_rng(72),
+                         burn_in=burn_in)
+        state = run_ensemble("stretch", target, m=4, n_sweeps=12,
+                             rng=np.random.default_rng(72), burn_in=np.int64(3))
+        assert state.history.shape == (9, 4, 2)
+
     def test_gaussian_and_de_autocorrelation_times_comparable_d10(self):
         # both shrink-as-1/sqrt(d) methods should mix at a similar rate,
         # with per-chain tau no worse than ~6d

@@ -6,6 +6,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -402,8 +403,10 @@ class TestScaling:
         cfg = ExperimentConfig("scaling", sampler=sampler, dims=(dim,), n=n, m=m, seed=7)
         row = harness._scaling_row(cfg, dim, 0)
         (run,) = runs
-        history = run.history if sampler.startswith("ens-") else run.states[:, None, :]
-        hist = history[int(np.floor(cfg.burn_in * n)):]
+        # an ensemble records only the sweeps after its burn-in
+        burn = int(np.floor(cfg.burn_in * n))
+        hist = run.history if sampler.startswith("ens-") else run.states[burn:, None, :]
+        assert hist.shape[0] == n - burn
         chain_taus = []
         for j in range(hist.shape[1]):
             taus = diagnostics.per_coordinate_tau(hist[:, j, :])
@@ -427,6 +430,18 @@ class TestScaling:
             "series column 7 has zero variance$"
         )):
             harness._scaling_row(cfg, 2, 0)
+
+    def test_ensemble_cell_records_only_kept_sweeps(self):
+        # the bench's ens-stretch cell: its 1200 kept sweeps are 18.3 MiB of
+        # history; storing all 1500 and slicing after the run peaked at 26.4 MiB
+        cfg = ExperimentConfig("scaling", sampler="ens-stretch", dims=(20,), n=1500, m=100)
+        tracemalloc.start()
+        try:
+            harness._scaling_row(cfg, 20, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20
 
 
 class TestExercises:

@@ -460,6 +460,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             IsotropicGaussianTarget(2, 0.0)
 
+    @pytest.mark.parametrize("dim", [2.5, 2.0, 0, -1])
+    def test_isotropic_dim_is_a_positive_integer(self, dim):
+        with pytest.raises(ValueError, match="d must be a positive integer"):
+            IsotropicGaussianTarget(dim)
+
+    def test_isotropic_dim_may_be_a_numpy_integer(self):
+        target = IsotropicGaussianTarget(np.int64(3))
+        assert target.dim == 3
+        assert target.log_density(np.ones(3)) == -1.5
+
     def test_diagonal_validation(self):
         with pytest.raises(ValueError):
             DiagonalGaussianTarget((0.0,), (1.0, 2.0))
