@@ -13,7 +13,6 @@ import io
 import os
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import product, repeat
 from types import MappingProxyType
@@ -461,6 +460,9 @@ def run_scaling(cfg: ExperimentConfig) -> list:
     # the pool starts all its workers at the first submit
     jobs = min(cfg.jobs, len(dims))
     if jobs > 1:
+        # imported here: a serial run loads neither the pool nor multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_scaling_row, repeat(cfg), dims, replicates))
     return list(map(_scaling_row, repeat(cfg), dims, replicates))

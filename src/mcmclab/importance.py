@@ -96,12 +96,25 @@ class DiagonalGaussianProposal(Proposal):
     def dim(self) -> int:
         return len(self.mean)
 
+    # Each pass below runs over the transposed view in C order, so numpy's
+    # inner loop walks one coordinate's n values against a scalar instead of a
+    # row's d values against the (d,) operand: at (10000, 2), about 45 µs
+    # against 130 µs.  Every element's arithmetic is the broadcast's.
+
     def sample(self, rng, n):
-        return self._mu + rng.standard_normal((n, self.dim)) * self._sig
+        x = rng.standard_normal((n, self.dim))
+        xt = x.T
+        np.multiply(xt, self._sig[:, None], out=xt, order="C")
+        np.add(xt, self._mu[:, None], out=xt, order="C")
+        return x
 
     def log_pdf(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        z = (pts - self._mu) / self._sig
+        z = np.empty(pts.shape)
+        zt = z.T
+        np.subtract(pts.T, self._mu[:, None], out=zt, order="C")
+        np.divide(zt, self._sig[:, None], out=zt, order="C")
+        # a row sum: a sum of columns would keep its order only for d < 8
         return -0.5 * (z ** 2).sum(axis=1) - self._log_norm
 
 

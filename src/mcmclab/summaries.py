@@ -23,6 +23,11 @@ from .targets import NoisyMeanModel, _log_densities
 # the gemv kernel groups rows.
 _KERNEL_ROWS = 64
 
+# Beyond this many ``sigma_new`` from every ``t`` of a block, a kernel entry's
+# exponent ``-z**2 / 2`` is below -760 even after rounding, and ``exp`` gives
+# exactly 0 (it underflows below -745.2).
+_KERNEL_REACH = 39.0
+
 # Half-width of the predictive's internal grid, in the largest prior or
 # measurement standard deviation, beyond the outermost anchor.
 _SPAN = 10.0
@@ -172,7 +177,8 @@ def _pointwise_loss(loss: LossSpec, candidate, points) -> np.ndarray:
     if loss.kind == "absolute":
         return dist
     if loss.kind == "piecewise":
-        return np.where(pts < loss.threshold, dist ** 3.0, dist ** 1.0)
+        # cubed only below the threshold; elsewhere (NaN too) the distance stays
+        return np.power(dist, 3.0, out=dist, where=pts < loss.threshold)
     raise ValueError(
         "catastrophic loss has no finite expected value on a discretized "
         "posterior; its minimizer is the mode (see point_estimate)"
@@ -319,7 +325,11 @@ def posterior_predictive_noisy_mean(
     A NaN or ``+inf`` log density on the grid raises ``NumericalError``.
     The convolution is evaluated in fixed blocks of ``t_new`` rows in one
     reused buffer, so its memory is bounded whatever the length of
-    ``t_new``.
+    ``t_new``.  A block computes only the kernel columns whose product can
+    be nonzero: those of nonzero posterior mass, within ``_KERNEL_REACH``
+    (39) ``sigma_new`` of the block's ``t``.  The rest hold 0, the value
+    the full formula gives them (or a product of 0), and the product runs
+    over the full width, so the result is the full formula's bit for bit.
     """
     if not 0.0 <= sigma_new < np.inf:
         raise ValueError(f"sigma_new must be finite and nonnegative, got {sigma_new}")
@@ -342,16 +352,31 @@ def posterior_predictive_noisy_mean(
     ts = t_new.reshape(-1)
     out = np.empty(ts.size)
     norm = sigma_new * np.sqrt(2.0 * np.pi)
+    # a zero-mass column adds k * 0 = +0 to every sum while each kernel value
+    # k <= 1 / norm is finite; a subnormal norm can make k inf, and inf * 0 NaN
+    first, stop = 0, grid_cells
+    if norm >= np.finfo(float).tiny:
+        heavy = np.flatnonzero(post.masses)
+        first, stop = int(heavy[0]), int(heavy[-1]) + 1
+    reach = _KERNEL_REACH * sigma_new
     buf = np.empty((min(_KERNEL_ROWS, ts.size), grid_cells))
     for i in range(0, ts.size, _KERNEL_ROWS):
         rows = ts[i : i + _KERNEL_ROWS]
         kernel = buf[: rows.size]
-        np.subtract(rows[:, None], support, out=kernel)
-        kernel /= sigma_new
-        np.square(kernel, out=kernel)
-        kernel *= -0.5
-        np.exp(kernel, out=kernel)
-        kernel /= norm
+        lo, hi = first, stop
+        t_lo, t_hi = rows.min(), rows.max()
+        if not np.isnan(t_lo):  # a NaN t keeps every column, so its row is NaN
+            lo = max(lo, int(np.searchsorted(support, t_lo - reach)))
+            hi = max(lo, min(hi, int(np.searchsorted(support, t_hi + reach, side="right"))))
+        kernel[:, :lo] = 0.0
+        kernel[:, hi:] = 0.0
+        part = kernel[:, lo:hi]
+        np.subtract(rows[:, None], support[lo:hi], out=part)
+        part /= sigma_new
+        np.square(part, out=part)
+        part *= -0.5
+        np.exp(part, out=part)
+        part /= norm
         np.matmul(kernel, post.masses, out=out[i : i + rows.size])
     return out.reshape(t_new.shape) if t_new.ndim else float(out[0])
 

@@ -487,6 +487,25 @@ class TestHistogramDensity:
         expected[inside] = (hd.counts / hd.n_samples)[sel] / _cell_volumes(hd.edges)[sel]
         np.testing.assert_array_equal(hd.density_at(points), expected)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_points_out_in_one_coordinate_are_out_of_box(self, dim):
+        # each point is inside the box but in one coordinate, where it is below,
+        # above, NaN or infinite: it has density 0 and counts as overflow
+        rng = np.random.default_rng(70 + dim)
+        bounds = [(-1.0, 1.0)] * dim
+        inner = rng.uniform(-0.9, 0.9, (4 * dim, dim))
+        for k in range(dim):
+            inner[4 * k : 4 * k + 4, k] = [-1.5, 2.0, np.nan, -np.inf]
+        samples = np.concatenate([inner, rng.uniform(-0.9, 0.9, (50, dim))])
+        hd = histogram_density(samples, bins=3, bounds=bounds)
+        assert hd.overflow_count == 4 * dim
+        idx = hd.bin_indices(samples)
+        inside = np.all(idx >= 0, axis=1)
+        np.testing.assert_array_equal(inside, np.arange(len(samples)) >= 4 * dim)
+        rho = hd.density_at(samples)
+        np.testing.assert_array_equal(rho[:4 * dim], 0.0)
+        assert (rho[4 * dim:] > 0).all()
+
     @pytest.mark.parametrize("dim", [1, 2, 5])
     @pytest.mark.parametrize("boxed", [False, True])
     def test_counts_and_edges_equal_histogramdd(self, dim, boxed):
@@ -569,6 +588,22 @@ class TestHistogramDensity:
         # an empty bin, outside the box on either side, NaN
         elsewhere = np.array([[3.5], [5.0], [-0.1], [np.nan]])
         np.testing.assert_array_equal(hd.log_pdf(elsewhere), -np.inf)
+
+
+class TestSampleShapes:
+    # every reader of samples takes a chain, an (n, d) array or a flat array of
+    # n one-dimensional samples, and names that shape when given another
+    @pytest.mark.parametrize("read", [
+        per_coordinate_tau,
+        chain_ess,
+        lambda x: histogram_density(x, bins=2),
+        lambda x: evidence_from_chain(
+            IsotropicGaussianTarget(2), x, histogram_density(np.eye(2), bins=2)),
+    ], ids=["per_coordinate_tau", "chain_ess", "histogram_density", "evidence_from_chain"])
+    @pytest.mark.parametrize("samples", [0.5, np.zeros((3, 2, 2))], ids=["0-d", "3-D"])
+    def test_other_shapes_raise_naming_the_expected_one(self, read, samples):
+        with pytest.raises(ValueError, match=r"shape \(n, d\) or \(n,\), got shape \("):
+            read(samples)
 
 
 class TestEvidenceFromChain:

@@ -1,6 +1,7 @@
 """Experiment harness: configs, CSV schema, determinism, reporting."""
 
 import argparse
+import concurrent.futures
 import dataclasses
 import hashlib
 import os
@@ -360,7 +361,7 @@ class TestScaling:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         cfg = ExperimentConfig("scaling", sampler="mh-fixed", dims=dims, n=50,
                                replicates=replicates, jobs=jobs)
         rows = run_scaling(cfg)
@@ -566,6 +567,23 @@ class TestCli:
                              env=env)
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"
+
+    def test_serial_runs_load_no_process_pool(self, tmp_path):
+        # the pool is imported by a scaling run with --jobs > 1 only; the
+        # --jobs 2 tests cover that path
+        out = str(tmp_path / "sc.csv")
+        code = ("import sys\nfrom mcmclab.cli import main\n"
+                "pool = ('concurrent.futures', 'multiprocessing')\n"
+                "print([m for m in pool if m in sys.modules])\n"
+                "main(['scaling', 'mh-fixed', '--dims', '2', '--n', '200', '--jobs', '1', "
+                f"'--out', {out!r}])\n"
+                "print([m for m in pool if m in sys.modules])")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(harness.__file__))}
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env)
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.splitlines()
+        assert lines[0] == lines[-1] == "[]"
 
     def test_exercises_load_no_numpy_ma(self, tmp_path):
         # np.unique imports numpy.ma on first use, 0.02 s per interpreter

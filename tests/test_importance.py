@@ -17,7 +17,7 @@ from mcmclab.importance import (
     prior_proposal,
 )
 from mcmclab.seeding import derive_rng
-from mcmclab.targets import IsotropicGaussianTarget
+from mcmclab.targets import _LOG_2PI, IsotropicGaussianTarget
 
 
 class TestDrawIid:
@@ -42,6 +42,41 @@ class TestDrawIid:
         proposal = UniformBoxProposal((0.0,), (1.0,))
         with pytest.raises(ValueError):
             draw_iid(proposal, 0, np.random.default_rng(0))
+
+
+class TestDiagonalGaussianProposal:
+    # sample and log_pdf pass over the transposed view in C order; every
+    # element must come out as the (d,) broadcast formula has it
+    @pytest.mark.parametrize("n", [1, 3, 10_000])
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_sample_equals_the_broadcast_formula_bit_for_bit(self, dim, n):
+        rng = np.random.default_rng(300 + dim)
+        mu, sig = rng.normal(0.0, 5.0, dim), 10.0 ** rng.uniform(-2, 2, dim)
+        proposal = DiagonalGaussianProposal(tuple(mu), tuple(sig))
+        draws, ref_rng = proposal.sample(np.random.default_rng(n), n), np.random.default_rng(n)
+        ref = mu + ref_rng.standard_normal((n, dim)) * sig
+        assert draws.shape == (n, dim) and draws.flags.c_contiguous
+        assert draws.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 10_000])
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_log_pdf_equals_the_broadcast_formula_bit_for_bit(self, dim, n):
+        rng = np.random.default_rng(400 + dim)
+        mu, sig = rng.normal(0.0, 5.0, dim), 10.0 ** rng.uniform(-2, 2, dim)
+        proposal = DiagonalGaussianProposal(tuple(mu), tuple(sig))
+        pts = mu + rng.standard_normal((n, dim)) * sig * 3.0
+        log_norm = float(np.log(sig).sum() + 0.5 * dim * _LOG_2PI)
+        ref = -0.5 * (((pts - mu) / sig) ** 2).sum(axis=1) - log_norm
+        assert proposal.log_pdf(pts).tobytes() == ref.tobytes()
+        # the value does not hang on memory order: the broadcast's z took a
+        # Fortran-ordered input's order, and its row sums differed at d >= 10
+        assert proposal.log_pdf(np.asfortranarray(pts)).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 1), (4, 3)])
+    def test_log_pdf_of_points_with_another_dim_raises(self, shape):
+        proposal = DiagonalGaussianProposal((0.0, 0.0), (1.0, 2.0))
+        with pytest.raises(ValueError):
+            proposal.log_pdf(np.zeros(shape))
 
 
 class TestImportanceWeights:

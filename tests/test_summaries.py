@@ -31,6 +31,7 @@ from mcmclab.summaries import (
     point_estimate,
     posterior_predictive_noisy_mean,
     threshold_credible_region,
+    _pointwise_loss,
 )
 from test_targets import conjugate_posterior
 
@@ -52,6 +53,30 @@ def stable_quantiles(post, ps):
     order = np.argsort(post.points, kind="stable")
     cum = np.cumsum(post.masses[order])
     return [float(np.interp(p, cum, post.points[order])) for p in ps]
+
+
+def predictive_support(model, grid_cells=4096):
+    """The predictive's internal grid and posterior masses, in plain numpy."""
+    anchors = [model.prior_mean] + [v for v, _ in model.observations]
+    scales = [model.prior_sd] + [s for _, s in model.observations]
+    support = np.linspace(min(anchors) - 10.0 * max(scales),
+                          max(anchors) + 10.0 * max(scales), grid_cells)
+    post = DiscretizedPosterior.from_log_masses(support, model.log_density_many(support[:, None]))
+    return support, post.masses
+
+
+def predictive_by_full_formula(model, sigma_new, t_new, grid_cells=4096):
+    """The predictive with every kernel entry computed, in 64-row blocks of
+    the full grid width, as the function's product takes them."""
+    support, masses = predictive_support(model, grid_cells)
+    ts = np.asarray(t_new, dtype=float).reshape(-1)
+    out = np.empty(ts.size)
+    for i in range(0, ts.size, 64):
+        t = ts[i : i + 64]
+        kernel = (np.exp(-0.5 * ((t[:, None] - support) / sigma_new) ** 2)
+                  / (sigma_new * np.sqrt(2.0 * np.pi)))
+        out[i : i + 64] = kernel @ masses
+    return out
 
 
 # ties, signed zeros and spread values: np.sort may reorder -0.0 and 0.0,
@@ -93,6 +118,19 @@ class TestExpectedLoss:
         # truth 24 (< 25): cubic; truth 26 (>= 25): linear
         val = expected_loss(post, loss, 27.0)
         assert val == pytest.approx(0.5 * 3.0**3 + 0.5 * 1.0)
+
+    @pytest.mark.parametrize("threshold", [25.0, np.nan])
+    @pytest.mark.parametrize("candidate", [-3.0, 25.0, 25.5, 1e3])
+    def test_piecewise_equals_the_where_formula_bit_for_bit(self, candidate, threshold):
+        # points below, at and just either side of the threshold, NaN and the
+        # infinities, and the noisy-mean exercise's grid
+        near = [np.nextafter(25.0, 0.0), 25.0, np.nextafter(25.0, 50.0)]
+        pts = np.concatenate([[-1e3, 0.0, 24.0, *near, 26.0, 1e3, np.nan, -np.inf, np.inf],
+                              np.linspace(10.0, 50.0, 10_000)])
+        dist = np.abs(pts - candidate)
+        ref = np.where(pts < threshold, dist ** 3.0, dist ** 1.0)
+        loss = LossSpec(kind="piecewise", threshold=threshold)
+        assert _pointwise_loss(loss, candidate, pts).tobytes() == ref.tobytes()
 
     def test_catastrophic_loss_is_not_integrable(self):
         post = DiscretizedPosterior(points=np.array([0.0]), masses=np.array([1.0]))
@@ -467,6 +505,45 @@ class TestPosteriorPredictive:
                              env=env)
         assert res.returncode == 0, res.stderr
         assert res.stdout.split() == ["True", "True"]
+
+    @pytest.mark.parametrize("sigma_new", [1e-3, 0.05, 0.5, 2.0, 10.0, 1e3])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 2001])
+    def test_skipped_columns_equal_the_full_formula_bit_for_bit(self, sigma_new, n):
+        # the support runs from 7 to 48.2 and its mass from about 14 to 45, so
+        # these t reach past both ends of each
+        model = noisy_mean_model()
+        ts = np.linspace(2.0, 53.0, n) if n > 1 else np.array([29.0])
+        dens = posterior_predictive_noisy_mean(model, sigma_new, ts)
+        assert dens.tobytes() == predictive_by_full_formula(model, sigma_new, ts).tobytes()
+
+    @pytest.mark.parametrize("sigma_new", [1e-3, 0.5, 2.0, 1e3])
+    @pytest.mark.parametrize("span", [(-300.0, -100.0), (60.0, 100.0)], ids=["below", "above"])
+    def test_t_outside_the_support_equals_the_full_formula(self, sigma_new, span):
+        model = noisy_mean_model()
+        ts = np.linspace(*span, 65)
+        dens = posterior_predictive_noisy_mean(model, sigma_new, ts)
+        assert dens.tobytes() == predictive_by_full_formula(model, sigma_new, ts).tobytes()
+
+    def test_non_finite_t_equals_the_full_formula(self):
+        # a NaN t keeps every column of its block, and its row stays NaN
+        model = noisy_mean_model()
+        ts = np.array([29.0, np.nan, 31.0, np.inf, -np.inf, 30.0])
+        dens = posterior_predictive_noisy_mean(model, 0.5, ts)
+        assert np.isnan(dens[1]) and dens[3] == dens[4] == 0.0
+        assert dens.tobytes() == predictive_by_full_formula(model, 0.5, ts).tobytes()
+
+    def test_subnormal_sigma_keeps_zero_mass_columns(self):
+        # at a t on a grid point 1 / norm overflows: the kernel entry is inf,
+        # and inf times a zero mass is NaN, so no zero-mass column is skipped
+        model = noisy_mean_model()
+        support, masses = predictive_support(model)
+        ts = np.array([support[0], support[2000], 29.0])
+        assert masses[0] == 0.0 < masses[2000]
+        with np.errstate(all="ignore"):
+            dens = posterior_predictive_noisy_mean(model, 1e-310, ts)
+            ref = predictive_by_full_formula(model, 1e-310, ts)
+        assert np.isnan(dens[0]) and dens[1] == np.inf
+        assert dens.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("sigma_new", [0.0, 2.0])
     def test_output_shapes(self, sigma_new):

@@ -138,6 +138,17 @@ class TestBatchedEvaluation:
         assert many.tobytes() == each.tobytes()
 
 
+    @pytest.mark.parametrize("n", [1, 3, 10_000])
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_diagonal_rows_equal_the_broadcast_formula_bit_for_bit(self, dim, n):
+        rng = np.random.default_rng(500 + dim)
+        target = random_target("diagonal", dim, rng)
+        mu, sig = np.array(target.mean), np.array(target.sigmas)
+        pts = mu + rng.standard_normal((n, dim)) * sig * 3.0
+        z = (pts - mu) / sig
+        ref = np.vecdot(-0.5 * z, z)
+        assert target.log_density_many(pts).tobytes() == ref.tobytes()
+
 class TestNoisyMeanShape:
     def test_log_density_is_exactly_quadratic(self):
         # second finite difference of a quadratic is constant
