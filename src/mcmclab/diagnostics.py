@@ -26,6 +26,7 @@ from .errors import NumericalError, ZeroVarianceError
 from .grid import _cell_volumes
 from .importance import importance_weights, is_evidence
 from .mh import Chain
+from .targets import _points
 
 __all__ = [
     "AutocorrCurve",
@@ -56,7 +57,8 @@ _SEGMENT = 2**15
 
 
 def _as_series(series) -> np.ndarray:
-    x = np.asarray(series, dtype=float).ravel()
+    """``series`` as a flat array: ``(n,)`` or ``(n, 1)``, n 1-D points."""
+    x = _points(series, 1, "series")[:, 0]
     if x.size == 0:
         raise ValueError("series is empty")
     return x
@@ -205,19 +207,12 @@ def integrated_autocorr_time(series, t_max: int | None = None) -> TauEstimate:
 
 
 def _states_of(x) -> np.ndarray:
-    """The ``(n, d)`` states of a chain or an array; a flat array is n 1-D states."""
-    if isinstance(x, Chain):
-        return x.states
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        return arr[:, None]
-    if arr.ndim != 2:
-        raise ValueError(f"samples must have shape (n, d) or (n,), got shape {arr.shape}")
-    return arr
+    """The ``(n, d)`` states of a chain, or the ``_points`` of an array."""
+    return x.states if isinstance(x, Chain) else _points(x, name="samples")
 
 
 def per_coordinate_tau(x) -> list[TauEstimate]:
-    """Tau estimate of each coordinate projection of a chain or array.
+    """Tau estimate of each coordinate projection of a chain or an ``(n, d)`` array.
 
     One ``RuntimeWarning`` counts the windows that hit ``t_max``.  A column
     with NaN or ``inf``, or a constant one, raises an error naming it.
@@ -307,12 +302,12 @@ class HistogramDensity:
         return _cell_volumes(self.edges)
 
     def bin_indices(self, points) -> np.ndarray:
-        """Per-dimension bin index of each point; -1 marks out-of-box.
+        """Per-dimension bin index of each of the ``(n, dim)`` points; -1 marks out-of-box.
 
         Non-finite coordinates are out of the box.  This is the rule that
         ``histogram_density`` counts with.
         """
-        return _bin_indices(self.edges, np.atleast_2d(np.asarray(points, dtype=float)))
+        return _bin_indices(self.edges, _points(points, self.dim))
 
     def density_at(self, points) -> np.ndarray:
         """Estimated density (mass / bin volume) at each point; 0 outside."""

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mh import Chain, _accepts, _start_log_densities
-from .targets import _checked_rows, _log_density_rows
+from .targets import _checked_rows, _log_density_rows, _points
 
 __all__ = [
     "EnsembleState",
@@ -127,20 +127,13 @@ class StretchLaw:
 
 
 def _positions(state, j: int, method: str, dim=None) -> np.ndarray:
-    """``state``'s positions, once ``j`` is a chain and its ``m - 1`` others suit ``method``.
+    """``state``'s ``(m, dim)`` positions (``targets._points``), once ``j`` is a
+    chain and its ``m - 1`` others suit ``method``.
 
-    The positions must have shape ``(m, dim)``, or ``(m, d)`` for any ``d``
-    without ``dim``; a flat ``(m,)`` array is m one-dimensional chains, read
-    as ``(m, 1)``, unless ``dim`` says otherwise.  The shape is checked
-    before the chain count.
+    The shape is checked before the chain count.
     """
     positions = state.positions if isinstance(state, EnsembleState) else state
-    positions = np.asarray(positions, dtype=float)
-    if positions.ndim == 1 and dim in (None, 1):
-        positions = positions[:, None]
-    if positions.ndim != 2 or dim not in (None, positions.shape[1]):
-        want = "d" if dim is None else dim
-        raise ValueError(f"positions must have shape (m, {want}), got {positions.shape}")
+    positions = _points(positions, dim, "positions", "m")
     m, fewest = positions.shape[0], _MIN_OTHERS[method] + 1
     if m < fewest:
         raise ValueError(f"{method} moves need at least {fewest} chains, got {m}")

@@ -130,17 +130,11 @@ def _cell_volumes(edges) -> np.ndarray:
     return vol
 
 
-def _check_dims(target, cells: GridCells):
-    if cells.dim != target.dim:
-        raise ValueError(f"grid dim {cells.dim} != target dim {target.dim}")
-
-
 def grid_log_weights(target, cells: GridCells) -> np.ndarray:
     """Per-cell ``log(density * volume)``; the building block of the sums.
 
     A NaN or ``+inf`` log density raises ``NumericalError``, naming its cell.
     """
-    _check_dims(target, cells)
     return _log_densities(target, cells.midpoints) + np.log(cells.volumes)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import CoverageError, NumericalError
 from .targets import (
-    _LOG_2PI, NoisyMeanModel, _log_densities, _log_sum_exp, _set_diagonal_gaussian,
+    _LOG_2PI, NoisyMeanModel, _log_densities, _log_sum_exp, _points, _set_diagonal_gaussian,
 )
 
 __all__ = [
@@ -30,7 +30,8 @@ __all__ = [
 
 class Proposal:
     """Contract: ``dim``, ``sample(rng, n) -> (n, dim)`` and
-    ``log_pdf(points) -> (n,)`` for a normalized density."""
+    ``log_pdf(points) -> (n,)`` for a normalized density, ``points`` read by
+    ``targets._points`` with width ``dim``."""
 
     dim: int
 
@@ -73,7 +74,7 @@ class UniformBoxProposal(Proposal):
         return self._lo + rng.random((n, self.dim)) * (self._hi - self._lo)
 
     def log_pdf(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = _points(points, self.dim)
         inside = np.all((pts >= self._lo) & (pts <= self._hi), axis=1)
         return np.where(inside, -self._log_volume, -np.inf)
 
@@ -109,7 +110,7 @@ class DiagonalGaussianProposal(Proposal):
         return x
 
     def log_pdf(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = _points(points, self.dim)
         z = np.empty(pts.shape)
         zt = z.T
         np.subtract(pts.T, self._mu[:, None], out=zt, order="C")
@@ -137,7 +138,7 @@ class WeightedSamples:
     log_weights: np.ndarray  # (n,)
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        pts = _points(self.points)
         lw = np.asarray(self.log_weights, dtype=float)
         if lw.shape != (pts.shape[0],):
             raise ValueError("log_weights must have one entry per point")
@@ -170,9 +171,9 @@ def importance_weights(target, proposal: Proposal, points) -> WeightedSamples:
     ``CoverageError`` instead of yielding an infinite weight.  A NaN or
     ``+inf`` target log density raises ``NumericalError``, naming its point.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != target.dim or proposal.dim != target.dim:
+    if proposal.dim != target.dim:
         raise ValueError("target, proposal, and points must share one dim")
+    pts = _points(points, target.dim)
     lp = _log_densities(target, pts)
     lq = proposal.log_pdf(pts)
     bad = np.isneginf(lq) & ~np.isneginf(lp)

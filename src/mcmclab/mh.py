@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .targets import (
-    _check_length, _checked, _log_densities, _log_density_rows, _rows_agree, log_unnorm_density,
+    _checked, _log_densities, _log_density_rows, _points, _rows_agree, log_unnorm_density,
 )
 
 __all__ = [
@@ -77,8 +77,8 @@ class GaussianRandomWalk(MarkovProposal):
     symmetric = True
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
     def propose(self, current, rng):
         return current + self.scale * rng.standard_normal(current.shape)
@@ -112,7 +112,7 @@ class Chain:
     start: np.ndarray     # (d,)
 
     def __post_init__(self):
-        states = np.atleast_2d(np.asarray(self.states, dtype=float))
+        states = _points(self.states, name="states")
         accepted = np.asarray(self.accepted, dtype=bool)
         if accepted.shape != (states.shape[0],):
             raise ValueError("accepted must have one flag per state")
@@ -157,7 +157,6 @@ def _start_log_densities(target, points) -> np.ndarray:
     ``d`` and a start of zero density raise ``ValueError``: chains start
     inside the support.
     """
-    _check_length(target, points.shape[1])
     lp = _log_densities(target, points)
     outside = np.flatnonzero(lp == -math.inf)
     if outside.size:

@@ -342,7 +342,7 @@ def posterior_predictive_noisy_mean(
     hi = max(anchors) + _SPAN * max(scales)
     support = np.linspace(lo, hi, grid_cells)
     step = support[1] - support[0]
-    log_masses = _log_densities(model, support[:, None])
+    log_masses = _log_densities(model, support)
     post = DiscretizedPosterior.from_log_masses(
         support, log_masses, volumes=np.full(grid_cells, step)
     )

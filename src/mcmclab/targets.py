@@ -60,14 +60,27 @@ class TargetDensity:
         the per-row arithmetic (``np.vecdot`` for a dot product, not a sum
         of squares).  The package's callers run this loop instead for a
         subclass that overrides ``log_density`` alone (``_rows_agree``).
+        ``points`` is read by ``_points``, whose width must be ``dim``.
         """
-        return np.array([self.log_density(p) for p in _float_rows(points)])
+        return np.array([self.log_density(p) for p in _points(points, self.dim)])
 
 
-def _float_rows(points) -> np.ndarray:
-    """``points`` as a 2-D float array: ``points`` itself when it is one already."""
-    ready = type(points) is np.ndarray and points.ndim == 2 and points.dtype == float
-    return points if ready else np.atleast_2d(np.asarray(points, dtype=float))
+def _points(x, dim=None, name="points", n="n") -> np.ndarray:
+    """``x`` as an ``(n, dim)`` float array: ``x`` itself when it is one already.
+
+    The package's one reading of a point set: a flat ``(n,)`` array is n 1-D
+    points.  Any other shape, or a width other than ``dim`` (any width when
+    ``dim`` is None), raises ``ValueError`` naming ``name``, the expected
+    shape, with ``n`` for its rows, and the given one.
+    """
+    if type(x) is np.ndarray and x.ndim == 2 and x.dtype == float and x.shape[1] == dim:
+        return x
+    arr = np.asarray(x, dtype=float)
+    pts = arr[:, None] if arr.ndim == 1 else arr
+    if pts.ndim != 2 or dim not in (None, pts.shape[1]):
+        want = "d" if dim is None else dim
+        raise ValueError(f"{name} must have shape ({n}, {want}), got shape {arr.shape}")
+    return pts
 
 
 def _defining_class(cls, name):
@@ -132,8 +145,9 @@ def _checked_rows(lp: np.ndarray, points) -> np.ndarray:
 
 
 def _log_densities(target, points) -> np.ndarray:
-    """The ``_log_density_rows`` values at the rows of ``points``, ``_checked_rows``."""
-    return _checked_rows(_log_density_rows(target)(points), points)
+    """The ``_log_density_rows`` values at ``_points(points, target.dim)``, ``_checked_rows``."""
+    pts = _points(points, target.dim)
+    return _checked_rows(_log_density_rows(target)(pts), pts)
 
 
 def _log_sum_exp(a) -> float:
@@ -150,12 +164,6 @@ def _log_sum_exp(a) -> float:
     return float(np.log1p(rest / count) + np.log(count) + top)
 
 
-def _check_length(target, length: int) -> None:
-    """A point of ``length`` coordinates on a target of another ``dim`` raises ``ValueError``."""
-    if length != target.dim:
-        raise ValueError(f"point has length {length}, target has dim {target.dim}")
-
-
 def log_unnorm_density(target, theta) -> float:
     """Evaluate ``target`` at ``theta`` with dimension checking.
 
@@ -163,7 +171,8 @@ def log_unnorm_density(target, theta) -> float:
     and ``target.dim`` is a contract violation and raises ``ValueError``.
     """
     theta = np.asarray(theta, dtype=float).ravel()
-    _check_length(target, theta.size)
+    if theta.size != target.dim:
+        raise ValueError(f"point has length {theta.size}, target has dim {target.dim}")
     return float(target.log_density(theta))
 
 
@@ -180,8 +189,8 @@ class IsotropicGaussianTarget(TargetDensity):
 
     def __post_init__(self):
         _check_dim(self.dim)
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         object.__setattr__(self, "_variance", np.array(self.sigma ** 2, dtype=float))
 
     def log_density(self, theta) -> float:
@@ -189,7 +198,7 @@ class IsotropicGaussianTarget(TargetDensity):
         return float(-0.5 * theta @ theta / (self.sigma ** 2))
 
     def log_density_many(self, points) -> np.ndarray:
-        pts = _float_rows(points)
+        pts = _points(points, self.dim)
         out = np.vecdot(_MINUS_HALF * pts, pts)
         out /= self._variance
         return out
@@ -201,13 +210,16 @@ class IsotropicGaussianTarget(TargetDensity):
 
 
 def _set_diagonal_gaussian(obj) -> None:
-    """Check ``mean`` and ``sigmas``, store them as tuples and as ``_mu``, ``_sig``."""
+    """Check ``mean`` (finite) and ``sigmas`` (positive and finite), store them
+    as tuples and as ``_mu``, ``_sig``."""
     mean = np.asarray(obj.mean, dtype=float)
     sig = np.asarray(obj.sigmas, dtype=float)
     if mean.shape != sig.shape or mean.ndim != 1:
         raise ValueError("mean and sigmas must be 1-D and the same length")
-    if not np.all(sig > 0):
-        raise ValueError("all sigmas must be positive")
+    if not np.all(np.isfinite(mean)):
+        raise ValueError("mean must be finite")
+    if not np.all((sig > 0) & (sig < math.inf)):
+        raise ValueError("all sigmas must be positive and finite")
     object.__setattr__(obj, "mean", tuple(mean))
     object.__setattr__(obj, "sigmas", tuple(sig))
     object.__setattr__(obj, "_mu", mean)
@@ -237,7 +249,8 @@ class DiagonalGaussianTarget(TargetDensity):
         return float(-0.5 * z @ z)
 
     def log_density_many(self, points) -> np.ndarray:
-        z = _float_rows(points) - self._mu
+        # len, not the dim property: this runs once per batch of a chain
+        z = _points(points, len(self._mu)) - self._mu
         z /= self._sig
         return np.vecdot(_MINUS_HALF * z, z)
 
@@ -292,7 +305,7 @@ class NoisyMeanModel(TargetDensity):
         return self.log_likelihood(t) + self.log_prior(t)
 
     def log_density_many(self, points) -> np.ndarray:
-        t = np.asarray(points, dtype=float).reshape(-1, 1)
+        t = _points(points, 1)
         out = _normal_logpdf(t[:, 0], self.prior_mean, self.prior_sd)
         if self._values.size:
             out = out + _normal_logpdf(

@@ -25,7 +25,8 @@ from mcmclab.diagnostics import (
 from mcmclab.errors import CoverageError, NumericalError, ZeroVarianceError
 from mcmclab.grid import _cell_volumes
 from mcmclab.harness import exercise_2d_target
-from mcmclab.mh import GaussianRandomWalk, drop_burn_in, run_chain
+from mcmclab.importance import WeightedSamples
+from mcmclab.mh import Chain, GaussianRandomWalk, drop_burn_in, run_chain
 from mcmclab.targets import IsotropicGaussianTarget, TargetDensity
 
 
@@ -599,10 +600,14 @@ class TestSampleShapes:
         lambda x: histogram_density(x, bins=2),
         lambda x: evidence_from_chain(
             IsotropicGaussianTarget(2), x, histogram_density(np.eye(2), bins=2)),
-    ], ids=["per_coordinate_tau", "chain_ess", "histogram_density", "evidence_from_chain"])
-    @pytest.mark.parametrize("samples", [0.5, np.zeros((3, 2, 2))], ids=["0-d", "3-D"])
+        lambda x: Chain(x, np.zeros(3, dtype=bool), np.zeros(2)),
+        lambda x: WeightedSamples(x, np.zeros(3)),
+    ], ids=["per_coordinate_tau", "chain_ess", "histogram_density", "evidence_from_chain",
+            "Chain", "WeightedSamples"])
+    @pytest.mark.parametrize("samples", [0.5, np.zeros((3, 2, 2)), [[[1.0, 2.0]]] * 3],
+                             ids=["0-d", "3-D", "3-D list"])
     def test_other_shapes_raise_naming_the_expected_one(self, read, samples):
-        with pytest.raises(ValueError, match=r"shape \(n, d\) or \(n,\), got shape \("):
+        with pytest.raises(ValueError, match=r"shape \(n, d\), got shape \("):
             read(samples)
 
 

@@ -321,7 +321,7 @@ class TestEnsembleCovariance:
         want = np.array([[np.cov(np.delete(x, j), ddof=1)]])
         np.testing.assert_array_equal(ensemble_covariance(x, j), want)
         # the shape is named before the chain count
-        shape = r"positions must have shape \(m, d\), got \(2, 2, 1\)"
+        shape = r"positions must have shape \(m, d\), got shape \(2, 2, 1\)"
         with pytest.raises(ValueError, match=shape):
             ensemble_covariance(np.zeros((2, 2, 1)), 0)
 
@@ -676,7 +676,7 @@ def test_flat_positions_are_one_dimensional_chains(call):
     np.testing.assert_array_equal(got[0], want[0])
     assert got[0].shape == (1,) and got[1] == want[1]
     # on a 3-D target the shape is named before the chain count
-    with pytest.raises(ValueError, match=r"positions must have shape \(m, 3\), got \(3,\)"):
+    with pytest.raises(ValueError, match=r"positions must have shape \(m, 3\), got shape \(3,\)"):
         call(IsotropicGaussianTarget(3), np.zeros(3), np.random.default_rng(44))
 
 

@@ -72,7 +72,7 @@ class TestDiagonalGaussianProposal:
         # Fortran-ordered input's order, and its row sums differed at d >= 10
         assert proposal.log_pdf(np.asfortranarray(pts)).tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("shape", [(4, 1), (4, 3)])
+    @pytest.mark.parametrize("shape", [(4, 1), (4, 3), (4,), (2,), (4, 2, 1)])
     def test_log_pdf_of_points_with_another_dim_raises(self, shape):
         proposal = DiagonalGaussianProposal((0.0, 0.0), (1.0, 2.0))
         with pytest.raises(ValueError):
@@ -253,6 +253,15 @@ class TestInputChecks:
     def test_weighted_samples_rejects(self, log_weights, message):
         with pytest.raises(ValueError, match=message):
             WeightedSamples(np.zeros((3, 1)), log_weights)
+
+    @pytest.mark.parametrize("mean, sigmas, message", [
+        ((0.0, 0.0), (1.0, np.inf), "sigmas must be positive and finite"),
+        ((-np.inf,), (1.0,), "mean must be finite"),
+    ], ids=["inf sigma", "inf mean"])
+    def test_gaussian_proposal_parameters_must_be_finite(self, mean, sigmas, message):
+        # either once gave all -inf weights, with numpy RuntimeWarnings
+        with pytest.raises(ValueError, match=message):
+            DiagonalGaussianProposal(mean, sigmas)
 
     @pytest.mark.parametrize("lower, upper, message", [
         ((0.0, 0.0), (1.0,), "same length"),

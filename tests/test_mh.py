@@ -733,6 +733,13 @@ class TestAcceptanceFraction:
             Chain(np.zeros((4, 1)), np.ones(flags, dtype=bool), np.zeros(1))
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
+def test_random_walk_scale_must_be_positive_and_finite(scale):
+    # GaussianRandomWalk(inf) once ran a chain that accepted nothing
+    with pytest.raises(ValueError, match="scale must be positive and finite"):
+        GaussianRandomWalk(scale)
+
+
 class TestDropBurnIn:
     def test_zero_fraction_is_identity(self):
         chain = Chain(np.arange(10.0).reshape(-1, 1), np.ones(10, bool), np.zeros(1))

@@ -487,6 +487,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DiagonalGaussianTarget((0.0, 0.0), (1.0, -1.0))
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: IsotropicGaussianTarget(2, math.inf), "sigma must be positive and finite"),
+        (lambda: DiagonalGaussianTarget((0.0,), (math.inf,)), "sigmas must be positive and finite"),
+        (lambda: DiagonalGaussianTarget((0.0, 0.0), (1.0, np.nan)),
+         "sigmas must be positive and finite"),
+        (lambda: DiagonalGaussianTarget((math.inf,), (1.0,)), "mean must be finite"),
+        (lambda: DiagonalGaussianTarget((0.0, np.nan), (1.0, 1.0)), "mean must be finite"),
+    ], ids=["isotropic inf sigma", "diagonal inf sigma", "diagonal nan sigma",
+            "diagonal inf mean", "diagonal nan mean"])
+    def test_gaussian_parameters_must_be_finite(self, make, message):
+        # DiagonalGaussianTarget((0.,), (inf,)) once built a flat target, 0 everywhere
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_noisy_mean_validation(self):
         with pytest.raises(ValueError):
             NoisyMeanModel(((1.0, 0.0),), 0.0, 1.0)
