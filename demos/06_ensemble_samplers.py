@@ -35,9 +35,11 @@ for method in ("gaussian", "de", "stretch"):
         method, IsotropicGaussianTarget(d, 1.0), m=m, n_sweeps=sweeps,
         rng=derive_rng(88, "demo-ens-tau", method),
     )
+    # history is rebuilt from the accepted moves on each read: read it once
+    history = state.history[sweeps // 4:]
     taus = []
     for j in range(0, m, 10):
-        ests = per_coordinate_tau(state.history[sweeps // 4:, j, :])
+        ests = per_coordinate_tau(history[:, j, :])
         taus.append(np.mean([e.tau for e in ests]))
     print(f"  {method:>8}: tau ~ {np.mean(taus):5.1f} sweeps")
 

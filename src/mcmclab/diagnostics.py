@@ -5,17 +5,19 @@ sequence positive semidefinite and bounds every autocorrelation by one; one
 zero-padded FFT gives all lags.  The integrated autocorrelation time is summed
 up to Sokal's self-consistent window ``W = min{t : t >= 5 * tau_hat(t)}``.
 
-The columns of an ``(n, k)`` batch are transformed in blocks of
-``w = max(1, _SEGMENT // 2n)`` series.  One workspace, allocated per call and
-reused by every block, holds a block's zero-padded series, which the inverse
-transform overwrites, and its spectrum: memory is bounded by the block, not by
-``k``.  Each column's arithmetic does not depend on ``w``, so a batch gives
-every column the tau a call on that column alone gives, bit for bit.
+The columns of an ``(n, k)`` batch, or of a sequence of batches numbered as
+one, are transformed in blocks of ``w = max(1, _SEGMENT // 2n)`` series.  One
+workspace, allocated per call and reused by every block, holds a block's
+zero-padded series, which the inverse transform overwrites, and its spectrum:
+memory is bounded by the block, not by ``k``.  Each column's arithmetic does
+not depend on ``w``, so a batch gives every column the tau a call on that
+column alone gives, bit for bit.
 
 The chain evidence is ``is_evidence`` with the chain's own histogram as the
 importance proposal, so it keeps the checks of ``importance_weights``.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -106,79 +108,98 @@ class TauEstimate:
     insufficient_data: bool = False
 
 
-def _acf_blocks(columns: np.ndarray, t_max: int):
-    """A(0..t_max) of each column of an ``(n, k)`` array, a block at a time.
+def _acf_blocks(blocks, t_max: int):
+    """A(0..t_max) of each column of a sequence of ``(n, k)`` arrays.
 
-    Yields one ``(w, t_max + 1)`` array per block of ``w`` columns, in column
-    order (the last block may be narrower).  Every block shares one
-    workspace, so each array is overwritten by the next block.
+    Columns are numbered across the arrays, in order, and an error names
+    that number.  Each array is copied out before the next is drawn, so a
+    generator may reuse one buffer for all of them.  Yields one ``(w, t_max +
+    1)`` array per chunk of ``w`` columns of one array (an array's last chunk
+    may be narrower), ``w`` set by the first array.  Every chunk shares one
+    workspace, so each yielded array is overwritten by the next.
     """
-    n, k = columns.shape
-    if not 0 <= t_max < n:
-        raise ValueError(f"t_max {t_max} out of range for series of length {n}")
-    w = max(1, min(k, _SEGMENT // (2 * n)))
-    # zero padding to 2n keeps the circular products from wrapping round; the
-    # inverse transform lands in the same buffer, so its tail is zeroed again
-    padded = np.empty((w, 2 * n))
-    spectrum = np.empty((w, n + 1), dtype=complex)
-    for j in range(0, k, w):
-        rows = padded[: min(w, k - j)]
-        series = rows[:, :n]
-        series[...] = columns[:, j : j + len(rows)].T
-        rows[:, n:] = 0.0
-        bad = ~np.isfinite(series).all(axis=1)
-        if bad.any():
-            raise NumericalError(f"series column {j + np.argmax(bad)} is not finite")
-        # exact: a constant row's mean need not round back to its value, so
-        # its centred squares can sum to 1e-34 rather than 0
-        flat = (series == series[:, :1]).all(axis=1)
-        if not flat.any():
-            series -= series.mean(axis=1, keepdims=True)
-            c0 = np.vecdot(series, series) / n  # one BLAS dot per row, as a @ a
-            flat = c0 <= 0.0  # values so small that every square underflows
-        if flat.any():
-            col = j + int(np.argmax(flat))
-            raise ZeroVarianceError(f"series column {col} has zero variance", column=col)
-        f = np.fft.rfft(rows, axis=1, out=spectrum[: len(rows)])
-        # the power |f|^2 as a complex spectrum of zero imaginary part
-        np.square(f.real, out=f.real)
-        np.square(f.imag, out=f.imag)
-        np.add(f.real, f.imag, out=f.real)
-        f.imag[...] = 0.0
-        rho = np.fft.irfft(f, n=2 * n, axis=1, out=rows)[:, : t_max + 1]
-        rho /= n
-        rho /= c0[:, None]
-        yield rho
+    padded = None
+    first = 0  # number of the array's first column
+    for columns in blocks:
+        n, k = columns.shape
+        if padded is None:
+            if not 0 <= t_max < n:
+                raise ValueError(f"t_max {t_max} out of range for series of length {n}")
+            w = max(1, min(k, _SEGMENT // (2 * n)))
+            # zero padding to 2n keeps the circular products from wrapping round; the
+            # inverse transform lands in the same buffer, so its tail is zeroed again
+            padded = np.empty((w, 2 * n))
+            spectrum = np.empty((w, n + 1), dtype=complex)
+        elif 2 * n != padded.shape[1]:
+            raise ValueError(f"series of length {n} after series of length {padded.shape[1] // 2}")
+        for j in range(first, first + k, w):
+            rows = padded[: min(w, first + k - j)]
+            series = rows[:, :n]
+            series[...] = columns[:, j - first : j - first + len(rows)].T
+            rows[:, n:] = 0.0
+            bad = ~np.isfinite(series).all(axis=1)
+            if bad.any():
+                raise NumericalError(f"series column {j + np.argmax(bad)} is not finite")
+            # exact: a constant row's mean need not round back to its value, so
+            # its centred squares can sum to 1e-34 rather than 0
+            flat = (series == series[:, :1]).all(axis=1)
+            if not flat.any():
+                series -= series.mean(axis=1, keepdims=True)
+                c0 = np.vecdot(series, series) / n  # one BLAS dot per row, as a @ a
+                flat = c0 <= 0.0  # values so small that every square underflows
+            if flat.any():
+                col = j + int(np.argmax(flat))
+                raise ZeroVarianceError(f"series column {col} has zero variance", column=col)
+            f = np.fft.rfft(rows, axis=1, out=spectrum[: len(rows)])
+            # the power |f|^2 as a complex spectrum of zero imaginary part
+            np.square(f.real, out=f.real)
+            np.square(f.imag, out=f.imag)
+            np.add(f.real, f.imag, out=f.real)
+            f.imag[...] = 0.0
+            rho = np.fft.irfft(f, n=2 * n, axis=1, out=rows)[:, : t_max + 1]
+            rho /= n
+            rho /= c0[:, None]
+            yield rho
+        first += k
 
 
-def _taus(columns: np.ndarray, t_max: int | None) -> list[TauEstimate]:
-    """Windowed, zero-clamped tau of each column of an ``(n, k)`` array."""
-    n, k = columns.shape
+def _taus(blocks, t_max: int | None) -> list[TauEstimate]:
+    """Windowed, zero-clamped tau of each column of a sequence of ``(n, k)``
+    arrays, numbered across them (``_acf_blocks``).
+
+    One ``RuntimeWarning`` counts the windows, of all the arrays, that hit
+    ``t_max``.
+    """
+    blocks = iter(blocks)
+    head = next(blocks, None)
+    if head is None:
+        return []
+    blocks = itertools.chain((head,), blocks)
+    n = head.shape[0]
     if n < MIN_TAU_SAMPLES:
+        k = sum(columns.shape[1] for columns in blocks)
         return [TauEstimate(tau=float("nan"), window=0, insufficient_data=True)] * k
     t_max = min(n - 1, 10_000) if t_max is None else t_max
     lags = np.arange(t_max + 1)
-    tau, window, truncated = np.empty(k), np.empty(k, dtype=int), np.empty(k, dtype=bool)
-    j = 0
-    for rho in _acf_blocks(columns, t_max):
+    out = []
+    for rho in _acf_blocks(blocks, t_max):
         rho[:, 0] = 0.0
         taus = np.cumsum(rho, axis=1, out=rho)
         taus *= 2.0
         done = lags >= _SOKAL_C * taus
         done[:, 0] = False
-        rows, block = np.arange(len(done)), slice(j, j + len(done))
-        w = window[block] = np.where(done.any(axis=1), done.argmax(axis=1), t_max)
-        truncated[block] = ~done[rows, w]
-        tau[block] = taus[rows, w]
-        j += len(done)
-    # clamped as max(tau, 0.0) would: a negative tau becomes 0.0, -0.0 stays
-    tau = np.where(tau < 0.0, 0.0, tau)
-    cut = int(truncated.sum())
+        rows = np.arange(len(done))
+        window = np.where(done.any(axis=1), done.argmax(axis=1), t_max)
+        truncated = ~done[rows, window]
+        # clamped as max(tau, 0.0) would: a negative tau becomes 0.0, -0.0 stays
+        out += [TauEstimate(tau=0.0 if t < 0.0 else t, window=w, truncated=cut)
+                for t, w, cut in zip(taus[rows, window].tolist(), window.tolist(),
+                                     truncated.tolist())]
+    cut = sum(e.truncated for e in out)
     if cut:
-        warnings.warn(f"{cut} of {k} autocorrelation windows hit t_max={t_max} before "
+        warnings.warn(f"{cut} of {len(out)} autocorrelation windows hit t_max={t_max} before "
                       "self-consistency", RuntimeWarning, stacklevel=3)
-    return [TauEstimate(tau=t, window=w, truncated=cut)
-            for t, w, cut in zip(tau.tolist(), window.tolist(), truncated.tolist())]
+    return out
 
 
 def autocorrelation(series, t_max: int | None = None) -> AutocorrCurve:
@@ -190,7 +211,7 @@ def autocorrelation(series, t_max: int | None = None) -> AutocorrCurve:
     x = _as_series(series)
     if t_max is None:
         t_max = min(x.size - 1, 1000)
-    values = next(_acf_blocks(x[:, None], t_max))[0].copy()
+    values = next(_acf_blocks((x[:, None],), t_max))[0].copy()
     values[0] = 1.0
     return AutocorrCurve(lags=np.arange(t_max + 1), values=values)
 
@@ -203,7 +224,7 @@ def integrated_autocorr_time(series, t_max: int | None = None) -> TauEstimate:
     instead of a number, NaN or ``inf`` values raise ``NumericalError``, and a
     constant series raises ``ZeroVarianceError``.
     """
-    return _taus(_as_series(series)[:, None], t_max)[0]
+    return _taus((_as_series(series)[:, None],), t_max)[0]
 
 
 def _states_of(x) -> np.ndarray:
@@ -217,7 +238,7 @@ def per_coordinate_tau(x) -> list[TauEstimate]:
     One ``RuntimeWarning`` counts the windows that hit ``t_max``.  A column
     with NaN or ``inf``, or a constant one, raises an error naming it.
     """
-    return _taus(_states_of(x), None)
+    return _taus((_states_of(x),), None)
 
 
 def ess_from_tau(n: int, tau: float) -> float:

@@ -77,15 +77,27 @@ MIN_CHAINS = {method: 2 * n for method, n in _MIN_OTHERS.items()}
 # default gamma = DEFAULT_DELTA / sqrt(d) of the moves that take a scale
 DEFAULT_DELTA = {"gaussian": 2.5, "de": 1.7}
 
+# Bytes of the buffer EnsembleState.history_blocks rebuilds whole chains
+# into: about 2 MiB, against 18.3 MiB for the dense history of 1,200
+# recorded sweeps of 100 chains in 20-D.
+_BLOCK_BYTES = 2 * 2**20
+
 
 @dataclass(frozen=True)
 class EnsembleState:
-    """Positions and per-sweep histories of an ensemble of chains."""
+    """Positions and acceptance record of an ensemble of chains.
+
+    A rejected chain repeats its last position, so the recorded sweeps are
+    kept as their moves: ``trail`` holds the ``m`` positions the first
+    recorded sweep moved from, then the position of every accepted move of
+    the recorded sweeps, in (sweep, chain) order.  ``history`` rebuilds the
+    dense positions from it, bit for bit, on each access.
+    """
 
     positions: np.ndarray   # (m, d) current positions
-    history: np.ndarray     # (recorded sweeps, m, d), the last sweeps run
     accepted: np.ndarray    # (sweeps run, m) bool
-    starts: np.ndarray      # (m, d) positions the first recorded sweep moved from
+    trail: np.ndarray       # (m + recorded accepted moves, d): the starts, then the moves
+    burn_in: int            # sweeps run before the first recorded one
 
     @property
     def dim(self) -> int:
@@ -95,10 +107,62 @@ class EnsembleState:
     def iteration(self) -> int:
         return self.accepted.shape[0]
 
+    @property
+    def starts(self) -> np.ndarray:
+        """(m, d) positions the first recorded sweep moved from."""
+        return self.trail[: self.positions.shape[0]]
+
+    def _walker_rows(self) -> np.ndarray:
+        """(recorded sweeps, m) row of ``trail`` holding each chain after each sweep.
+
+        Chain ``k`` after sweep ``t`` is its last accepted move at or before
+        ``t``, or its start: the ranks of the accepted flags in (sweep,
+        chain) order, offset past the starts, carried down each column by
+        one running maximum.  A rejection reads 0, below every row it may
+        follow, except in the first sweep, where it reads the chain's start.
+        """
+        kept = self.accepted[self.burn_in:]
+        m = kept.shape[1]
+        rows = np.cumsum(kept, dtype=np.int32 if len(self.trail) < 2**31 else np.int64)
+        rows = rows.reshape(kept.shape)
+        rows += m - 1
+        rows *= kept
+        if len(rows):
+            rows[0] = np.where(kept[0], rows[0], np.arange(m))
+        return np.maximum.accumulate(rows, axis=0, out=rows)
+
+    @property
+    def history(self) -> np.ndarray:
+        """(recorded sweeps, m, d) positions after each recorded sweep, rebuilt."""
+        return self.coordinate_history(slice(None))
+
+    def coordinate_history(self, coords) -> np.ndarray:
+        """``history[:, :, coords]``, rebuilt from those coordinates alone."""
+        return np.take(self.trail[:, coords], self._walker_rows(), axis=0)
+
+    def history_blocks(self):
+        """``history.reshape(sweeps, m * d)`` as consecutive blocks of whole chains.
+
+        Column ``c`` is chain ``c // d``, coordinate ``c % d``, numbered
+        across the blocks.  Each block is rebuilt into one buffer of at most
+        ``_BLOCK_BYTES`` (one chain at the least), which the next overwrites.
+        """
+        rows = self._walker_rows()
+        t, m = rows.shape
+        d = self.dim
+        width = min(m, max(1, _BLOCK_BYTES // (self.trail.itemsize * d * max(t, 1))))
+        buffer = np.empty(t * width * d)
+        for k in range(0, m, width):
+            group = rows[:, k : k + width]
+            out = buffer[: group.size * d].reshape(*group.shape, d)
+            # mode="clip" writes into out directly; "raise" would buffer it
+            np.take(self.trail, group, axis=0, out=out, mode="clip")
+            yield out.reshape(t, group.shape[1] * d)
+
     def chain(self, j: int) -> Chain:
         """Chain ``j``'s recorded sweeps as a standalone chain object."""
-        kept = self.accepted[self.iteration - self.history.shape[0]:, j]
-        return Chain(self.history[:, j, :], kept, self.starts[j])
+        states = np.take(self.trail, self._walker_rows()[:, j], axis=0)
+        return Chain(states, self.accepted[self.burn_in:, j], self.starts[j])
 
     def acceptance_fraction(self) -> float:
         if self.accepted.size == 0:
@@ -313,7 +377,8 @@ def run_ensemble(
     ``law`` (stretch) to ``StretchLaw()``, and ``jitter_sd`` is de's
     constant jitter, as in ``de_step``.  The first ``burn_in`` sweeps, an
     integer in ``[0, n_sweeps]``, run and draw as the others do but are not
-    recorded in ``history``; ``accepted`` holds every sweep's flags.  An
+    recorded: ``trail`` keeps the moves of the later sweeps only (see
+    ``EnsembleState``), and ``accepted`` holds every sweep's flags.  An
     argument the move does not read raises ``ValueError``, and so does a
     start of zero density.
     """
@@ -364,8 +429,8 @@ def run_ensemble(
     # one cached log density per chain, in a copy the target cannot reuse:
     # each update evaluates the target at its candidates only
     lp = _start_log_densities(target, positions).copy()
-    history = np.empty((n_sweeps - burn_in, m, d))
     accepted = np.empty((n_sweeps, m), dtype=bool)
+    moves = [starts]
     first, second = slice(0, m // 2), slice(m // 2, m)
     for sweep in range(n_sweeps):
         for rows, others in ((first, second), (second, first)):
@@ -374,5 +439,5 @@ def run_ensemble(
         if sweep < burn_in:
             starts[...] = positions
         else:
-            history[sweep - burn_in] = positions
-    return EnsembleState(positions, history, accepted, starts)
+            moves.append(positions[accepted[sweep]])
+    return EnsembleState(positions, accepted, np.concatenate(moves), burn_in)

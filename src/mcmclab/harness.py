@@ -399,8 +399,9 @@ def _scaling_row(cfg: ExperimentConfig, dim: int, replicate: int) -> ResultRow:
         chain = run_chain(
             target, GaussianRandomWalk(cfg.proposal_scale(dim)), theta0, cfg.n, rng
         )
-        # a single chain is an ensemble of one: (n,) flags, (n - burn, 1, d) kept history
-        accepted, hist = chain.accepted, chain.states[burn:, None, :]
+        # a single chain is an ensemble of one: (n,) flags, one (n - burn, d) block
+        accepted, samples = chain.accepted, chain.states[burn:]
+        blocks = (samples,)
         m_col = None
     else:
         law = StretchLaw(cfg.a) if move == "stretch" else None
@@ -408,14 +409,19 @@ def _scaling_row(cfg: ExperimentConfig, dim: int, replicate: int) -> ResultRow:
             move, target, m=cfg.m, n_sweeps=cfg.n, rng=rng,
             gamma=cfg.proposal_scale(dim), law=law, burn_in=burn,
         )
-        accepted, hist = state.accepted, state.history
+        # tau reads whole walkers rebuilt into one small buffer, and the
+        # summaries two coordinates: the cell holds a dense history only
+        # where the evidence histogram reads every coordinate
+        accepted, blocks = state.accepted, state.history_blocks()
+        width = dim if dim <= _EVIDENCE_MAX_DIM else 2
+        samples = state.coordinate_history(slice(width)).reshape(-1, width)
         m_col = cfg.m
 
     accept = float(accepted.mean())
     try:
-        # one call over every chain's coordinates: flat column c is chain
-        # c // dim, coordinate c % dim (a view, as hist is contiguous)
-        taus = diagnostics.per_coordinate_tau(hist.reshape(hist.shape[0], -1))
+        # one tau call over every chain's coordinates: column c is chain
+        # c // dim, coordinate c % dim
+        taus = diagnostics._taus(blocks, None)
     except ZeroVarianceError as exc:
         # a chain that never moved: name the cell, and in an ensemble the walker
         where = f"{cfg.sampler} d={dim} replicate {replicate}"
@@ -425,8 +431,7 @@ def _scaling_row(cfg: ExperimentConfig, dim: int, replicate: int) -> ResultRow:
     # a series too short for a window has tau NaN, and so has its chain's mean
     chain_taus = np.array([t.tau for t in taus]).reshape(-1, dim).mean(axis=1)
     tau = float(chain_taus.mean())
-    ess = float(diagnostics.ess_from_tau(hist.shape[0], chain_taus).mean())
-    samples = hist.reshape(-1, dim)
+    ess = float(diagnostics.ess_from_tau(cfg.n - burn, chain_taus).mean())
     evidence = None
     if dim <= _EVIDENCE_MAX_DIM:
         hd = default_evidence_histogram(samples)

@@ -56,6 +56,8 @@ class UniformBoxProposal(Proposal):
             raise ValueError("lower and upper must be 1-D and the same length")
         if not np.all(hi > lo):
             raise ValueError("upper must exceed lower in every dimension")
+        if not np.all(np.isfinite(lo) & np.isfinite(hi)):
+            raise ValueError("bounds must be finite")
         object.__setattr__(self, "lower", tuple(lo))
         object.__setattr__(self, "upper", tuple(hi))
         object.__setattr__(self, "_lo", lo)

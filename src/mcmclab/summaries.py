@@ -13,7 +13,7 @@ import numpy as np
 
 from .diagnostics import HistogramDensity
 from .grid import GridCells, _cell_midpoints, grid_log_weights
-from .targets import NoisyMeanModel, _log_densities
+from .targets import NoisyMeanModel, _log_densities, _points
 
 # Rows of ``t_new`` per block of the predictive's noise kernel: one block of
 # 64 rows by 4096 grid cells is a 2 MiB buffer, under numpy's 4 MiB huge-page
@@ -111,10 +111,15 @@ class DiscretizedPosterior:
 
     @classmethod
     def from_samples(cls, samples) -> "DiscretizedPosterior":
-        """Equal-mass posterior from plain (e.g. MCMC) samples."""
-        pts = np.asarray(samples, dtype=float)
+        """Equal-mass posterior from plain (e.g. MCMC) samples.
+
+        ``samples`` is read by ``targets._points``.  Points of one
+        coordinate, ``(n,)`` or ``(n, 1)``, become a flat ``(n,)`` view of
+        it, not a copy.
+        """
+        pts = _points(samples, name="samples")
         n = pts.shape[0]
-        return cls(points=pts, masses=np.full(n, 1.0 / n))
+        return cls(points=pts[:, 0] if pts.shape[1] == 1 else pts, masses=np.full(n, 1.0 / n))
 
     @classmethod
     def from_histogram(cls, hist: HistogramDensity) -> "DiscretizedPosterior":
@@ -383,6 +388,6 @@ def posterior_predictive_noisy_mean(
 
 def bayes_factor(z1: float, z2: float, prior_odds: float = 1.0) -> float:
     """Posterior odds of model 1 over model 2: evidence ratio times prior odds."""
-    if not (z1 > 0 and z2 > 0 and prior_odds > 0):
-        raise ValueError("evidences and prior odds must be positive")
+    if not all(0 < v < np.inf for v in (z1, z2, prior_odds)):
+        raise ValueError("evidences and prior odds must be positive and finite")
     return float(np.exp(np.log(z1) - np.log(z2) + np.log(prior_odds)))

@@ -189,8 +189,7 @@ class IsotropicGaussianTarget(TargetDensity):
 
     def __post_init__(self):
         _check_dim(self.dim)
-        if not 0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        _check_sigma(self.sigma)
         object.__setattr__(self, "_variance", np.array(self.sigma ** 2, dtype=float))
 
     def log_density(self, theta) -> float:
@@ -272,7 +271,9 @@ class NoisyMeanModel(TargetDensity):
     the mean is ``Normal(prior_mean, prior_sd)``.  Both the likelihood and
     the prior are fully normalized densities, so the integral of the
     unnormalized posterior is the model's marginal likelihood.  With zero
-    observations the posterior reduces to the prior.
+    observations the posterior reduces to the prior.  Values and
+    ``prior_mean`` must be finite, and sigmas and ``prior_sd`` positive and
+    finite, else ``ValueError``.
     """
 
     observations: tuple
@@ -283,10 +284,13 @@ class NoisyMeanModel(TargetDensity):
 
     def __post_init__(self):
         obs = tuple((float(v), float(s)) for v, s in self.observations)
-        if any(s <= 0 for _, s in obs):
-            raise ValueError("observation sigmas must be positive")
-        if not self.prior_sd > 0:
-            raise ValueError("prior_sd must be positive")
+        # NaN fails every comparison, so test for valid, not for invalid
+        if not all(math.isfinite(v) and 0 < s < math.inf for v, s in obs):
+            raise ValueError("observations need finite values and positive, finite sigmas")
+        if not math.isfinite(self.prior_mean):
+            raise ValueError(f"prior_mean must be finite, got {self.prior_mean}")
+        if not 0 < self.prior_sd < math.inf:
+            raise ValueError(f"prior_sd must be positive and finite, got {self.prior_sd}")
         object.__setattr__(self, "observations", obs)
         object.__setattr__(self, "_values", np.array([v for v, _ in obs]))
         object.__setattr__(self, "_sigmas", np.array([s for _, s in obs]))
@@ -352,6 +356,12 @@ def _check_dim(d) -> None:
         raise ValueError(f"d must be a positive integer, got {d!r}")
 
 
+def _check_sigma(sigma) -> None:
+    """Reject a scale that is not positive and finite, NaN included."""
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+
+
 def shell_stats(d: int, sigma: float = 1.0) -> ShellStats:
     """Radial statistics of a d-dimensional isotropic Gaussian.
 
@@ -361,8 +371,7 @@ def shell_stats(d: int, sigma: float = 1.0) -> ShellStats:
     the variance.
     """
     _check_dim(d)
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     if d < _SHELL_SERIES_MIN_D:
         log_ratio = math.lgamma((d + 1) / 2.0) - math.lgamma(d / 2.0)
         mean_r = np.sqrt(2.0) * np.exp(log_ratio)
@@ -384,20 +393,23 @@ def radial_log_mass(d: int, sigma: float, r):
 
     Accepts a scalar radius or an array of radii.  For ``d > 1`` the value at
     ``r = 0`` is ``-inf``; for ``d = 1`` there is no volume boost and the
-    result is simply ``-r^2 / (2 sigma^2)``.
+    result is simply ``-r^2 / (2 sigma^2)``.  At ``r = +inf`` it is ``-inf``.
+    A negative or NaN radius, or a ``sigma`` that is not positive and
+    finite, raises ``ValueError``.
     """
     _check_dim(d)
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("radius must be nonnegative")
+    if not np.all(r >= 0):
+        raise ValueError("radius must be nonnegative, not NaN")
     quad = -0.5 * r ** 2 / sigma ** 2
     if d == 1:
         out = quad
     else:
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             out = (d - 1) * np.log(r) + quad
+        # inf - inf at r = inf: the Gaussian factor wins, as at every large r
+        out = np.where(np.isposinf(r), -np.inf, out)
     return out if out.ndim else float(out)
 
 

@@ -21,6 +21,7 @@ from mcmclab.diagnostics import (
     integrated_autocorr_time,
     kish_ess,
     per_coordinate_tau,
+    TauEstimate,
 )
 from mcmclab.errors import CoverageError, NumericalError, ZeroVarianceError
 from mcmclab.grid import _cell_volumes
@@ -285,7 +286,7 @@ class TestBlockedWorkspace:
             if t_max is None:
                 blocked = per_coordinate_tau(x)
             else:
-                blocked = diagnostics._taus(x, t_max)
+                blocked = diagnostics._taus([x], t_max)
         assert blocked == alone
         # the batch fills its windows and flags per block: each must be the column's
         assert [(e.window, e.truncated, repr(e.tau)) for e in blocked] == [
@@ -307,6 +308,54 @@ class TestBlockedWorkspace:
                                             match=f"column {col} has zero variance") as err:
             per_coordinate_tau(x)
         assert err.value.column == col
+
+    @settings(max_examples=30, deadline=None)
+    @given(blocked_batches, st.integers(1, 5))
+    def test_a_sequence_of_arrays_is_one_batch(self, case, parts):
+        # columns split over several arrays, each read from one reused
+        # buffer as a generator hands them out, give the batch's taus and
+        # its one warning
+        n, k, t_max, phi, seed = case
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([ar1_series(phi, n, rng) for _ in range(k)])
+
+        def reused(buffer=np.empty((n, k))):
+            for part in np.array_split(x, parts, axis=1):
+                view = buffer[:, : part.shape[1]]
+                view[...] = part
+                yield view
+
+        with warnings.catch_warnings(record=True) as whole:
+            warnings.simplefilter("always")
+            expected = diagnostics._taus([x], t_max)
+        with blocks_of(max(1, k // 3), n), warnings.catch_warnings(record=True) as split:
+            warnings.simplefilter("always")
+            got = diagnostics._taus(reused(), t_max)
+        assert [(e.window, e.truncated, repr(e.tau)) for e in got] == [
+            (e.window, e.truncated, repr(e.tau)) for e in expected]
+        assert [str(w.message) for w in split] == [str(w.message) for w in whole]
+
+    @pytest.mark.parametrize("bad, error, message", [
+        (np.nan, NumericalError, "column 7 is not finite"),
+        (None, ZeroVarianceError, "column 7 has zero variance"),
+    ])
+    def test_a_later_array_names_its_column_across_the_sequence(self, bad, error, message):
+        x = np.random.default_rng(29).standard_normal((200, 9))
+        if bad is None:
+            x[:, 7] = 0.5
+        else:
+            x[50, 7] = bad
+        with pytest.raises(error, match=message):
+            diagnostics._taus([x[:, :4], x[:, 4:6], x[:, 6:]], None)
+
+    def test_arrays_of_another_length_raise(self):
+        x = np.random.default_rng(30).standard_normal((200, 4))
+        with pytest.raises(ValueError, match="series of length 150 after series of length 200"):
+            diagnostics._taus([x, x[:150]], None)
+        short = [x[:50], x[:50, :3]]
+        assert list(map(repr, diagnostics._taus(short, None))) == [
+            repr(TauEstimate(tau=float("nan"), window=0, insufficient_data=True))] * 7
+        assert diagnostics._taus(iter([]), None) == []
 
     def test_underflowing_column_has_zero_variance(self):
         # every centred square of these values rounds to zero

@@ -85,6 +85,26 @@ class CountingTarget(TargetDensity):
         return -0.5 * float(theta @ theta)
 
 
+class Spiked(TargetDensity):
+    """N(0, I) raised by 1,000 in log density at the one point ``peak``.
+
+    A chain started at ``peak`` rejects every candidate elsewhere, since
+    ``log u`` is above -745 for every uniform but 0.
+    """
+
+    def __init__(self, peak):
+        self.dim = len(peak)
+        self.peak = peak
+
+    def log_density(self, theta):
+        return -0.5 * float(theta @ theta) + 1000.0 * np.array_equal(theta, self.peak)
+
+
+def spiked_at(chain, m, d, seed):
+    """``Spiked`` at the start ``run_ensemble`` gives ``chain`` with ``theta0=None``."""
+    return Spiked(np.random.default_rng(seed).standard_normal((m, d))[chain])
+
+
 class CorrelatedGaussian2D(TargetDensity):
     """N(0, Sigma) in 2-D with marginal scales ``scales`` and correlation ``rho``."""
 
@@ -832,6 +852,33 @@ class TestSingleCodePath:
                                   delta=DEFAULT_DELTA.get(method, 1.2))
         assert target.calls == 2 * (m + 40 * m)
 
+    @pytest.mark.parametrize("method", ENSEMBLE_METHODS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_a_chain_that_never_accepts_equals_replay(self, method, seed):
+        # chain 2's trail is its start alone, while the others move
+        m, d = 8, 3
+        state = assert_run_matches_replay(method, spiked_at(2, m, d, seed), m, None, seed)
+        assert not state.accepted[:, 2].any()
+        assert state.accepted.mean() > 0.2
+        np.testing.assert_array_equal(state.history[:, 2], np.tile(state.starts[2], (40, 1)))
+
+    @pytest.mark.parametrize("method", ENSEMBLE_METHODS)
+    def test_burn_in_of_every_sweep_equals_replay(self, method):
+        # burn_in == n_sweeps records no sweep: an empty history whose
+        # starts are the replay's last positions, and the same stream
+        state = assert_run_matches_replay(method, IsotropicGaussianTarget(3), 8, None, 3)
+        rng = np.random.default_rng(3)
+        gamma = None if method == "stretch" else 1.2 / np.sqrt(3)
+        burnt = run_ensemble(method, IsotropicGaussianTarget(3), m=8, n_sweeps=40, rng=rng,
+                             gamma=gamma, law=StretchLaw(2.0) if method == "stretch" else None,
+                             burn_in=40)
+        assert burnt.history.shape == (0, 8, 3)
+        assert burnt.trail.shape == (8, 3)
+        np.testing.assert_array_equal(burnt.accepted, state.accepted)
+        np.testing.assert_array_equal(burnt.starts, state.history[-1])
+        np.testing.assert_array_equal(burnt.positions, state.positions)
+        assert burnt.chain(5).states.shape == (0, 3)
+
     @pytest.mark.parametrize("m", [2, 3, 40])
     @pytest.mark.parametrize("d", [1, 20])
     @pytest.mark.parametrize("a", [1.1, 5.0])
@@ -1194,14 +1241,50 @@ class TestRunEnsemble:
         np.testing.assert_array_equal(a.history, b.history)
         np.testing.assert_array_equal(a.accepted, b.accepted)
 
-    def test_chain_view_matches_history(self):
-        target = IsotropicGaussianTarget(2, 1.0)
+    @pytest.mark.parametrize("burn_in", [0, 30])
+    @pytest.mark.parametrize("target", [IsotropicGaussianTarget(2, 1.0), spiked_at(3, 5, 2, 18)],
+                             ids=["gaussian", "chain-3-never-accepts"])
+    def test_chain_view_matches_history(self, target, burn_in):
         state = run_ensemble("stretch", target, m=5, n_sweeps=30,
-                             rng=np.random.default_rng(18))
+                             rng=np.random.default_rng(18), burn_in=burn_in)
         chain = state.chain(3)
+        assert chain.states.shape == (30 - burn_in, 2)
         np.testing.assert_array_equal(chain.states, state.history[:, 3, :])
-        np.testing.assert_array_equal(chain.accepted, state.accepted[:, 3])
+        np.testing.assert_array_equal(chain.accepted, state.accepted[burn_in:, 3])
         np.testing.assert_array_equal(chain.start, state.starts[3])
+        if isinstance(target, Spiked):
+            assert not state.accepted[:, 3].any() and state.accepted.any()
+            np.testing.assert_array_equal(chain.states, np.tile(chain.start, (len(chain), 1)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(method=st.sampled_from(ENSEMBLE_METHODS), m=st.integers(4, 13),
+           d=st.integers(1, 4), n=st.integers(0, 25), data=st.data())
+    def test_trail_holds_the_starts_then_each_kept_move(self, method, m, d, n, data):
+        # the trail is the starts, then each kept sweep's accepted moves, of
+        # the run without burn-in (whose history the replay tests check);
+        # history_blocks gives that history in blocks of whole walkers
+        burn_in = data.draw(st.integers(0, n))
+        target = IsotropicGaussianTarget(d, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            full = run_ensemble(method, target, m=m, n_sweeps=n, rng=np.random.default_rng(n))
+            state = run_ensemble(method, target, m=m, n_sweeps=n,
+                                 rng=np.random.default_rng(n), burn_in=burn_in)
+        dense = np.concatenate([full.starts[None], full.history])
+        kept = state.accepted[burn_in:]
+        np.testing.assert_array_equal(state.trail, np.concatenate(
+            [dense[burn_in], dense[burn_in + 1:][kept]]))
+        assert state._walker_rows().dtype == np.int32
+        np.testing.assert_array_equal(state.history, full.history[burn_in:])
+        np.testing.assert_array_equal(state.coordinate_history(slice(1, None)),
+                                      full.history[burn_in:, :, 1:])
+        width = data.draw(st.integers(1, m + 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ens, "_BLOCK_BYTES", 8 * d * max(n - burn_in, 1) * width)
+            blocks = [b.copy() for b in state.history_blocks()]
+        assert [b.shape[1] for b in blocks[:-1]] == [min(width, m) * d] * (len(blocks) - 1)
+        np.testing.assert_array_equal(np.concatenate(blocks, axis=1),
+                                      full.history[burn_in:].reshape(n - burn_in, m * d))
 
     @pytest.mark.parametrize("method", ENSEMBLE_METHODS)
     @pytest.mark.parametrize("burn_in", [0, 1, 11, 12])

@@ -12,8 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mcmclab import cli, diagnostics, harness
-from mcmclab.ensemble import ENSEMBLE_METHODS, MIN_CHAINS
+from mcmclab import cli, diagnostics, ensemble, harness
+from mcmclab.ensemble import ENSEMBLE_METHODS, MIN_CHAINS, EnsembleState
 from mcmclab.errors import ConfigError, ResourceLimitError, ZeroVarianceError
 from mcmclab.harness import (
     _keys_used,
@@ -420,8 +420,13 @@ class TestScaling:
         run_ensemble = harness.run_ensemble
 
         def freeze_walker(*args, **kwargs):
+            # history is rebuilt from the trail: pin walker 3's coordinate 1
+            # in its start and in every move it keeps
             state = run_ensemble(*args, **kwargs)
-            state.history[:, 3, 1] = 0.25
+            walker = np.nonzero(state.accepted[state.burn_in:])[1]
+            m = state.positions.shape[0]
+            state.trail[3, 1] = 0.25
+            state.trail[m:][walker == 3, 1] = 0.25
             return state
 
         monkeypatch.setattr(harness, "run_ensemble", freeze_walker)
@@ -434,7 +439,9 @@ class TestScaling:
 
     def test_ensemble_cell_records_only_kept_sweeps(self):
         # the bench's ens-stretch cell: its 1200 kept sweeps are 18.3 MiB of
-        # history; storing all 1500 and slicing after the run peaked at 26.4 MiB
+        # history; storing all 1500 and slicing after the run peaked at 26.4
+        # MiB, and the dense history of the kept sweeps alone at 21.7 MiB.
+        # Their accepted moves, about 30% of it, peak at 11.2 MiB.
         cfg = ExperimentConfig("scaling", sampler="ens-stretch", dims=(20,), n=1500, m=100)
         tracemalloc.start()
         try:
@@ -442,7 +449,41 @@ class TestScaling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 24 * 2**20
+        assert peak <= 14 * 2**20
+
+    def test_ensemble_cell_beyond_the_evidence_builds_no_history(self, monkeypatch):
+        # tau reads whole-walker blocks and the summaries two rebuilt
+        # coordinates; only the evidence histogram, at d <= 5, reads them all
+        rebuild, widths = EnsembleState.coordinate_history, []
+
+        def recorded(state, coords):
+            widths.append(rebuild(state, coords).shape[2])
+            return rebuild(state, coords)
+
+        def dense(state):
+            raise AssertionError("the dense history was built")
+
+        monkeypatch.setattr(EnsembleState, "coordinate_history", recorded)
+        monkeypatch.setattr(EnsembleState, "history", property(dense))
+        for dim in (6, 5):
+            cfg = ExperimentConfig("scaling", sampler="ens-stretch", dims=(dim,), n=200, m=12)
+            assert (harness._scaling_row(cfg, dim, 0).evidence_hat is None) == (dim == 6)
+        assert widths == [2, 5]
+
+    @pytest.mark.parametrize("sampler, dim, m", [
+        ("ens-stretch", 3, 9), ("ens-de", 7, 20), ("ens-gaussian", 20, 100)])
+    @pytest.mark.parametrize("block_bytes", [1, 8 * 160 * 20 * 3])
+    def test_walker_blocks_leave_the_row_unchanged(self, sampler, dim, m, block_bytes,
+                                                   monkeypatch):
+        # one walker per block, and blocks that split the walkers unevenly,
+        # give the row one dense block gives, to the bit
+        cfg = ExperimentConfig("scaling", sampler=sampler, dims=(dim,), n=200, m=m, seed=3)
+        monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 2**40)
+        whole = harness._scaling_row(cfg, dim, 0)
+        monkeypatch.setattr(ensemble, "_BLOCK_BYTES", block_bytes)
+        blocked = harness._scaling_row(cfg, dim, 0)
+        assert repr(dataclasses.replace(blocked, wall_time_s=0.0)) == repr(
+            dataclasses.replace(whole, wall_time_s=0.0))
 
 
 class TestExercises:

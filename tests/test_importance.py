@@ -268,7 +268,10 @@ class TestInputChecks:
         (((0.0, 0.0),), ((1.0, 1.0),), "1-D"),
         ((0.0, 1.0), (1.0, 1.0), "upper must exceed lower"),
         ((0.0, 2.0), (1.0, 1.0), "upper must exceed lower"),
-    ], ids=["lengths", "2-D", "equal", "reversed"])
+        ((-np.inf,), (np.inf,), "bounds must be finite"),
+        ((0.0, 0.0), (1.0, np.inf), "bounds must be finite"),
+        ((0.0, np.nan), (1.0, 1.0), "upper must exceed lower"),
+    ], ids=["lengths", "2-D", "equal", "reversed", "infinite", "infinite upper", "nan"])
     def test_uniform_box_rejects(self, lower, upper, message):
         with pytest.raises(ValueError, match=message):
             UniformBoxProposal(lower, upper)

@@ -31,6 +31,7 @@ from mcmclab.importance import (
     importance_weights,
 )
 from mcmclab.mh import Chain
+from mcmclab.summaries import DiscretizedPosterior
 from mcmclab.targets import (
     DiagonalGaussianTarget,
     IsotropicGaussianTarget,
@@ -101,6 +102,7 @@ READERS = {
     "integrated_autocorr_time": (lambda d: integrated_autocorr_time, 1),
     "autocorrelation": (lambda d: autocorrelation, 1),
     "autocovariance": (lambda d: partial(autocovariance, t=2), 1),
+    "DiscretizedPosterior.from_samples": (lambda d: DiscretizedPosterior.from_samples, "any"),
 }
 
 
@@ -182,6 +184,14 @@ class TestPoints:
     def test_other_shapes_raise_naming_both(self, x, dim, want, given):
         with pytest.raises(ValueError, match=rf"^points must have shape \(n, {want}\), got shape {given}$"):
             _points(x, dim)
+
+    def test_from_samples_keeps_one_dimensional_points_flat_without_a_copy(self):
+        # from_samples runs on every ensemble cell's coordinate columns, strided views
+        cloud = np.random.default_rng(63).standard_normal((50, 3))
+        post = DiscretizedPosterior.from_samples(cloud[:, 1])
+        assert post.points.shape == (50,) and np.shares_memory(post.points, cloud)
+        np.testing.assert_array_equal(post.points, cloud[:, 1])
+        assert DiscretizedPosterior.from_samples(cloud).points is cloud
 
     def test_the_message_takes_the_consumer_s_names(self):
         with pytest.raises(ValueError, match=r"^walkers must have shape \(m, 3\), got shape \(4, 2\)$"):

@@ -580,6 +580,14 @@ class TestBayesFactor:
             with pytest.raises(ValueError):
                 bayes_factor(*bad)
 
+    @pytest.mark.parametrize("bad", [(np.inf, np.inf, 1.0), (np.inf, 1.0, 1.0),
+                                     (1.0, 1.0, np.inf), (np.nan, 1.0, 1.0)])
+    def test_evidences_and_odds_must_be_finite(self, bad):
+        # bayes_factor(inf, inf) once read log(inf) - log(inf): NaN and an
+        # invalid-value warning
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            bayes_factor(*bad)
+
     def test_prior_comparison_matches_fine_grid_oracle(self):
         # coarse-grid Bayes factor against a 10x finer evidence oracle
         model_a, model_b = noisy_mean_model(), noisy_mean_alt_model()

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -389,6 +390,12 @@ class TestShellStats:
         with pytest.raises(ValueError):
             shell_stats(3, -1.0)
 
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan, 0.0])
+    def test_sigma_must_be_positive_and_finite(self, sigma):
+        # shell_stats(2, inf) once gave every statistic as inf
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            shell_stats(2, sigma)
+
     @pytest.mark.parametrize("d", [2.5, 3.0, np.nan, "3"])
     def test_non_integer_d_rejected(self, d):
         with pytest.raises(ValueError, match="d must be a positive integer"):
@@ -417,6 +424,16 @@ class TestRadialLogMass:
         offsets = ours - oracle
         assert np.allclose(offsets, offsets[0], atol=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 30])
+    def test_infinite_radius_has_zero_mass(self, d):
+        # (d - 1) log r - r^2 / 2 once read inf - inf: NaN and an
+        # invalid-value warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert radial_log_mass(d, 1.0, np.inf) == -np.inf
+            got = radial_log_mass(d, 2.0, [0.5, np.inf])
+        np.testing.assert_array_equal(got, [radial_log_mass(d, 2.0, 0.5), -np.inf])
+
     def test_zero_radius(self):
         assert radial_log_mass(5, 1.0, 0.0) == -np.inf
         assert radial_log_mass(1, 1.0, 0.0) == 0.0
@@ -440,6 +457,9 @@ class TestRadialLogMass:
         (2, np.nan, 1.0, "sigma must be positive"),
         (2, 1.0, -0.5, "radius must be nonnegative"),
         (2, 1.0, [1.0, -1e-9], "radius must be nonnegative"),
+        (2, 1.0, np.nan, "radius must be nonnegative, not NaN"),
+        (1, 1.0, [1.0, np.nan], "radius must be nonnegative, not NaN"),
+        (2, np.inf, 1.0, "sigma must be positive and finite"),
     ])
     def test_input_validation(self, d, sigma, r, message):
         with pytest.raises(ValueError, match=message):
@@ -506,6 +526,23 @@ class TestConstruction:
             NoisyMeanModel(((1.0, 0.0),), 0.0, 1.0)
         with pytest.raises(ValueError):
             NoisyMeanModel((), 0.0, -2.0)
+
+    @pytest.mark.parametrize("observations, prior_mean, prior_sd, message", [
+        (((math.nan, 1.0),), 0.0, 1.0, "observations need finite values"),
+        (((math.inf, 1.0),), 0.0, 1.0, "observations need finite values"),
+        (((1.0, math.nan),), 0.0, 1.0, "positive, finite sigmas"),
+        (((1.0, math.inf),), 0.0, 1.0, "positive, finite sigmas"),
+        ((), math.nan, 1.0, "prior_mean must be finite"),
+        ((), -math.inf, 1.0, "prior_mean must be finite"),
+        ((), 0.0, math.inf, "prior_sd must be positive and finite"),
+        ((), 0.0, math.nan, "prior_sd must be positive and finite"),
+    ])
+    def test_noisy_mean_parameters_must_be_finite(self, observations, prior_mean, prior_sd,
+                                                  message):
+        # ((nan, 1.0),) once gave a log density of NaN everywhere, and an
+        # infinite sigma or prior_sd -inf everywhere
+        with pytest.raises(ValueError, match=message):
+            NoisyMeanModel(observations, prior_mean, prior_sd)
 
     def test_out_of_support_returns_neg_inf_not_error(self):
         # contract: zero density is -inf, never an exception
